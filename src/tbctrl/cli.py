@@ -76,9 +76,7 @@ def _write_trajectory(path: Path, config: ScenarioConfig, traj: Trajectory) -> N
                _trajectory_rows(traj, with_adjoint))
 
 
-def _constant_control_run(config: ScenarioConfig, const: np.ndarray) -> Trajectory:
-    d = models.model_definition(config.model)
-    control = np.tile(np.asarray(const, dtype=float), (config.grid.n_nodes, 1))
+def _simulate(config: ScenarioConfig, control: np.ndarray) -> Trajectory:
     state = integrate_forward(config.model, config.params, config.initial_state(),
                               control, config.grid)
     return Trajectory(config.grid, state, control)
@@ -147,10 +145,7 @@ def cmd_simulate(args) -> int:
     config = _apply_cli_overrides(find_scenario(args.scenario), args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    control = _parse_control_mode(args.control, config)
-    state = integrate_forward(config.model, config.params, config.initial_state(),
-                              control, config.grid)
-    traj = Trajectory(config.grid, state, control)
+    traj = _simulate(config, _parse_control_mode(args.control, config))
     cost = total_cost(config.cost_kind, config.model, traj, config.weights)
     _write_trajectory(out / "trajectory.csv", config, traj)
     d = models.model_definition(config.model)
@@ -159,8 +154,8 @@ def cmd_simulate(args) -> int:
         "model": config.model.value,
         "cost": cost,
         "terminal_time": config.grid.tf,
-        "terminal_state": {lbl: state[-1, i] for i, lbl in enumerate(d.state_labels)},
-        "terminal_population": float(state[-1].sum()),
+        "terminal_state": {lbl: traj.state[-1, i] for i, lbl in enumerate(d.state_labels)},
+        "terminal_population": float(traj.state[-1].sum()),
     })
     print(f"simulate: wrote {out / 'trajectory.csv'} (cost={cost:.6g})")
     return EXIT_OK
@@ -169,11 +164,11 @@ def cmd_simulate(args) -> int:
 def _optimize_into(config: ScenarioConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     solution = solve_fbs(config)
-    baseline = _constant_control_run(config, np.zeros(models.model_definition(config.model).control_dim))
+    d = models.model_definition(config.model)
+    baseline = _simulate(config, np.zeros((config.grid.n_nodes, d.control_dim)))
     baseline_cost = total_cost(config.cost_kind, config.model, baseline, config.weights)
     _write_trajectory(out / "trajectory.csv", config, solution.trajectory)
     _write_trajectory(out / "baseline.csv", config, baseline)
-    d = models.model_definition(config.model)
     _write_csv(out / "control.csv", ["t", *d.control_labels],
                ([t, *u] for t, u in zip(config.grid.nodes, solution.trajectory.control)))
     report = solution.report

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core import CostWeights, ParameterSet, ValidationError
-from .base import ModelDefinition, ModelId, validate_against
+from .base import AdjointFn, ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
 from .baselines import NEUTRAL_CONTROLS, has_baseline, uncontrolled_rhs
 
@@ -88,6 +88,15 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     return _cost_vec(ModelId(model), w).copy()
 
 
+def costate(d: ModelDefinition, w: CostWeights) -> AdjointFn:
+    """The model's costate right-hand side: its explicit ``adjoint``, else -(J^T lam) - g."""
+    if d.adjoint is not None:
+        return d.adjoint
+    jac = d.jac
+    g = _cost_vec(d.id, w)
+    return lambda t, x, lam, u, p, _w: -(jac(t, x, u, p).T @ lam) - g
+
+
 def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Time derivative of the costate: -dH/dx for the model's Hamiltonian."""
@@ -97,10 +106,7 @@ def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
     u = np.asarray(u, dtype=float)
     if lam.shape != (d.state_dim,):
         raise ValidationError(f"{d.id.value}: adjoint must have shape ({d.state_dim},), got {lam.shape}")
-    if d.adjoint is not None:
-        return d.adjoint(t, x, lam, u, p, w)
-    jac = d.jac(t, x, u, p)
-    return -(jac.T @ lam) - _cost_vec(d.id, w)
+    return costate(d, w)(t, x, lam, u, p, w)
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,

@@ -58,7 +58,6 @@ class ModelDefinition:
     positive_params: tuple[str, ...] = ()
     time_dependent_ok: tuple[str, ...] = ()
     sum_constraints: tuple[tuple[str, str], ...] = ()  # pairs whose sum must stay <= 1
-    constant_population: bool = False
     separable_controls: bool = True  # Hamiltonian additively separable across controls
 
     @property

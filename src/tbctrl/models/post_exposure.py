@@ -107,7 +107,6 @@ DEFINITION = ModelDefinition(
     unit_interval_params=("sigma", "sigma_R", "k1"),
     open_unit_params=("eps1", "eps2"),
     positive_params=("N",),
-    constant_population=True,
 )
 
 DEFAULT_PARAMS = {

@@ -79,7 +79,6 @@ DEFINITION = ModelDefinition(
     nonnegative_params=("Lambda", "beta", "c", "mu", "k1", "r1", "r2", "d1"),
     unit_interval_params=("sigma",),
     positive_params=("N",),
-    constant_population=True,
 )
 
 DEFAULT_PARAMS = {

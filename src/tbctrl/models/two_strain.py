@@ -113,7 +113,6 @@ DEFINITION = ModelDefinition(
     unit_interval_params=("sigma", "p", "q"),
     positive_params=("N",),
     sum_constraints=(("p", "q"),),
-    constant_population=True,
 )
 
 DEFAULT_PARAMS = {

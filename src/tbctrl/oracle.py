@@ -14,7 +14,7 @@ import numpy as np
 from .core import CostWeights, TimeGrid, Trajectory, ValidationError
 from . import models
 from .models import ModelId
-from .solver import SolveReport, Solution, _rk4_forward, validate_problem
+from .solver import SolveReport, Solution, _rk4, validate_problem
 
 __all__ = ["solve_direct", "best_constant_control"]
 
@@ -56,8 +56,8 @@ class _Simulator:
     """Full and suffix-restart simulations of the piecewise-constant objective."""
 
     def __init__(self, model, p, w, grid: TimeGrid, x0, coarse_steps: int):
-        self.rhs = models.model_definition(model).rhs
-        self.p = p
+        rhs = models.model_definition(model).rhs
+        self.f = lambda t, x, u: rhs(t, x, u, p)
         self.grid = grid
         self.x0 = np.asarray(x0, dtype=float)
         self.m = coarse_steps
@@ -65,9 +65,12 @@ class _Simulator:
         self.cost_path = _CostPath(model, w)
         self.evaluations = 0
 
+    def run(self, x0: np.ndarray, fine: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        return _rk4(self.f, x0, nodes, (fine,), "state")
+
     def cost(self, u_coarse: np.ndarray) -> float:
         fine = _fine_controls(u_coarse, self.grid.n_steps)
-        state = _rk4_forward(self.rhs, self.p, self.x0, fine, self.grid.nodes)
+        state = self.run(self.x0, fine, self.grid.nodes)
         self.evaluations += 1
         g = self.cost_path.integrand(state, fine)
         return self.cost_path.integral(g, self.grid.h)
@@ -75,7 +78,7 @@ class _Simulator:
     def base_run(self, u_coarse: np.ndarray):
         """Full run caching states and prefix costs for suffix restarts."""
         fine = _fine_controls(u_coarse, self.grid.n_steps)
-        state = _rk4_forward(self.rhs, self.p, self.x0, fine, self.grid.nodes)
+        state = self.run(self.x0, fine, self.grid.nodes)
         self.evaluations += 1
         g = self.cost_path.integrand(state, fine)
         h = self.grid.h
@@ -87,7 +90,7 @@ class _Simulator:
         start = max(int(self.bounds[coord]) - 1, 0)
         fine = _fine_controls(u_coarse, self.grid.n_steps)
         nodes = self.grid.nodes[start:]
-        state = _rk4_forward(self.rhs, self.p, base_state[start], fine[start:], nodes)
+        state = self.run(base_state[start], fine[start:], nodes)
         g = self.cost_path.integrand(state, fine[start:])
         return float(base_prefix[start]) + self.cost_path.integral(g, self.grid.h)
 
@@ -96,10 +99,19 @@ def _init_lattice_points(control_dim: int) -> int:
     return {1: 11, 2: 7}.get(control_dim, 5)
 
 
-def _constant_lattice(control_dim: int, grid_points: int, lo: float, hi: float):
+def _best_constant(sim: _Simulator, control_dim: int, grid_points: int,
+                   lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """First cheapest point of a uniform lattice of constant controls, and its cost."""
     axis = np.linspace(lo, hi, grid_points)
     mesh = np.meshgrid(*([axis] * control_dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    best_u = None
+    best_cost = np.inf
+    for const in np.stack([m.ravel() for m in mesh], axis=-1):
+        cost = sim.cost(const.reshape(1, -1))
+        if cost < best_cost:
+            best_cost = cost
+            best_u = const
+    return best_u, best_cost
 
 
 def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, float]:
@@ -110,14 +122,7 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     validate_problem(model, p, w)
     d = models.model_definition(model)
     sim = _Simulator(model, p, w, scenario.grid, scenario.initial_state(), 1)
-    best_u = None
-    best_cost = np.inf
-    for const in _constant_lattice(d.control_dim, grid_points, w.lower, w.upper):
-        cost = sim.cost(const.reshape(1, -1))
-        if cost < best_cost:
-            best_cost = cost
-            best_u = const
-    return np.asarray(best_u), best_cost
+    return _best_constant(sim, d.control_dim, grid_points, w.lower, w.upper)
 
 
 def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
@@ -125,9 +130,9 @@ def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
                  init_grid_points: int | None = None) -> Solution:
     """Projected finite-difference gradient descent on piecewise-constant controls.
 
-    Starts from the better of the zero control and a coarse constant-control
-    scan, descends with Armijo backtracking, and stops once the sup-norm of
-    the projected gradient falls below grad_tol_scale * (1 + |cost|) or the
+    Starts from the cheapest point of a coarse lattice of constant controls,
+    descends with Armijo backtracking, and stops once the sup-norm of the
+    projected gradient falls below grad_tol_scale * (1 + |cost|) or the
     iteration budget runs out. The best evaluated iterate is returned either
     way; ``report.converged`` records whether the gradient test was met.
     """
@@ -146,15 +151,9 @@ def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
     nu = d.control_dim
 
     pts = init_grid_points if init_grid_points is not None else _init_lattice_points(nu)
-    u = np.full((coarse_steps, nu), lo)
-    best_cost = sim.cost(u)
-    for const in _constant_lattice(nu, pts, lo, hi):
-        cand = np.tile(const, (coarse_steps, 1))
-        cost = sim.cost(cand)
-        if cost < best_cost:
-            best_cost = cost
-            u = cand
-    cost = best_cost
+    const, cost = _best_constant(sim, nu, pts, lo, hi)
+    u = np.tile(const, (coarse_steps, 1))
+    best_cost = cost
     best_u = u.copy()
 
     history = [cost]
@@ -209,7 +208,7 @@ def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
         step *= 2.0
 
     fine = _fine_controls(best_u, grid.n_steps)
-    state = _rk4_forward(sim.rhs, p, sim.x0, fine, grid.nodes)
+    state = sim.run(sim.x0, fine, grid.nodes)
     traj = Trajectory(grid, state, fine)
     msg = "direct method (projected finite-difference gradient descent)"
     if line_search_failed:

@@ -103,7 +103,7 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
     """Compare the analytic adjoint against -grad_x H by central differences.
 
     Residuals are relative to max(1, |grad H|_inf) per sample. fd_step=None
-    uses 1e-6 * max(1, |x_i|) per component.
+    uses 1e-4 * max(1, |x_i|) per component.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -117,7 +117,7 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
         t = rng.uniform(0.0, 5.0)
         grad = np.empty(d.state_dim)
         for i in range(d.state_dim):
-            h = fd_step if fd_step is not None else 1e-6 * max(1.0, abs(x[i]))
+            h = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(x[i]))
             xp = x.copy()
             xm = x.copy()
             xp[i] += h

@@ -7,6 +7,9 @@ a convex combination. Iteration stops when the relative L1 change of the
 control drops below tolerance; the returned control is the pointwise
 characterization from the final sweep (re-integrated once more), which
 removes the relaxation offset left on clamped arcs.
+
+Both passes, and the direct oracle's simulations, run one RK4 kernel, which
+checks finiteness once per pass rather than after every step.
 """
 
 from __future__ import annotations
@@ -82,32 +85,45 @@ class Solution:
     report: SolveReport
 
 
-def _check_finite(arr: np.ndarray, what: str, step: int, t: float):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{what} became non-finite at step {step} (t={t:.6g})",
-                             step=step, time=t)
+def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, order: slice, what: str):
+    """Raise NonFiniteError at the first non-finite row past the start, in integration order."""
+    bad = ~np.isfinite(rows[1:]).all(axis=1)
+    if bad.any():
+        j = int(bad.argmax()) + 1
+        step = range(len(rows))[order][j]
+        raise NonFiniteError(f"{what} became non-finite at step {step} (t={ts[j]:.6g})",
+                             step=step, time=ts[j])
 
 
-def _rk4_forward(rhs, p: ParameterSet, x0: np.ndarray, control: np.ndarray,
-                 nodes: np.ndarray) -> np.ndarray:
-    """Classical RK4 over an explicit node array; control linearly interpolated at half-steps."""
-    n = len(nodes) - 1
-    out = np.empty((n + 1, len(x0)))
-    out[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for i in range(n):
-        t = nodes[i]
-        h = nodes[i + 1] - t
-        u0 = control[i]
-        u1 = control[i + 1]
-        um = 0.5 * (u0 + u1)
-        k1 = rhs(t, x, u0, p)
-        k2 = rhs(t + 0.5 * h, x + (0.5 * h) * k1, um, p)
-        k3 = rhs(t + 0.5 * h, x + (0.5 * h) * k2, um, p)
-        k4 = rhs(t + h, x + h * k3, u1, p)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(x, "state", i + 1, nodes[i + 1])
-        out[i + 1] = x
+def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
+         backward: bool = False) -> np.ndarray:
+    """Classical RK4 of y' = f(t, y, *d) along ``nodes``, from the last node if ``backward``.
+
+    ``drivers`` are node-indexed arrays, one per part of d; a half-step takes
+    the mean of the two end rows. Finiteness is checked once per pass, not
+    per step, and the first non-finite row in integration order is reported.
+    """
+    order = slice(None, None, -1 if backward else 1)
+    ts = nodes[order]
+    runs = [a[order] for a in drivers]
+    mids = [0.5 * (a[:-1] + a[1:]) for a in runs]
+    out = np.zeros((len(nodes), len(y0)))  # rows a failed pass never reached stay finite
+    rows = out[order]
+    rows[0] = y = y0
+    steps = zip(ts[:-1], ts[1:], zip(*runs), zip(*mids), zip(*(a[1:] for a in runs)))
+    try:
+        for j, (t, t1, d0, dm, d1) in enumerate(steps, 1):
+            h = t1 - t
+            k1 = f(t, y, *d0)
+            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, *dm)
+            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, *dm)
+            k4 = f(t + h, y + h * k3, *d1)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rows[j] = y
+    except ArithmeticError:  # np.errstate(invalid='raise') trips on the rows after a bad one
+        _raise_first_nonfinite(rows, ts, order, what)
+        raise
+    _raise_first_nonfinite(rows, ts, order, what)
     return out
 
 
@@ -124,7 +140,8 @@ def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
             f"{d.id.value}: control must have shape ({grid.n_nodes}, {d.control_dim}), got {control.shape}")
     if np.any(x0 < 0):
         raise ValidationError("initial state must be nonnegative")
-    return _rk4_forward(d.rhs, p, x0, control, grid.nodes)
+    rhs = d.rhs
+    return _rk4(lambda t, x, u: rhs(t, x, u, p), x0, grid.nodes, (control,), "state")
 
 
 def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
@@ -136,7 +153,6 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
     exactly by construction.
     """
     d = models.model_definition(model)
-    n = grid.n_steps
     state = np.asarray(state, dtype=float)
     control = np.asarray(control, dtype=float)
     if state.shape != (grid.n_nodes, d.state_dim):
@@ -144,36 +160,9 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
     if control.shape != (grid.n_nodes, d.control_dim):
         raise ValidationError(f"{d.id.value}: control trajectory shape {control.shape} does not match grid")
 
-    if d.adjoint is not None:
-        rhs_adj = d.adjoint
-    else:
-        jac = d.jac
-        cost_vec = models.cost_state_vector(model, w)
-
-        def rhs_adj(t, x, lam, u, pp, ww):
-            return -(jac(t, x, u, pp).T @ lam) - cost_vec
-
-    out = np.empty((n + 1, d.state_dim))
-    lam = np.zeros(d.state_dim)
-    out[n] = lam
-    nodes = grid.nodes
-    for i in range(n - 1, -1, -1):
-        t1 = nodes[i + 1]
-        hb = nodes[i] - t1  # negative step
-        x1 = state[i + 1]
-        x0s = state[i]
-        xm = 0.5 * (x0s + x1)
-        u1 = control[i + 1]
-        u0 = control[i]
-        um = 0.5 * (u0 + u1)
-        k1 = rhs_adj(t1, x1, lam, u1, p, w)
-        k2 = rhs_adj(t1 + 0.5 * hb, xm, lam + (0.5 * hb) * k1, um, p, w)
-        k3 = rhs_adj(t1 + 0.5 * hb, xm, lam + (0.5 * hb) * k2, um, p, w)
-        k4 = rhs_adj(t1 + hb, x0s, lam + hb * k3, u0, p, w)
-        lam = lam + (hb / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(lam, "adjoint", i, nodes[i])
-        out[i] = lam
-    return out
+    adj = models.costate(d, w)
+    return _rk4(lambda t, lam, x, u: adj(t, x, lam, u, p, w), np.zeros(d.state_dim),
+                grid.nodes, (state, control), "adjoint", backward=True)
 
 
 def _expand_initial_control(initial, n_nodes: int, control_dim: int) -> np.ndarray:

@@ -72,16 +72,20 @@ class TestSeirsDynamics:
         assert f[1] == 0.0 and f[2] == 0.0
         assert f[0] == pytest.approx(143.0 - 0.0143 * 7000.0, rel=1e-14)
 
-    def test_population_balance_when_inflow_matches_deaths(self):
-        # Lambda = mu*N, d1 = 0, and sum(x) = N: component sums cancel up to rounding
-        p = flagship_params()
+    @pytest.mark.parametrize("mid", [ModelId.SEIRS, ModelId.TWO_STRAIN, ModelId.POST_EXPOSURE])
+    def test_population_balance_when_inflow_matches_deaths(self, mid):
+        # defaults recruit mu*N with no disease deaths, so with sum(x) = N the
+        # component sums cancel up to rounding
+        d = model_definition(mid)
+        p = default_params(mid)
+        n_pop = p.value("N")
+        inflow = p.value("mu") * n_pop
         rng = np.random.default_rng(3)
         for _ in range(100):
-            shares = rng.dirichlet(np.ones(4))
-            x = shares * 10000.0
-            u = rng.uniform(0.0, 1.0, size=1)
-            f = dynamics(ModelId.SEIRS, 0.0, x, u, p)
-            scale = float(np.max(np.abs(f))) + 143.0
+            x = rng.dirichlet(np.ones(d.state_dim)) * n_pop
+            u = rng.uniform(0.0, 1.0, size=d.control_dim)
+            f = dynamics(mid, 0.0, x, u, p)
+            scale = float(np.max(np.abs(f))) + inflow
             assert abs(float(np.sum(f))) <= 1e-12 * scale
 
 

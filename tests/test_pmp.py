@@ -89,6 +89,13 @@ class TestAdjointConsistency:
         with pytest.raises(ValidationError):
             verify_adjoint_consistency(ModelId.SEIRS, samples=0)
 
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_default_step_passes_cli_threshold_for_every_seed(self, mid):
+        # central-difference roundoff must stay under `tbctrl verify`'s 1e-6 bar
+        worst = max(verify_adjoint_consistency(mid, seed=seed).max_adjoint_residual
+                    for seed in range(1, 41))
+        assert worst < 1e-6
+
 
 class TestControlStationarity:
     def test_seirs_grid_minimum(self):

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet,
-                    integrate_adjoint_backward, integrate_forward,
-                    make_time_grid, reduced_cost_gradient, solve_fbs, total_cost)
+from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, default_params,
+                    integrate_adjoint_backward, integrate_forward, make_time_grid,
+                    model_definition, reduced_cost_gradient, solve_fbs, total_cost)
 from tbctrl.core import Trajectory, ValidationError
 from tbctrl.solver import FbsSettings, _expand_initial_control
 
@@ -56,6 +56,29 @@ class TestForwardIntegration:
                 integrate_forward(ModelId.SEIRS, p, x0, np.zeros((g.n_nodes, 1)), g)
         assert err.value.step is not None
 
+    @pytest.mark.parametrize("mid", [ModelId.REINFECTION, ModelId.KOREA])
+    def test_live_population_blowup_located(self, mid):
+        d = model_definition(mid)
+        p = default_params(mid).with_updates({"beta": 1e300})
+        g = make_time_grid(0.0, 5.0, 10)
+        x0 = np.array([100.0, 100.0, 100.0, 9000.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                integrate_forward(mid, p, x0, np.zeros((g.n_nodes, d.control_dim)), g)
+        assert (err.value.step, err.value.time) == (1, 0.5)
+        assert str(err.value) == "state became non-finite at step 1 (t=0.5)"
+
+    def test_blowup_located_when_invalid_operations_raise(self):
+        # S' = 3 S with h = 1: every RK4 stage of step 1 stays finite but the row
+        # overflows; step 2 then meets 0 * inf, which np.errstate makes an error
+        p = zero_rate_params().with_updates({"mu": -3.0})
+        g = make_time_grid(0.0, 5.0, 5)
+        x0 = np.array([1.13e307, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="raise"):
+            with pytest.raises(NonFiniteError) as err:
+                integrate_forward(ModelId.SEIRS, p, x0, np.zeros((g.n_nodes, 1)), g)
+        assert (err.value.step, err.value.time) == (1, 1.0)
+
     def test_negative_initial_state_rejected(self):
         g = make_time_grid(0.0, 1.0, 10)
         with pytest.raises(ValidationError):
@@ -80,6 +103,22 @@ class TestBackwardIntegration:
         lam = integrate_adjoint_backward(cfg.model, cfg.params, cfg.weights,
                                          state, u, cfg.grid)
         assert np.array_equal(lam[-1], np.zeros(4))
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_blowup_located_in_integration_order(self, mid):
+        # zero dynamics: |lam_i| = (n - i) * h * a1, which first overflows at i = 2;
+        # rows 1 and 0 overflow too but come later in the backward pass
+        d = model_definition(mid)
+        p = ParameterSet({name: 1.0 if name == "N" else 0.0 for name in d.required_params})
+        g = make_time_grid(0.0, 10.0, 10)
+        w = CostWeights(a1=2.5e307, b=(1.0,) * d.control_dim)
+        state = np.ones((g.n_nodes, d.state_dim))
+        u = np.zeros((g.n_nodes, d.control_dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                integrate_adjoint_backward(mid, p, w, state, u, g)
+        assert (err.value.step, err.value.time) == (2, 2.0)
+        assert str(err.value) == "adjoint became non-finite at step 2 (t=2)"
 
     def test_initial_adjoint_step_halving_at_fixed_point(self, flagship, shrink):
         cfg = shrink(flagship, 1000)
