@@ -34,20 +34,11 @@ __all__ = [
     "uncontrolled_rhs",
 ]
 
-MODELS: dict[ModelId, ModelDefinition] = {
-    m.DEFINITION.id: m.DEFINITION
-    for m in (seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure)
-}
+_MODULES = (seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure)
 
-_DEFAULTS = {
-    seirs.DEFINITION.id: seirs.DEFAULT_PARAMS,
-    two_strain.DEFINITION.id: two_strain.DEFAULT_PARAMS,
-    reinfection.DEFINITION.id: reinfection.DEFAULT_PARAMS,
-    isolation.DEFINITION.id: isolation.DEFAULT_PARAMS,
-    korea.DEFINITION.id: korea.DEFAULT_PARAMS,
-    bowong.DEFINITION.id: bowong.DEFAULT_PARAMS,
-    post_exposure.DEFINITION.id: post_exposure.DEFAULT_PARAMS,
-}
+MODELS: dict[ModelId, ModelDefinition] = {m.DEFINITION.id: m.DEFINITION for m in _MODULES}
+
+_DEFAULTS = {m.DEFINITION.id: m.DEFAULT_PARAMS for m in _MODULES}
 
 
 def model_definition(model: ModelId | str) -> ModelDefinition:

@@ -87,9 +87,9 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
     """Collect every range/constraint violation; an empty list means valid."""
     violations: list[str] = []
     for name in defn.required_params:
-        if not p.has(name):
+        if name not in p:
             violations.append(f"missing parameter {name!r}")
-    present = [n for n in defn.required_params if p.has(n)]
+    present = [n for n in defn.required_params if n in p]
 
     ranges: dict[str, tuple[float, float]] = {}
     for name in present:

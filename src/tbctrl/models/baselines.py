@@ -28,7 +28,7 @@ NEUTRAL_CONTROLS: dict[ModelId, tuple[float, ...]] = {
 
 
 def _seirs_rhs(t, x, p):
-    lam_in, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = seirs._unpack(p)
+    lam_in, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = p.values(seirs.PARAMS)
     s, l1, i1, tr = x
     th = beta * c / n_pop
     inf_s = th * s * i1
@@ -43,7 +43,7 @@ def _seirs_rhs(t, x, p):
 
 def _two_strain_rhs(t, x, pp):
     (lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2,
-     d1, d2, p, q, n_pop) = two_strain._unpack(pp)
+     d1, d2, p, q, n_pop) = pp.values(two_strain.PARAMS)
     s, l1, i1, l2, i2, tr = x
     th1 = beta * c / n_pop
     th2 = beta_s * c / n_pop
@@ -64,7 +64,7 @@ def _two_strain_rhs(t, x, pp):
 
 
 def _reinfection_rhs(t, x, p):
-    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = reinfection._unpack(p)
+    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p.values(reinfection.PARAMS)
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c / n
@@ -81,7 +81,7 @@ def _reinfection_rhs(t, x, p):
 
 def _isolation_rhs(t, x, pp):
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
-     d3, d4, r2, r3, xi) = isolation._unpack(pp)
+     d3, d4, r2, r3, xi) = pp.values(isolation.PARAMS)
     s, l1, i1, jc, tr = x
     n = live_population(x)
     bc = beta * c
@@ -98,7 +98,7 @@ def _isolation_rhs(t, x, pp):
 
 
 def _korea_rhs(t, x, p):
-    b, mu, beta, alpha, k, s, r = korea._unpack(p, t)
+    b, mu, beta, alpha, k, s, r = p.values(korea.PARAMS, t)
     sv, l1, iv, l5 = x
     n = live_population(x)
     w = beta * sv * iv / n

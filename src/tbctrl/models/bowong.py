@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet
+from ..core import CostKind
 from .base import ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "I2")
@@ -25,17 +25,8 @@ PARAMS = ("Lambda", "beta", "mu", "g", "f", "h", "r1", "r2", "r3",
           "k1", "sigma", "d1", "d3")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("Lambda"), p.value("beta"), p.value("mu"), p.value("g"),
-        p.value("f"), p.value("h"), p.value("r1"), p.value("r2"),
-        p.value("r3"), p.value("k1"), p.value("sigma"), p.value("d1"),
-        p.value("d3"),
-    )
-
-
 def rhs(t, x, u, p):
-    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = _unpack(p)
+    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
     s, l1, i1, i2 = x
     n = live_population(x)
     u1, u2 = u
@@ -53,7 +44,7 @@ def rhs(t, x, u, p):
 
 
 def jac(t, x, u, p):
-    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = _unpack(p)
+    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
     s, l1, i1, i2 = x
     n = live_population(x)
     u1, u2 = u
@@ -87,7 +78,7 @@ def characterize(t, x, lam, p, w):
     the Hessian is positive definite) or lies on one of the four edges, each
     of which is a strictly convex 1-D quadratic.
     """
-    _, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = _unpack(p)
+    _, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
     s, l1, i1, i2 = x
     n = live_population(x)
     phi = beta * i1 / n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet
+from ..core import CostKind
 from .base import ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "J", "T")
@@ -21,18 +21,9 @@ PARAMS = ("Lambda_star", "A", "p_star", "q_star", "beta", "c", "l", "m", "p",
           "sigma", "sigma_star", "k1", "mu", "d3", "d4", "r2", "r3", "xi")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("Lambda_star"), p.value("A"), p.value("p_star"), p.value("q_star"),
-        p.value("beta"), p.value("c"), p.value("l"), p.value("m"), p.value("p"),
-        p.value("sigma"), p.value("sigma_star"), p.value("k1"), p.value("mu"),
-        p.value("d3"), p.value("d4"), p.value("r2"), p.value("r3"), p.value("xi"),
-    )
-
-
 def rhs(t, x, u, pp):
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
-     d3, d4, r2, r3, xi) = _unpack(pp)
+     d3, d4, r2, r3, xi) = pp.values(PARAMS)
     s, l1, i1, jc, tr = x
     n = live_population(x)
     u1, u2 = u
@@ -52,7 +43,7 @@ def rhs(t, x, u, pp):
 
 def jac(t, x, u, pp):
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
-     d3, d4, r2, r3, xi) = _unpack(pp)
+     d3, d4, r2, r3, xi) = pp.values(PARAMS)
     s, l1, i1, jc, tr = x
     n = live_population(x)
     u1, u2 = u
@@ -80,10 +71,7 @@ def jac(t, x, u, pp):
 
 
 def characterize(t, x, lam, pp, w):
-    a_in = pp.value("A")
-    ps = pp.value("p_star")
-    qs = pp.value("q_star")
-    xi = pp.value("xi")
+    a_in, ps, qs, xi = pp.values(("A", "p_star", "q_star", "xi"))
     i1 = x[2]
     u1 = a_in * (ps * (lam[1] - lam[0]) + qs * (lam[2] - lam[0])) / w.b[0]
     u2 = xi * i1 * (lam[2] - lam[3]) / w.b[1]

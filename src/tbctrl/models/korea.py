@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet
+from ..core import CostKind
 from .base import ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I", "L5")
@@ -20,15 +20,8 @@ PARAMS = ("b", "mu", "beta", "alpha", "k", "s", "r")
 TIME_DEPENDENT = ("b", "mu", "k", "s", "r")
 
 
-def _unpack(p: ParameterSet, t: float):
-    return (
-        p.value("b", t), p.value("mu", t), p.value("beta"), p.value("alpha"),
-        p.value("k", t), p.value("s", t), p.value("r", t),
-    )
-
-
 def rhs(t, x, u, p):
-    b, mu, beta, alpha, k, s, r = _unpack(p, t)
+    b, mu, beta, alpha, k, s, r = p.values(PARAMS, t)
     sv, l1, iv, l5 = x
     n = live_population(x)
     u1, u2, u3 = u
@@ -42,7 +35,7 @@ def rhs(t, x, u, p):
 
 
 def jac(t, x, u, p):
-    b, mu, beta, alpha, k, s, r = _unpack(p, t)
+    b, mu, beta, alpha, k, s, r = p.values(PARAMS, t)
     sv, l1, iv, l5 = x
     n = live_population(x)
     u1, u2, u3 = u
@@ -63,7 +56,7 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    _, _, beta, alpha, k, s, r = _unpack(p, t)
+    _, _, beta, alpha, k, s, r = p.values(PARAMS, t)
     sv, l1, iv, _ = x
     n = live_population(x)
     w_inf = beta * sv * iv / n

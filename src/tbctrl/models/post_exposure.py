@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet, ValidationError
+from ..core import CostKind, ValidationError
 from .base import ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L3", "I1", "L4", "T")
@@ -21,18 +21,9 @@ PARAMS = ("N", "mu", "beta", "sigma", "sigma_R", "delta", "k1",
           "omega", "omega_R", "tau0", "tau1", "tau2", "eps1", "eps2")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("N"), p.value("mu"), p.value("beta"), p.value("sigma"),
-        p.value("sigma_R"), p.value("delta"), p.value("k1"), p.value("omega"),
-        p.value("omega_R"), p.value("tau0"), p.value("tau1"), p.value("tau2"),
-        p.value("eps1"), p.value("eps2"),
-    )
-
-
 def rhs(t, x, u, p):
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
-     tau0, tau1, tau2, eps1, eps2) = _unpack(p)
+     tau0, tau1, tau2, eps1, eps2) = p.values(PARAMS)
     if n_pop <= 0.0:
         raise ValidationError("parameter N must be positive")
     s, l3, i1, l4, tr = x
@@ -52,7 +43,7 @@ def rhs(t, x, u, p):
 
 def jac(t, x, u, p):
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
-     tau0, tau1, tau2, eps1, eps2) = _unpack(p)
+     tau0, tau1, tau2, eps1, eps2) = p.values(PARAMS)
     s, l3, i1, l4, tr = x
     u1, u2 = u
     th = beta / n_pop
@@ -81,9 +72,7 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    omega_r = p.value("omega_R")
-    eps1 = p.value("eps1")
-    eps2 = p.value("eps2")
+    omega_r, eps1, eps2 = p.values(("omega_R", "eps1", "eps2"))
     l4, tr = x[3], x[4]
     u1 = eps1 * omega_r * tr * (lam[2] - lam[4]) / w.b[0]
     u2 = eps2 * l4 * (lam[3] - lam[4]) / w.b[1]

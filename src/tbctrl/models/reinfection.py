@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet
+from ..core import CostKind
 from .base import ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "T")
 PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r2", "d1", "rho")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("Lambda"), p.value("beta"), p.value("c"), p.value("mu"),
-        p.value("sigma"), p.value("k1"), p.value("r2"), p.value("d1"),
-        p.value("rho"),
-    )
-
-
 def rhs(t, x, u, p):
-    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = _unpack(p)
+    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p.values(PARAMS)
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c / n
@@ -42,7 +34,7 @@ def rhs(t, x, u, p):
 
 
 def jac(t, x, u, p):
-    _, beta, c, mu, sigma, k1, r2, d1, rho = _unpack(p)
+    _, beta, c, mu, sigma, k1, r2, d1, rho = p.values(PARAMS)
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c
@@ -67,9 +59,7 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    beta = p.value("beta")
-    c = p.value("c")
-    rho = p.value("rho")
+    beta, c, rho = p.values(("beta", "c", "rho"))
     n = live_population(x)
     raw = rho * beta * c * x[1] * x[2] * (lam[2] - lam[1]) / (w.b[0] * n)
     return np.array([clamp(raw, w.lower, w.upper)])

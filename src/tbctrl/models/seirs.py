@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet, ValidationError
+from ..core import CostKind, ValidationError
 from .base import ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "T")
 PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r1", "r2", "d1", "N")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("Lambda"), p.value("beta"), p.value("c"), p.value("mu"),
-        p.value("sigma"), p.value("k1"), p.value("r1"), p.value("r2"),
-        p.value("d1"), p.value("N"),
-    )
-
-
 def rhs(t, x, u, p):
-    lam_in, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = _unpack(p)
+    lam_in, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = p.values(PARAMS)
     if n_pop <= 0.0:
         raise ValidationError("parameter N must be positive")
     s, l1, i1, tr = x
@@ -44,7 +36,7 @@ def rhs(t, x, u, p):
 
 def adjoint(t, x, lam, u, p, w):
     # Hand-derived costate system for H = a1*I1 + a2*L1 + (B/2)u^2 + <lam, f>.
-    _, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = _unpack(p)
+    _, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = p.values(PARAMS)
     s, l1, i1, tr = x
     m1, m2, m3, m4 = lam
     th = beta * c / n_pop

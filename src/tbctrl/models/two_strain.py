@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import CostKind, ParameterSet, ValidationError
+from ..core import CostKind, ValidationError
 from .base import ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "L2", "I2", "T")
@@ -22,17 +22,8 @@ PARAMS = ("Lambda", "beta", "beta_star", "c", "mu", "sigma",
           "k1", "k2", "r1", "r2", "d1", "d2", "p", "q", "N")
 
 
-def _unpack(p: ParameterSet):
-    return (
-        p.value("Lambda"), p.value("beta"), p.value("beta_star"), p.value("c"),
-        p.value("mu"), p.value("sigma"), p.value("k1"), p.value("k2"),
-        p.value("r1"), p.value("r2"), p.value("d1"), p.value("d2"),
-        p.value("p"), p.value("q"), p.value("N"),
-    )
-
-
 def rhs(t, x, u, pp):
-    lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = _unpack(pp)
+    lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp.values(PARAMS)
     if n_pop <= 0.0:
         raise ValidationError("parameter N must be positive")
     s, l1, i1, l2, i2, tr = x
@@ -57,7 +48,7 @@ def rhs(t, x, u, pp):
 
 
 def jac(t, x, u, pp):
-    _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = _unpack(pp)
+    _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp.values(PARAMS)
     s, l1, i1, l2, i2, tr = x
     u1, u2 = u
     th1 = beta * c / n_pop
@@ -86,10 +77,7 @@ def jac(t, x, u, pp):
 
 
 def characterize(t, x, lam, pp, w):
-    r1 = pp.value("r1")
-    r2 = pp.value("r2")
-    p = pp.value("p")
-    q = pp.value("q")
+    r1, r2, p, q = pp.values(("r1", "r2", "p", "q"))
     l1, i1 = x[1], x[2]
     u1 = r1 * l1 * (lam[1] - lam[5]) / w.b[0]
     u2 = r2 * i1 * (p * lam[1] + q * lam[3] - (p + q) * lam[5]) / w.b[1]

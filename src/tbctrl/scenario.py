@@ -89,7 +89,7 @@ class ScenarioConfig:
     def reference_population(self) -> float:
         if self.population is not None:
             return self.population
-        if self.params.has("N"):
+        if "N" in self.params:
             return self.params.value("N")
         raise ValidationError(
             f"scenario {self.name!r}: fraction-mode initial state needs a 'total' "

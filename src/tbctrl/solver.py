@@ -85,14 +85,18 @@ class Solution:
     report: SolveReport
 
 
+def _located(message: str, rows: np.ndarray, ts: np.ndarray, order: slice,
+             j: int) -> NonFiniteError:
+    """NonFiniteError naming the node of the j-th row in integration order."""
+    step = range(len(rows))[order][j]
+    return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
+
+
 def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, order: slice, what: str):
     """Raise NonFiniteError at the first non-finite row past the start, in integration order."""
     bad = ~np.isfinite(rows[1:]).all(axis=1)
     if bad.any():
-        j = int(bad.argmax()) + 1
-        step = range(len(rows))[order][j]
-        raise NonFiniteError(f"{what} became non-finite at step {step} (t={ts[j]:.6g})",
-                             step=step, time=ts[j])
+        raise _located(f"{what} became non-finite", rows, ts, order, int(bad.argmax()) + 1)
 
 
 def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
@@ -102,6 +106,10 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
     ``drivers`` are node-indexed arrays, one per part of d; a half-step takes
     the mean of the two end rows. Finiteness is checked once per pass, not
     per step, and the first non-finite row in integration order is reported.
+    A ValidationError from f (say, a live population driven to N <= 0) is
+    located like a non-finite row, at the node the failing step integrates
+    to; only at a forward pass's first evaluation, which sees just the given
+    y0, d0 and parameters, is it passed on unchanged.
     """
     order = slice(None, None, -1 if backward else 1)
     ts = nodes[order]
@@ -111,6 +119,7 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
     rows = out[order]
     rows[0] = y = y0
     steps = zip(ts[:-1], ts[1:], zip(*runs), zip(*mids), zip(*(a[1:] for a in runs)))
+    k1 = None  # set once the pass's first evaluation returns
     try:
         for j, (t, t1, d0, dm, d1) in enumerate(steps, 1):
             h = t1 - t
@@ -123,6 +132,11 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
     except ArithmeticError:  # np.errstate(invalid='raise') trips on the rows after a bad one
         _raise_first_nonfinite(rows, ts, order, what)
         raise
+    except ValidationError as exc:
+        if k1 is None and not backward:
+            raise
+        _raise_first_nonfinite(rows, ts, order, what)
+        raise _located(f"{what} left the model's domain ({exc})", rows, ts, order, j) from exc
     _raise_first_nonfinite(rows, ts, order, what)
     return out
 

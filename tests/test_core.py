@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -99,21 +101,32 @@ class TestTimeTable:
 
 class TestParameterSet:
     def test_lookup_and_missing(self):
-        p = ParameterSet({"beta": 13.0})
+        p = ParameterSet({"beta": 13.0, "mu": 0.01, "c": 1.0})
         assert p.value("beta") == 13.0
-        with pytest.raises(ValidationError):
-            p.value("mu")
+        names = ("mu", "beta", "c")
+        assert p.values(names) == tuple(p.value(n) for n in names) == (0.01, 13.0, 1.0)
+        assert p.values(names, 7.0) == p.values(names)  # constants ignore t
+        for lookup in (lambda: p.value("sigma"), lambda: p.values(("beta", "sigma"))):
+            with pytest.raises(ValidationError, match=r"^missing parameter 'sigma'$"):
+                lookup()
 
     def test_time_dependent_entry(self):
-        p = ParameterSet({"k": TimeTable((0.0, 10.0), (1.0, 2.0))})
+        p = ParameterSet({"beta": 13.0, "k": TimeTable((0.0, 10.0), (1.0, 2.0))})
         assert p.is_time_dependent("k")
         assert p.value("k", 5.0) == pytest.approx(1.5)
+        assert p.values(("k", "beta"), 5.0) == (p.value("k", 5.0), 13.0)
+        assert p.values(("k",)) == (1.0,)
+        # sweeps send scenarios to worker processes
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.values(("k", "beta"), 5.0) == p.values(("k", "beta"), 5.0)
 
     def test_with_updates_leaves_original(self):
         p = ParameterSet({"beta": 13.0})
         q = p.with_updates({"beta": 15.0, "mu": 0.01})
         assert p.value("beta") == 13.0
         assert q.value("beta") == 15.0 and q.value("mu") == 0.01
+        r = p.with_updates({"beta": TimeTable((0.0, 10.0), (1.0, 2.0))})
+        assert r.values(("beta",), 5.0) == (1.5,) and p.values(("beta",), 5.0) == (13.0,)
 
     def test_rejects_non_numeric(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs,
                     control_characterization, default_params, dynamics,
                     model_definition, running_cost, validate_params)
@@ -87,6 +88,37 @@ class TestSeirsDynamics:
             f = dynamics(mid, 0.0, x, u, p)
             scale = float(np.max(np.abs(f))) + inflow
             assert abs(float(np.sum(f))) <= 1e-12 * scale
+
+
+@st.composite
+def boundary_points(draw, mid):
+    """Valid parameters (defaults x U[0.5, 2]), t, u, and x >= 0 with one x_i = 0."""
+    d = model_definition(mid)
+    defaults = default_params(mid)
+    vals = {name: defaults.value(name) * draw(st.floats(0.5, 2.0))
+            for name in d.required_params}
+    for name in d.unit_interval_params:
+        vals[name] = min(vals[name], 1.0)
+    for a, b in d.sum_constraints:
+        vals[b] = min(vals[b], 1.0 - vals[a])
+    p = ParameterSet(vals)
+    assert validate_params(mid, p) == []
+    x = np.array(draw(st.lists(st.floats(0.0, 1e4), min_size=d.state_dim,
+                               max_size=d.state_dim)))
+    i = draw(st.integers(0, d.state_dim - 1))
+    x[i] = 0.0
+    assume(x.sum() > 0.0)  # live-population models need someone alive
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d.control_dim,
+                               max_size=d.control_dim)))
+    return p, draw(st.floats(0.0, 5.0)), x, u, i
+
+
+class TestNonnegativity:
+    @pytest.mark.parametrize("mid", list(ModelId))
+    @given(data=st.data())
+    def test_empty_compartment_does_not_decrease(self, mid, data):
+        p, t, x, u, i = data.draw(boundary_points(mid))
+        assert dynamics(mid, t, x, u, p)[i] >= 0.0
 
 
 class TestReductionIdentities:

@@ -10,6 +10,10 @@ from tbctrl.core import Trajectory, ValidationError
 from tbctrl.solver import FbsSettings, _expand_initial_control
 
 
+LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
+                   ModelId.BOWONG]
+
+
 def zero_rate_params():
     return ParameterSet({
         "Lambda": 0.0, "beta": 0.0, "c": 0.0, "mu": 0.0, "sigma": 0.0,
@@ -56,17 +60,44 @@ class TestForwardIntegration:
                 integrate_forward(ModelId.SEIRS, p, x0, np.zeros((g.n_nodes, 1)), g)
         assert err.value.step is not None
 
-    @pytest.mark.parametrize("mid", [ModelId.REINFECTION, ModelId.KOREA])
-    def test_live_population_blowup_located(self, mid):
+    # beta = 1e300 blows step 1 up. From the "skewed" x0 (mostly in the last
+    # compartment) or the "spread" one, the state either overflows or reaches
+    # N(t) <= 0 at an RK4 stage, which live_population refuses
+    @pytest.mark.parametrize("mid, spread, refused", [
+        pytest.param(ModelId.REINFECTION, False, False, id="reinfection"),
+        pytest.param(ModelId.REINFECTION, True, True, id="reinfection-spread"),
+        pytest.param(ModelId.KOREA, False, False, id="korea"),
+        pytest.param(ModelId.KOREA, True, False, id="korea-spread"),
+        pytest.param(ModelId.ISOLATION_IMMIGRATION, False, True, id="isolation-immigration"),
+        pytest.param(ModelId.ISOLATION_IMMIGRATION, True, False,
+                     id="isolation-immigration-spread"),
+        pytest.param(ModelId.BOWONG, False, True, id="bowong"),
+        pytest.param(ModelId.BOWONG, True, True, id="bowong-spread"),
+    ])
+    def test_live_population_blowup_located(self, mid, spread, refused):
         d = model_definition(mid)
         p = default_params(mid).with_updates({"beta": 1e300})
         g = make_time_grid(0.0, 5.0, 10)
-        x0 = np.array([100.0, 100.0, 100.0, 9000.0])
+        if spread:
+            x0 = 1000.0 * np.arange(1.0, d.state_dim + 1)
+        else:
+            x0 = np.array([100.0] * (d.state_dim - 1) + [9000.0])
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NonFiniteError) as err:
                 integrate_forward(mid, p, x0, np.zeros((g.n_nodes, d.control_dim)), g)
         assert (err.value.step, err.value.time) == (1, 0.5)
-        assert str(err.value) == "state became non-finite at step 1 (t=0.5)"
+        cause = err.value.__cause__
+        assert isinstance(cause, ValidationError) == refused
+        how = f"left the model's domain ({cause})" if refused else "became non-finite"
+        assert str(err.value) == f"state {how} at step 1 (t=0.5)"
+
+    @pytest.mark.parametrize("mid", LIVE_POPULATION)
+    def test_empty_initial_population_still_invalid(self, mid):
+        d = model_definition(mid)
+        g = make_time_grid(0.0, 5.0, 10)
+        with pytest.raises(ValidationError, match="degenerate population"):
+            integrate_forward(mid, default_params(mid), np.zeros(d.state_dim),
+                              np.zeros((g.n_nodes, d.control_dim)), g)
 
     def test_blowup_located_when_invalid_operations_raise(self):
         # S' = 3 S with h = 1: every RK4 stage of step 1 stays finite but the row
@@ -119,6 +150,22 @@ class TestBackwardIntegration:
                 integrate_adjoint_backward(mid, p, w, state, u, g)
         assert (err.value.step, err.value.time) == (2, 2.0)
         assert str(err.value) == "adjoint became non-finite at step 2 (t=2)"
+
+    @pytest.mark.parametrize("mid", LIVE_POPULATION)
+    def test_degenerate_final_state_located(self, mid):
+        # a forward pass may end on a finite row with N <= 0 that no rhs call saw;
+        # the backward pass meets it first and locates it at the step it takes
+        d = model_definition(mid)
+        g = make_time_grid(0.0, 10.0, 10)
+        state = np.ones((g.n_nodes, d.state_dim))
+        state[-1] = 0.0
+        w = CostWeights(a1=1.0, b=(1.0,) * d.control_dim)
+        with pytest.raises(NonFiniteError) as err:
+            integrate_adjoint_backward(mid, default_params(mid), w, state,
+                                       np.zeros((g.n_nodes, d.control_dim)), g)
+        assert (err.value.step, err.value.time) == (9, 9.0)
+        assert str(err.value) == ("adjoint left the model's domain (degenerate population: "
+                                  "N(t) = 0.0) at step 9 (t=9)")
 
     def test_initial_adjoint_step_halving_at_fixed_point(self, flagship, shrink):
         cfg = shrink(flagship, 1000)
