@@ -125,7 +125,7 @@ def interpolate_state(traj: Trajectory, t: float) -> np.ndarray:
         raise ValidationError(f"t={t} outside grid [{g.t0}, {g.tf}]")
     pos = (t - g.t0) / g.h
     nearest = int(round(pos))
-    if 0 <= nearest <= g.n_steps and abs(pos - nearest) < 1e-9:
+    if 0 <= nearest <= g.n_steps and t == g.nodes[nearest]:
         return traj.state[nearest].copy()
     i = min(int(pos), g.n_steps - 1)
     w = pos - i
