@@ -128,13 +128,13 @@ def _parse_control_mode(mode: str, config: ScenarioConfig) -> np.ndarray:
 
 
 def _apply_cli_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "n_steps", None):
+    if getattr(args, "n_steps", None) is not None:
         config = replace(config, grid=type(config.grid)(config.grid.t0, config.grid.tf,
                                                         int(args.n_steps)))
     fbs = config.fbs
-    if getattr(args, "tolerance", None):
+    if getattr(args, "tolerance", None) is not None:
         fbs = replace(fbs, tolerance=float(args.tolerance))
-    if getattr(args, "max_iterations", None):
+    if getattr(args, "max_iterations", None) is not None:
         fbs = replace(fbs, max_iterations=int(args.max_iterations))
     if getattr(args, "relaxation", None) is not None:
         fbs = replace(fbs, relaxation=float(args.relaxation))

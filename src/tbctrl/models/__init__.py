@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core import CostWeights, ParameterSet, ValidationError
-from .base import AdjointFn, ModelDefinition, ModelId, validate_against
+from .base import CostateFn, ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
 from .baselines import NEUTRAL_CONTROLS, has_baseline, uncontrolled_rhs
 
@@ -59,7 +59,7 @@ def dynamics(model: ModelId, t: float, x: np.ndarray, u: np.ndarray,
         raise ValidationError(f"{d.id.value}: state must have shape ({d.state_dim},), got {x.shape}")
     if u.shape != (d.control_dim,):
         raise ValidationError(f"{d.id.value}: control must have shape ({d.control_dim},), got {u.shape}")
-    return d.rhs(t, x, u, p)
+    return np.array(d.rhs(t, x, u, p.values(d.required_params, t)))
 
 
 @lru_cache(maxsize=128)
@@ -79,13 +79,18 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     return _cost_vec(ModelId(model), w).copy()
 
 
-def costate(d: ModelDefinition, w: CostWeights) -> AdjointFn:
-    """The model's costate right-hand side: its explicit ``adjoint``, else -(J^T lam) - g."""
+def costate(d: ModelDefinition, w: CostWeights) -> CostateFn:
+    """The model's costate right-hand side, lam' = f(t, lam, x, u, q), in the RK4 kernel's order.
+
+    It is the explicit ``adjoint`` when the model spells one out, else
+    -(J^T lam) - g from the analytic Jacobian; q is the model's parameter tuple.
+    """
     if d.adjoint is not None:
-        return d.adjoint
+        adjoint = d.adjoint
+        return lambda t, lam, x, u, q: adjoint(t, x, lam, u, q, w)
     jac = d.jac
     g = _cost_vec(d.id, w)
-    return lambda t, x, lam, u, p, _w: -(jac(t, x, u, p).T @ lam) - g
+    return lambda t, lam, x, u, q: (-(jac(t, x, u, q).T @ lam) - g).tolist()
 
 
 def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
@@ -97,7 +102,7 @@ def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
     u = np.asarray(u, dtype=float)
     if lam.shape != (d.state_dim,):
         raise ValidationError(f"{d.id.value}: adjoint must have shape ({d.state_dim},), got {lam.shape}")
-    return costate(d, w)(t, x, lam, u, p, w)
+    return np.array(costate(d, w)(t, lam, x, u, p.values(d.required_params, t)))
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
@@ -106,7 +111,8 @@ def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.nd
     d = model_definition(model)
     if len(w.b) != d.control_dim:
         raise ValidationError(f"{d.id.value} needs {d.control_dim} effort weights, got {len(w.b)}")
-    return d.characterize(t, np.asarray(x, dtype=float), np.asarray(lam, dtype=float), p, w)
+    return np.array(d.characterize(t, np.asarray(x, dtype=float), np.asarray(lam, dtype=float),
+                                   p.values(d.required_params, t), w))
 
 
 def running_cost(model: ModelId, x: np.ndarray, u: np.ndarray, w: CostWeights) -> float:

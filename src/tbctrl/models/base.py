@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import reduce
+from operator import add
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,10 +25,16 @@ class ModelId(str, Enum):
     POST_EXPOSURE = "post-exposure"
 
 
-RhsFn = Callable[[float, np.ndarray, np.ndarray, ParameterSet], np.ndarray]
-JacFn = Callable[[float, np.ndarray, np.ndarray, ParameterSet], np.ndarray]
-AdjointFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray, ParameterSet, CostWeights], np.ndarray]
-CharFn = Callable[[float, np.ndarray, np.ndarray, ParameterSet, CostWeights], np.ndarray]
+# States, costates and controls are sequences of floats (lists in the RK4
+# kernel, arrays through the public wrappers); the parameter argument is the
+# tuple of the model's PARAMS values, as ParameterSet.values returns it.
+Vec = Sequence[float]
+Params = tuple[float, ...]
+RhsFn = Callable[[float, Vec, Vec, Params], Vec]
+JacFn = Callable[[float, Vec, Vec, Params], np.ndarray]
+AdjointFn = Callable[[float, Vec, Vec, Vec, Params, CostWeights], Vec]
+CharFn = Callable[[float, Vec, Vec, Params, CostWeights], Vec]
+CostateFn = Callable[[float, Vec, Vec, Vec, Params], Vec]  # (t, lam, x, u, q), as the kernel calls it
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,12 @@ class ModelDefinition:
     multiplied by the cost weights a1/a2/a_isolated to form the linear state
     cost. ``adjoint`` is the explicit costate right-hand side when one is
     spelled out; otherwise it is assembled from the analytic Jacobian ``jac``.
+
+    ``rhs``, ``jac``, ``adjoint`` and ``characterize`` take the model's
+    parameters as one tuple in ``required_params`` order (the module's
+    ``PARAMS``), which the caller resolves with ``ParameterSet.values``: once
+    per RK4 pass, or at each evaluation time when the set holds a time table.
+    They return index-mutable sequences (lists; ``jac`` an array).
     """
 
     id: ModelId
@@ -129,8 +143,9 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
     return violations
 
 
-def live_population(x: np.ndarray) -> float:
-    n = float(np.sum(x))
+def live_population(x: Vec) -> float:
+    # left to right, as np.sum adds so few terms; builtin sum() is compensated from Python 3.12
+    n = reduce(add, x)
     if n <= 0.0:
         raise ValidationError(f"degenerate population: N(t) = {n}")
     return n

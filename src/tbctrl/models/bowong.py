@@ -26,7 +26,7 @@ PARAMS = ("Lambda", "beta", "mu", "g", "f", "h", "r1", "r2", "r3",
 
 
 def rhs(t, x, u, p):
-    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
+    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p
     s, l1, i1, i2 = x
     n = live_population(x)
     u1, u2 = u
@@ -34,23 +34,23 @@ def rhs(t, x, u, p):
     chem = 1.0 - u1 * r1          # residual progression after chemoprophylaxis
     leave = (k1 + sigma * phi) * l1  # latents becoming active (reactivation + reinfection)
     detected = u2 * h
-    return np.array([
+    return [
         lam_in - phi * s - mu * s,
         (1.0 - g) * phi * s + r2 * i1 + r3 * i2 - chem * sigma * phi * l1
         - (mu + k1 * chem) * l1,
         g * f * phi * s + detected * chem * leave - (mu + d1 + r2) * i1,
         g * (1.0 - f) * phi * s + (1.0 - detected) * chem * leave - (mu + d3 + r3) * i2,
-    ])
+    ]
 
 
 def jac(t, x, u, p):
-    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
+    lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p
     s, l1, i1, i2 = x
     n = live_population(x)
     u1, u2 = u
     phi = beta * i1 / n
-    n2 = n * n
-    d_phi = np.array([-phi / n, -phi / n, beta * (n - i1) / n2, -phi / n])
+    n2 = n * n  # underflows to 0 once N < 1.5e-162; np.divide then gives inf, not ZeroDivisionError
+    d_phi = np.array([-phi / n, -phi / n, np.divide(beta * (n - i1), n2), -phi / n])
     chem = 1.0 - u1 * r1
     detected = u2 * h
     e_s = np.array([1.0, 0.0, 0.0, 0.0])
@@ -78,7 +78,7 @@ def characterize(t, x, lam, p, w):
     the Hessian is positive definite) or lies on one of the four edges, each
     of which is a strictly convex 1-D quadratic.
     """
-    _, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p.values(PARAMS)
+    _, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p
     s, l1, i1, i2 = x
     n = live_population(x)
     phi = beta * i1 / n
@@ -104,8 +104,7 @@ def characterize(t, x, lam, p, w):
     for edge in (lo, hi):
         candidates.append((edge, clamp(-(beta_c + gamma * edge) / b2, lo, hi)))
         candidates.append((clamp(-(alpha + gamma * edge) / b1, lo, hi), edge))
-    best = min(candidates, key=lambda uv: q(*uv))
-    return np.array(best)
+    return list(min(candidates, key=lambda uv: q(*uv)))
 
 
 DEFINITION = ModelDefinition(

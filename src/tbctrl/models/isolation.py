@@ -23,7 +23,7 @@ PARAMS = ("Lambda_star", "A", "p_star", "q_star", "beta", "c", "l", "m", "p",
 
 def rhs(t, x, u, pp):
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
-     d3, d4, r2, r3, xi) = pp.values(PARAMS)
+     d3, d4, r2, r3, xi) = pp
     s, l1, i1, jc, tr = x
     n = live_population(x)
     u1, u2 = u
@@ -32,18 +32,18 @@ def rhs(t, x, u, pp):
     psi = sigma * bc * (i1 + sig_s * jc) / n  # residual force on treated
     screen = 1.0 - u1
     iso = (1.0 + u2) * xi * i1
-    return np.array([
+    return [
         lam_in + (1.0 - screen * (ps + qs)) * a_in - phi * s - mu * s,
         screen * (ps * a_in) + (1.0 - m) * phi * s - p * phi * l1 + psi * tr - (k1 + mu) * l1,
         screen * (qs * a_in) + m * phi * s + p * phi * l1 + k1 * l1 - (mu + d3 + r2) * i1 - iso,
         iso - (r3 + mu + d4) * jc,
         r2 * i1 + r3 * jc - psi * tr - mu * tr,
-    ])
+    ]
 
 
 def jac(t, x, u, pp):
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
-     d3, d4, r2, r3, xi) = pp.values(PARAMS)
+     d3, d4, r2, r3, xi) = pp
     s, l1, i1, jc, tr = x
     n = live_population(x)
     u1, u2 = u
@@ -71,11 +71,12 @@ def jac(t, x, u, pp):
 
 
 def characterize(t, x, lam, pp, w):
-    a_in, ps, qs, xi = pp.values(("A", "p_star", "q_star", "xi"))
+    (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
+     d3, d4, r2, r3, xi) = pp
     i1 = x[2]
     u1 = a_in * (ps * (lam[1] - lam[0]) + qs * (lam[2] - lam[0])) / w.b[0]
     u2 = xi * i1 * (lam[2] - lam[3]) / w.b[1]
-    return np.array([clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)])
+    return [clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)]
 
 
 DEFINITION = ModelDefinition(

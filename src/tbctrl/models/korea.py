@@ -21,21 +21,21 @@ TIME_DEPENDENT = ("b", "mu", "k", "s", "r")
 
 
 def rhs(t, x, u, p):
-    b, mu, beta, alpha, k, s, r = p.values(PARAMS, t)
+    b, mu, beta, alpha, k, s, r = p
     sv, l1, iv, l5 = x
     n = live_population(x)
     u1, u2, u3 = u
     w = beta * sv * iv / n
-    return np.array([
+    return [
         b * n - mu * sv - (1.0 - u1) * w,
         (1.0 - u1) * w - (k + u2 * alpha + mu) * l1 + (1.0 - u3) * s * r * iv,
         k * l1 - (r + mu) * iv,
         (1.0 - (1.0 - u3) * s) * r * iv + u2 * alpha * l1 - mu * l5,
-    ])
+    ]
 
 
 def jac(t, x, u, p):
-    b, mu, beta, alpha, k, s, r = p.values(PARAMS, t)
+    b, mu, beta, alpha, k, s, r = p
     sv, l1, iv, l5 = x
     n = live_population(x)
     u1, u2, u3 = u
@@ -56,18 +56,18 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    _, _, beta, alpha, k, s, r = p.values(PARAMS, t)
+    _, _, beta, alpha, k, s, r = p
     sv, l1, iv, _ = x
     n = live_population(x)
     w_inf = beta * sv * iv / n
     u1 = w_inf * (lam[1] - lam[0]) / w.b[0]
     u2 = alpha * l1 * (lam[1] - lam[3]) / w.b[1]
     u3 = s * r * iv * (lam[1] - lam[3]) / w.b[2]
-    return np.array([
+    return [
         clamp(u1, w.lower, w.upper),
         clamp(u2, w.lower, w.upper),
         clamp(u3, w.lower, w.upper),
-    ])
+    ]
 
 
 DEFINITION = ModelDefinition(

@@ -23,7 +23,7 @@ PARAMS = ("N", "mu", "beta", "sigma", "sigma_R", "delta", "k1",
 
 def rhs(t, x, u, p):
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
-     tau0, tau1, tau2, eps1, eps2) = p.values(PARAMS)
+     tau0, tau1, tau2, eps1, eps2) = p
     if n_pop <= 0.0:
         raise ValidationError("parameter N must be positive")
     s, l3, i1, l4, tr = x
@@ -32,18 +32,18 @@ def rhs(t, x, u, p):
     foi = th * i1
     react_t = (1.0 - eps1 * u1) * omega_r   # treated reactivation under case holding
     treat_l4 = tau2 + eps2 * u2             # persistent-latent treatment under case finding
-    return np.array([
+    return [
         mu * n_pop - foi * s - mu * s,
         foi * (s + sigma * l4 + sig_r * tr) - (delta + tau1 + mu) * l3,
         k1 * delta * l3 + omega * l4 + react_t * tr - (tau0 + mu) * i1,
         (1.0 - k1) * delta * l3 - sigma * foi * l4 - (omega + treat_l4 + mu) * l4,
         tau0 * i1 + tau1 * l3 + treat_l4 * l4 - sig_r * foi * tr - (react_t + mu) * tr,
-    ])
+    ]
 
 
 def jac(t, x, u, p):
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
-     tau0, tau1, tau2, eps1, eps2) = p.values(PARAMS)
+     tau0, tau1, tau2, eps1, eps2) = p
     s, l3, i1, l4, tr = x
     u1, u2 = u
     th = beta / n_pop
@@ -72,11 +72,12 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    omega_r, eps1, eps2 = p.values(("omega_R", "eps1", "eps2"))
+    (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
+     tau0, tau1, tau2, eps1, eps2) = p
     l4, tr = x[3], x[4]
     u1 = eps1 * omega_r * tr * (lam[2] - lam[4]) / w.b[0]
     u2 = eps2 * l4 * (lam[3] - lam[4]) / w.b[1]
-    return np.array([clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)])
+    return [clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)]
 
 
 DEFINITION = ModelDefinition(

@@ -18,23 +18,23 @@ PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r2", "d1", "rho")
 
 
 def rhs(t, x, u, p):
-    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p.values(PARAMS)
+    lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c / n
     inf_s = bc * s * i1
     inf_t = sigma * bc * tr * i1
     reinf = rho * bc * (1.0 - u[0]) * l1 * i1
-    return np.array([
+    return [
         lam_in - inf_s - mu * s,
         inf_s - reinf - (mu + k1) * l1 + inf_t,
         reinf + k1 * l1 - (mu + r2 + d1) * i1,
         r2 * i1 - inf_t - mu * tr,
-    ])
+    ]
 
 
 def jac(t, x, u, p):
-    _, beta, c, mu, sigma, k1, r2, d1, rho = p.values(PARAMS)
+    _, beta, c, mu, sigma, k1, r2, d1, rho = p
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c
@@ -59,10 +59,10 @@ def jac(t, x, u, p):
 
 
 def characterize(t, x, lam, p, w):
-    beta, c, rho = p.values(("beta", "c", "rho"))
+    _, beta, c, mu, sigma, k1, r2, d1, rho = p
     n = live_population(x)
     raw = rho * beta * c * x[1] * x[2] * (lam[2] - lam[1]) / (w.b[0] * n)
-    return np.array([clamp(raw, w.lower, w.upper)])
+    return [clamp(raw, w.lower, w.upper)]
 
 
 DEFINITION = ModelDefinition(

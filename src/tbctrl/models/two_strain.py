@@ -23,7 +23,7 @@ PARAMS = ("Lambda", "beta", "beta_star", "c", "mu", "sigma",
 
 
 def rhs(t, x, u, pp):
-    lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp.values(PARAMS)
+    lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp
     if n_pop <= 0.0:
         raise ValidationError("parameter N must be positive")
     s, l1, i1, l2, i2, tr = x
@@ -37,18 +37,18 @@ def rhs(t, x, u, pp):
     inf_rl = th2 * l1 * i2
     inf_rt = th2 * tr * i2
     fail = 1.0 - u2
-    return np.array([
+    return [
         lam_in - inf_s - mu * s - inf_rs,
         inf_s - (mu + k1 + u1 * r1) * l1 + inf_t + fail * (p * r2 * i1) - inf_rl,
         k1 * l1 - (mu + r2 + d1) * i1,
         fail * (q * r2 * i1) - (mu + k2) * l2 + th2 * (s + l1 + tr) * i2,
         k2 * l2 - (mu + d2) * i2,
         u1 * r1 * l1 + (1.0 - fail * (p + q)) * r2 * i1 - inf_t - mu * tr - inf_rt,
-    ])
+    ]
 
 
 def jac(t, x, u, pp):
-    _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp.values(PARAMS)
+    _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp
     s, l1, i1, l2, i2, tr = x
     u1, u2 = u
     th1 = beta * c / n_pop
@@ -77,11 +77,11 @@ def jac(t, x, u, pp):
 
 
 def characterize(t, x, lam, pp, w):
-    r1, r2, p, q = pp.values(("r1", "r2", "p", "q"))
+    _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp
     l1, i1 = x[1], x[2]
     u1 = r1 * l1 * (lam[1] - lam[5]) / w.b[0]
     u2 = r2 * i1 * (p * lam[1] + q * lam[3] - (p + q) * lam[5]) / w.b[1]
-    return np.array([clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)])
+    return [clamp(u1, w.lower, w.upper), clamp(u2, w.lower, w.upper)]
 
 
 DEFINITION = ModelDefinition(

@@ -56,8 +56,8 @@ class _Simulator:
     """Full and suffix-restart simulations of the piecewise-constant objective."""
 
     def __init__(self, model, p, w, grid: TimeGrid, x0, coarse_steps: int):
-        rhs = models.model_definition(model).rhs
-        self.f = lambda t, x, u: rhs(t, x, u, p)
+        self.d = models.model_definition(model)
+        self.p = p
         self.grid = grid
         self.x0 = np.asarray(x0, dtype=float)
         self.m = coarse_steps
@@ -66,7 +66,7 @@ class _Simulator:
         self.evaluations = 0
 
     def run(self, x0: np.ndarray, fine: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        return _rk4(self.f, x0, nodes, (fine,), "state")
+        return _rk4(self.d.rhs, x0, nodes, (fine,), "state", self.p, self.d.required_params)
 
     def cost(self, u_coarse: np.ndarray) -> float:
         fine = _fine_controls(u_coarse, self.grid.n_steps)

@@ -8,13 +8,17 @@ control drops below tolerance; the returned control is the pointwise
 characterization from the final sweep (re-integrated once more), which
 removes the relaxation offset left on clamped arcs.
 
-Both passes, and the direct oracle's simulations, run one RK4 kernel, which
-checks finiteness once per pass rather than after every step.
+Both passes, and the direct oracle's simulations, run one RK4 kernel. It
+works on Python floats rather than small arrays, hands the model its
+parameters as a tuple resolved once per pass (at each evaluation time only
+when the set holds a time table), and checks finiteness once per pass rather
+than after every step.
 """
 
 from __future__ import annotations
 
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -85,60 +89,77 @@ class Solution:
     report: SolveReport
 
 
-def _located(message: str, rows: np.ndarray, ts: np.ndarray, order: slice,
-             j: int) -> NonFiniteError:
+def _located(message: str, ts: np.ndarray, j: int, backward: bool) -> NonFiniteError:
     """NonFiniteError naming the node of the j-th row in integration order."""
-    step = range(len(rows))[order][j]
+    step = len(ts) - 1 - j if backward else j
     return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
 
 
-def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, order: slice, what: str):
+def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, what: str, backward: bool):
     """Raise NonFiniteError at the first non-finite row past the start, in integration order."""
     bad = ~np.isfinite(rows[1:]).all(axis=1)
     if bad.any():
-        raise _located(f"{what} became non-finite", rows, ts, order, int(bad.argmax()) + 1)
+        raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 
 
-def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str,
-         backward: bool = False) -> np.ndarray:
-    """Classical RK4 of y' = f(t, y, *d) along ``nodes``, from the last node if ``backward``.
+def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterSet,
+         names: tuple[str, ...], backward: bool = False) -> np.ndarray:
+    """Classical RK4 of y' = f(t, y, *d, q) along ``nodes``, from the last node if ``backward``.
 
-    ``drivers`` are node-indexed arrays, one per part of d; a half-step takes
-    the mean of the two end rows. Finiteness is checked once per pass, not
-    per step, and the first non-finite row in integration order is reported.
-    A ValidationError from f (say, a live population driven to N <= 0) is
-    located like a non-finite row, at the node the failing step integrates
-    to; only at a forward pass's first evaluation, which sees just the given
-    y0, d0 and parameters, is it passed on unchanged.
+    The pass runs on Python floats: y and every stage are lists, ``drivers``
+    are node-indexed arrays (one per part of d) read a row at a time, and a
+    half-step takes the mean of the two end rows. q is the tuple of the
+    parameters ``names`` in ``p``, resolved once per pass, or at each
+    evaluation time if ``p`` holds a time table. Finiteness is checked once
+    per pass, not per step, and the first non-finite row in integration
+    order is reported. A ValidationError from f (say, a live population
+    driven to N <= 0) is located like a non-finite row, at the node the
+    failing step integrates to; only at a forward pass's first evaluation,
+    which sees just the given y0, d0 and parameters, is it passed on
+    unchanged.
     """
     order = slice(None, None, -1 if backward else 1)
     ts = nodes[order]
-    runs = [a[order] for a in drivers]
-    mids = [0.5 * (a[:-1] + a[1:]) for a in runs]
-    out = np.zeros((len(nodes), len(y0)))  # rows a failed pass never reached stay finite
-    rows = out[order]
-    rows[0] = y = y0
-    steps = zip(ts[:-1], ts[1:], zip(*runs), zip(*mids), zip(*(a[1:] for a in runs)))
+    runs = zip(*(map(np.ndarray.tolist, a[order]) for a in drivers))
+    values, timed = p.values, p._timed
+    q0 = qm = qe = values(names)
+    flat = array("d", y0)  # the rows in integration order, appended as they are made
+    y = flat.tolist()
+    t = float(ts[0])
+    d0 = next(runs)
     k1 = None  # set once the pass's first evaluation returns
     try:
-        for j, (t, t1, d0, dm, d1) in enumerate(steps, 1):
+        for j, (t1, d1) in enumerate(zip(map(float, ts[1:]), runs), 1):
             h = t1 - t
-            k1 = f(t, y, *d0)
-            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, *dm)
-            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, *dm)
-            k4 = f(t + h, y + h * k3, *d1)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rows[j] = y
-    except ArithmeticError:  # np.errstate(invalid='raise') trips on the rows after a bad one
-        _raise_first_nonfinite(rows, ts, order, what)
+            tm, te = t + 0.5 * h, t + h
+            dm = [[0.5 * (a + b) for a, b in zip(r0, r1)] for r0, r1 in zip(d0, d1)]
+            if timed:
+                q0, qm, qe = values(names, t), values(names, tm), values(names, te)
+            k1 = f(t, y, *d0, q0)
+            hh = 0.5 * h
+            k2 = f(tm, [yi + hh * ki for yi, ki in zip(y, k1)], *dm, qm)
+            k3 = f(tm, [yi + hh * ki for yi, ki in zip(y, k2)], *dm, qm)
+            k4 = f(te, [yi + h * ki for yi, ki in zip(y, k3)], *d1, qe)
+            h6 = h / 6.0
+            y = [yi + h6 * (a + 2.0 * b + 2.0 * c + e)
+                 for yi, a, b, c, e in zip(y, k1, k2, k3, k4)]
+            flat.extend(y)
+            t, d0 = t1, d1
+    except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
+        _raise_first_nonfinite(_rows(flat, len(y0)), ts, what, backward)
         raise
     except ValidationError as exc:
         if k1 is None and not backward:
             raise
-        _raise_first_nonfinite(rows, ts, order, what)
-        raise _located(f"{what} left the model's domain ({exc})", rows, ts, order, j) from exc
-    _raise_first_nonfinite(rows, ts, order, what)
-    return out
+        _raise_first_nonfinite(_rows(flat, len(y0)), ts, what, backward)
+        raise _located(f"{what} left the model's domain ({exc})", ts, j, backward) from exc
+    rows = _rows(flat, len(y0))
+    _raise_first_nonfinite(rows, ts, what, backward)
+    return rows[order]
+
+
+def _rows(flat: array, width: int) -> np.ndarray:
+    return np.frombuffer(flat, dtype=float).reshape(-1, width)
 
 
 def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
@@ -154,8 +175,7 @@ def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
             f"{d.id.value}: control must have shape ({grid.n_nodes}, {d.control_dim}), got {control.shape}")
     if np.any(x0 < 0):
         raise ValidationError("initial state must be nonnegative")
-    rhs = d.rhs
-    return _rk4(lambda t, x, u: rhs(t, x, u, p), x0, grid.nodes, (control,), "state")
+    return _rk4(d.rhs, x0, grid.nodes, (control,), "state", p, d.required_params)
 
 
 def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
@@ -173,10 +193,8 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
         raise ValidationError(f"{d.id.value}: state trajectory shape {state.shape} does not match grid")
     if control.shape != (grid.n_nodes, d.control_dim):
         raise ValidationError(f"{d.id.value}: control trajectory shape {control.shape} does not match grid")
-
-    adj = models.costate(d, w)
-    return _rk4(lambda t, lam, x, u: adj(t, x, lam, u, p, w), np.zeros(d.state_dim),
-                grid.nodes, (state, control), "adjoint", backward=True)
+    return _rk4(models.costate(d, w), np.zeros(d.state_dim), grid.nodes, (state, control),
+                "adjoint", p, d.required_params, backward=True)
 
 
 def _expand_initial_control(initial, n_nodes: int, control_dim: int) -> np.ndarray:
@@ -216,12 +234,12 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     validate_problem(model, p, w)
     x0 = scenario.initial_state()
 
-    n_nodes = grid.n_nodes
-    u = _expand_initial_control(settings.initial_control, n_nodes, d.control_dim)
+    u = _expand_initial_control(settings.initial_control, grid.n_nodes, d.control_dim)
     np.clip(u, w.lower, w.upper, out=u)
     relax = settings.relaxation
-    nodes = grid.nodes
     char = d.characterize
+    names = d.required_params
+    q = p.values(names)  # the control law's parameters, unless p holds a time table
 
     history: list[float] = []
     best_cost = np.inf
@@ -238,9 +256,10 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
         except NonFiniteError as exc:
             raise NonFiniteError(f"sweep iteration {it}: {exc}", step=exc.step,
                                  time=exc.time) from exc
-        u_hat = np.empty_like(u)
-        for i in range(n_nodes):
-            u_hat[i] = char(nodes[i], state[i], adjoint[i], p, w)
+        laws = array("d")
+        for t, x, lam in zip(grid.nodes, map(np.ndarray.tolist, state), map(np.ndarray.tolist, adjoint)):
+            laws.extend(char(t, x, lam, p.values(names, t) if p._timed else q, w))
+        u_hat = np.frombuffer(laws, dtype=float).reshape(u.shape)
         cost = total_cost(scenario.cost_kind, model, Trajectory(grid, state, u), w)
         history.append(cost)
         if cost < best_cost:

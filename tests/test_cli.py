@@ -142,6 +142,19 @@ class TestOptimize:
         assert report["converged"] is False  # artifacts written, flagged
 
 
+class TestOverrides:
+    # a zero override is a value to validate, not an absent flag
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--n-steps"),
+        ("optimize", "--max-iterations"),
+        ("optimize", "--tolerance"),
+    ])
+    def test_zero_override_rejected(self, small_scenario_file, tmp_path, command, flag):
+        out = tmp_path / "out"
+        assert main([command, str(small_scenario_file), "-o", str(out), flag, "0"]) == 2
+        assert not out.exists()
+
+
 class TestSweep:
     def test_summary_and_per_value_outputs(self, small_sweep_file, tmp_path):
         out = tmp_path / "sweep"

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, default_params,
-                    integrate_adjoint_backward, integrate_forward, make_time_grid,
-                    model_definition, reduced_cost_gradient, solve_fbs, total_cost)
-from tbctrl.core import Trajectory, ValidationError
+from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_rhs,
+                    default_params, dynamics, integrate_adjoint_backward, integrate_forward,
+                    make_time_grid, model_definition, reduced_cost_gradient, solve_fbs,
+                    total_cost)
+from tbctrl.core import TimeTable, Trajectory, ValidationError
+from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.solver import FbsSettings, _expand_initial_control
 
 
@@ -19,6 +21,78 @@ def zero_rate_params():
         "Lambda": 0.0, "beta": 0.0, "c": 0.0, "mu": 0.0, "sigma": 0.0,
         "k1": 0.0, "r1": 0.0, "r2": 0.0, "d1": 0.0, "N": 1.0,
     })
+
+
+def reference_rk4(f, y0, nodes, drivers, backward=False):
+    """RK4 with ndarray stages, y' = f(t, y, *d): the loop the float kernel replaced."""
+    order = slice(None, None, -1 if backward else 1)
+    ts = nodes[order]
+    runs = [a[order] for a in drivers]
+    mids = [0.5 * (a[:-1] + a[1:]) for a in runs]
+    out = np.zeros((len(nodes), len(y0)))
+    rows = out[order]
+    rows[0] = y = y0
+    steps = zip(ts[:-1], ts[1:], zip(*runs), zip(*mids), zip(*(a[1:] for a in runs)))
+    for j, (t, t1, d0, dm, d1) in enumerate(steps, 1):
+        h = t1 - t
+        k1 = f(t, y, *d0)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, *dm)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, *dm)
+        k4 = f(t + h, y + h * k3, *d1)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows[j] = y
+    return out
+
+
+def assert_passes_match_reference(mid, p, seed, n_steps=200):
+    """Both passes equal ``reference_rk4`` over the per-point model wrappers; returns the state."""
+    d = model_definition(mid)
+    rng = np.random.default_rng(seed)
+    g = make_time_grid(0.0, 5.0, n_steps)
+    x0 = 10.0 ** rng.uniform(1.0, 4.0, d.state_dim)
+    u = rng.uniform(0.0, 1.0, (g.n_nodes, d.control_dim))
+    w = CostWeights(a1=rng.uniform(0.5, 2.0), a2=rng.uniform(0.0, 1.0),
+                    b=tuple(rng.uniform(10.0, 200.0, d.control_dim)),
+                    a_isolated=rng.uniform(0.0, 1.0) if d.isolated is not None else 0.0)
+    state = integrate_forward(mid, p, x0, u, g)
+    lam = integrate_adjoint_backward(mid, p, w, state, u, g)
+    ref_state = reference_rk4(lambda t, x, v: dynamics(mid, t, x, v, p), x0, g.nodes, (u,))
+    ref_lam = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
+                            np.zeros(d.state_dim), g.nodes, (ref_state, u), backward=True)
+    assert np.array_equal(state, ref_state)
+    assert np.array_equal(lam, ref_lam)
+    return state
+
+
+class TestReferenceKernel:
+    """The float RK4 kernel gives bitwise the results of the ndarray-stage loop."""
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_both_passes_match_reference(self, mid):
+        assert_passes_match_reference(mid, default_params(mid), seed=list(ModelId).index(mid))
+
+    def test_time_table_resolved_at_each_evaluation(self):
+        # mu changes inside the horizon, so a tuple bound once at t0 gives other rows
+        mid = ModelId.KOREA
+        constant = default_params(mid)
+        table = constant.with_updates(
+            {"mu": TimeTable((0.0, 1.5, 3.0, 4.5), (0.01, 0.05, 0.02, 0.04))})
+        assert not np.array_equal(assert_passes_match_reference(mid, table, seed=42),
+                                  assert_passes_match_reference(mid, constant, seed=42))
+
+    def test_oracle_suffix_restart_matches_reference(self, flagship, shrink):
+        cfg = shrink(flagship, 300)
+        g = cfg.grid
+        sim = _Simulator(cfg.model, cfg.params, cfg.weights, g, cfg.initial_state(), 25)
+        u_coarse = np.random.default_rng(3).uniform(0.0, 1.0, (25, 1))
+        fine = _fine_controls(u_coarse, g.n_steps)
+        state, _ = sim.base_run(u_coarse)
+        start = int(sim.bounds[13]) - 1  # mid-grid, as suffix_cost restarts
+        suffix = sim.run(state[start], fine[start:], g.nodes[start:])
+        ref = reference_rk4(lambda t, x, v: dynamics(cfg.model, t, x, v, cfg.params),
+                            state[start], g.nodes[start:], (fine[start:],))
+        assert np.array_equal(suffix, ref)
+        assert np.array_equal(suffix, state[start:])
 
 
 class TestForwardIntegration:
@@ -166,6 +240,19 @@ class TestBackwardIntegration:
         assert (err.value.step, err.value.time) == (9, 9.0)
         assert str(err.value) == ("adjoint left the model's domain (degenerate population: "
                                   "N(t) = 0.0) at step 9 (t=9)")
+
+    def test_vanishing_population_located(self):
+        # no recruitment and mu = 80 take N(t) to 5e-171 by t = 5, where N^2 in
+        # bowong's Jacobian underflows to 0: a non-finite costate, not a ZeroDivisionError
+        mid = ModelId.BOWONG
+        p = default_params(mid).with_updates({"Lambda": 0.0, "mu": 80.0})
+        g = make_time_grid(0.0, 5.0, 2000)
+        u = np.full((g.n_nodes, 2), 0.5)
+        state = integrate_forward(mid, p, np.full(4, 1000.0), u, g)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                integrate_adjoint_backward(mid, p, CostWeights(a1=1.0, b=(1.0, 1.0)), state, u, g)
+        assert (err.value.step, err.value.time) == (1999, g.nodes[1999])
 
     def test_initial_adjoint_step_halving_at_fixed_point(self, flagship, shrink):
         cfg = shrink(flagship, 1000)
