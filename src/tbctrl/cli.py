@@ -183,7 +183,6 @@ def _optimize_into(config: ScenarioConfig, out: Path) -> dict:
         "cost": solution.cost,
         "baseline_cost": baseline_cost,
         "final_control_change": report.final_control_change,
-        "final_adjoint_residual": report.final_adjoint_residual,
         "cost_history": list(report.cost_history),
         "duration_u_above_0.99": duration,
         "terminal_infectious_fraction": float(frac[-1]),
@@ -213,6 +212,8 @@ def _sweep_worker(item):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     config = _apply_cli_overrides(find_scenario(args.scenario), args)
     if config.sweep is None:
         raise ValidationError(f"scenario {config.name!r} declares no sweep")
@@ -258,7 +259,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    targets = list(ModelId) if args.model == "all" else [ModelId(args.model)]
+    targets = list(ModelId) if args.model == "all" else [models.model_definition(args.model).id]
     failed = False
     for mid in targets:
         adj = verify_adjoint_consistency(mid, samples=args.samples, seed=args.seed)

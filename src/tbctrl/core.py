@@ -205,9 +205,6 @@ class ParameterSet:
         except KeyError:
             raise ValidationError(f"missing parameter {name!r}") from None
 
-    def is_time_dependent(self, name: str) -> bool:
-        return isinstance(self._data.get(name), TimeTable)
-
     def as_dict(self) -> dict[str, float | TimeTable]:
         return dict(self._data)
 
@@ -261,6 +258,8 @@ class CostWeights:
             raise ValidationError("b must contain at least one effort weight")
         if any(not np.isfinite(v) or v <= 0 for v in b):
             raise ValidationError(f"every effort weight b_i must be > 0, got {b}")
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+            raise ValidationError(f"control bounds must be finite, got [{self.lower}, {self.upper}]")
         if not self.upper > self.lower:
             raise ValidationError(f"control bounds must satisfy upper > lower, got [{self.lower}, {self.upper}]")
 

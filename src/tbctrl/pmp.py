@@ -76,18 +76,9 @@ class ConsistencyReport:
                 raise ValidationError("residuals must be nonnegative")
 
 
-def _sample_point(rng: np.random.Generator, state_dim: int, control_dim: int,
-                  w: CostWeights):
-    # Log-uniform compartment sizes spread the check across population scales.
-    x = 10.0 ** rng.uniform(0.0, 4.0, size=state_dim)
-    lam = rng.uniform(-100.0, 100.0, size=state_dim)
-    u = rng.uniform(w.lower, w.upper, size=control_dim)
-    return x, lam, u
-
-
 def _resolve(model, p, w):
-    model = ModelId(model)
     d = models.model_definition(model)
+    model = d.id
     if p is None:
         p = models.default_params(model)
     if w is None:
@@ -96,28 +87,44 @@ def _resolve(model, p, w):
     return model, d, p, w
 
 
-def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
-                               w: CostWeights | None = None, samples: int = 100,
-                               fd_step: float | None = None,
-                               seed: int = DEFAULT_SEED) -> ConsistencyReport:
-    """Compare the analytic adjoint against -grad_x H by central differences.
+def _sample(d, w: CostWeights, samples: int, seed: int, residual) -> tuple[float, list[dict]]:
+    """Score ``residual(t, x, lam, u) -> (res, info)`` at seeded random points.
 
-    Residuals are relative to max(1, |grad H|_inf) per sample. fd_step=None
-    uses 1e-4 * max(1, |x_i|) per component.
+    Returns the largest residual and the three worst samples' records.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    model, d, p, w = _resolve(model, p, w)
     rng = np.random.default_rng(seed)
-    report = ConsistencyReport(model=model, samples=samples, seed=seed)
     worst: list[tuple[float, dict]] = []
     max_res = 0.0
     for si in range(samples):
-        x, lam, u = _sample_point(rng, d.state_dim, d.control_dim, w)
+        # Log-uniform compartment sizes spread the check across population scales.
+        x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
+        lam = rng.uniform(-100.0, 100.0, size=d.state_dim)
+        u = rng.uniform(w.lower, w.upper, size=d.control_dim)
         t = rng.uniform(0.0, 5.0)
+        res, info = residual(t, x, lam, u)
+        if res > max_res:
+            max_res = res
+        worst.append((res, {"sample": si, "residual": res, **info}))
+    worst.sort(key=lambda e: -e[0])
+    return max_res, [info for _, info in worst[:3]]
+
+
+def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
+                               w: CostWeights | None = None, samples: int = 100,
+                               seed: int = DEFAULT_SEED) -> ConsistencyReport:
+    """Compare the analytic adjoint against -grad_x H by central differences.
+
+    Residuals are relative to max(1, |grad H|_inf) per sample; component i is
+    differenced with step 1e-4 * max(1, |x_i|).
+    """
+    model, d, p, w = _resolve(model, p, w)
+
+    def residual(t, x, lam, u):
         grad = np.empty(d.state_dim)
         for i in range(d.state_dim):
-            h = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(x[i]))
+            h = 1e-4 * max(1.0, abs(x[i]))
             xp = x.copy()
             xm = x.copy()
             xp[i] += h
@@ -126,26 +133,12 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
                        - hamiltonian(model, t, xm, lam, u, p, w)) / (2.0 * h)
         analytic = models.adjoint_rhs(model, t, x, lam, u, p, w)
         diff = np.abs(analytic - (-grad))
-        scale = max(1.0, float(np.max(np.abs(grad))))
-        res = float(np.max(diff)) / scale
-        comp = int(np.argmax(diff))
-        if res > max_res:
-            max_res = res
-        worst.append((res, {"sample": si, "residual": res, "component": comp,
-                            "t": t, "x": x.tolist()}))
-    worst.sort(key=lambda e: -e[0])
-    report.max_adjoint_residual = max_res
-    report.worst_offenders = [info for _, info in worst[:3]]
-    return report
+        res = float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
+        return res, {"component": int(np.argmax(diff)), "t": t, "x": x.tolist()}
 
-
-def _control_grid(d, w, grid_points):
-    axes = [np.linspace(w.lower, w.upper, grid_points) for _ in range(d.control_dim)]
-    if not d.separable_controls:
-        # full tensor grid: only a joint search certifies non-separable Hamiltonians
-        return [np.array(v) for v in itertools.product(*axes)], "tensor"
-    # separable: per-component sweeps around the candidate certify the joint minimum
-    return axes, "componentwise"
+    max_res, worst = _sample(d, w, samples, seed, residual)
+    return ConsistencyReport(model=model, samples=samples, seed=seed,
+                             max_adjoint_residual=max_res, worst_offenders=worst)
 
 
 def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
@@ -158,33 +151,27 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
     checked with per-component sweeps around the candidate (which certifies
     the joint minimum); the non-separable model gets the full tensor grid.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
     model, d, p, w = _resolve(model, p, w)
-    rng = np.random.default_rng(seed)
-    report = ConsistencyReport(model=model, samples=samples, seed=seed)
-    grid, mode = _control_grid(d, w, grid_points)
-    worst: list[tuple[float, dict]] = []
-    max_res = 0.0
-    for si in range(samples):
-        x, lam, _ = _sample_point(rng, d.state_dim, d.control_dim, w)
-        t = rng.uniform(0.0, 5.0)
+    axis = np.linspace(w.lower, w.upper, grid_points)
+    tensor = None if d.separable_controls else [
+        np.array(v) for v in itertools.product(axis, repeat=d.control_dim)]
+
+    def residual(t, x, lam, _):
         u_star = models.control_characterization(model, t, x, lam, p, w)
         h_star = hamiltonian(model, t, x, lam, u_star, p, w)
-        if mode == "tensor":
-            h_min = min(hamiltonian(model, t, x, lam, v, p, w) for v in grid)
-        else:
-            h_min = h_star
-            for i, axis in enumerate(grid):
+        candidates = tensor
+        if candidates is None:
+            candidates = []
+            for i in range(d.control_dim):
                 for v in axis:
                     cand = u_star.copy()
                     cand[i] = v
-                    h_min = min(h_min, hamiltonian(model, t, x, lam, cand, p, w))
+                    candidates.append(cand)
+        h_min = min(itertools.chain(
+            (h_star,), (hamiltonian(model, t, x, lam, v, p, w) for v in candidates)))
         res = max(0.0, h_star - h_min) / max(1.0, abs(h_star))
-        if res > max_res:
-            max_res = res
-        worst.append((res, {"sample": si, "residual": res, "u_star": u_star.tolist(), "t": t}))
-    worst.sort(key=lambda e: -e[0])
-    report.max_stationarity_residual = max_res
-    report.worst_offenders = [info for _, info in worst[:3]]
-    return report
+        return res, {"u_star": u_star.tolist(), "t": t}
+
+    max_res, worst = _sample(d, w, samples, seed, residual)
+    return ConsistencyReport(model=model, samples=samples, seed=seed,
+                             max_stationarity_residual=max_res, worst_offenders=worst)

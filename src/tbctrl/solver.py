@@ -76,7 +76,6 @@ class SolveReport:
     converged: bool
     cost_history: tuple[float, ...]
     final_control_change: float
-    final_adjoint_residual: float | None = None
     message: str = ""
 
 
@@ -286,7 +285,6 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
         converged=converged,
         cost_history=tuple(history),
         final_control_change=rel_change,
-        final_adjoint_residual=float(np.max(np.abs(adjoint[-1]))),
         message="" if converged else f"no convergence within {settings.max_iterations} iterations; best iterate returned",
     )
     return Solution(trajectory=traj, cost=cost, report=report)

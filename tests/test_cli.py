@@ -176,6 +176,13 @@ class TestSweep:
         assert main(["sweep", str(small_sweep_file), "-o", str(out2), "--jobs", "2"]) == 0
         assert (out1 / "sweep_summary.csv").read_text() == (out2 / "sweep_summary.csv").read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, small_sweep_file, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_sweep_file), "-o", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_scenario_without_sweep_rejected(self, small_scenario_file, tmp_path):
         assert main(["sweep", str(small_scenario_file), "-o", str(tmp_path / "x")]) == 2
 
@@ -206,6 +213,11 @@ class TestVerify:
         assert main(["verify", "all", "--samples", "10"]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 7
+
+    def test_unknown_model_is_validation_error(self, capsys):
+        assert main(["verify", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown model 'nosuch'" in err and "known models: seirs" in err
 
     def test_mutated_build_detected(self, monkeypatch, capsys):
         from tbctrl import models as models_pkg

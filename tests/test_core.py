@@ -112,7 +112,7 @@ class TestParameterSet:
 
     def test_time_dependent_entry(self):
         p = ParameterSet({"beta": 13.0, "k": TimeTable((0.0, 10.0), (1.0, 2.0))})
-        assert p.is_time_dependent("k")
+        assert isinstance(p.raw("k"), TimeTable)
         assert p.value("k", 5.0) == pytest.approx(1.5)
         assert p.values(("k", "beta"), 5.0) == (p.value("k", 5.0), 13.0)
         assert p.values(("k",)) == (1.0,)
@@ -145,6 +145,12 @@ class TestCostWeights:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValidationError):
             CostWeights(b=(1.0,), lower=1.0, upper=0.0)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (-np.inf, 1.0),
+                                              (-np.inf, np.inf)])
+    def test_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(ValidationError, match="finite"):
+            CostWeights(b=(1.0,), lower=lower, upper=upper)
 
     def test_scalar_b_normalized(self):
         w = CostWeights(b=2.0)

@@ -1,12 +1,16 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from tbctrl import (ModelId, builtin_scenarios, get_scenario, load_scenario,
                     load_scenario_file, save_scenario, scenario_to_dict,
                     validate_params)
-from tbctrl.core import ValidationError
-from tbctrl.scenario import SCHEMA_ID, find_scenario, sweep_points
+from tbctrl.core import TimeTable, ValidationError
+from tbctrl.scenario import SCHEMA_ID, builtin_scenario_names, find_scenario, sweep_points
+
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.json"
 
 
 def flagship_doc():
@@ -153,8 +157,15 @@ class TestLoadScenario:
                                 "values": [0.6, 0.2, 0.05, 0.15], "total": 10000.0}
         doc["cost"] = {"kind": "C1", "a1": 1.0, "a2": 1.0, "b": [50.0, 50.0, 50.0]}
         cfg = load_scenario(json.dumps(doc))
-        assert cfg.params.is_time_dependent("k")
+        assert isinstance(cfg.params.raw("k"), TimeTable)
         assert cfg.params.value("k", 5.0) == pytest.approx(0.125)
+
+    def test_infinite_bounds_rejected(self):
+        doc = flagship_doc()
+        doc["cost"]["bounds"] = [0.0, "UPPER"]
+        text = json.dumps(doc).replace('"UPPER"', "1e400")  # parses to inf
+        with pytest.raises(ValidationError, match=r"^\$\.cost: control bounds must be finite"):
+            load_scenario(text)
 
     def test_fraction_mode_needs_population(self):
         doc = flagship_doc()
@@ -185,6 +196,29 @@ class TestRoundTrip:
         doc = scenario_to_dict(get_scenario("fig1"))
         assert doc["schema"] == SCHEMA_ID
         assert doc["model"] == "seirs"
+
+
+class TestPublishedSchema:
+    """docs/scenario-schema.json accepts every bundled scenario, as shipped and as saved."""
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        jsonschema.Draft7Validator.check_schema(schema)
+        return jsonschema.Draft7Validator(schema)
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_bundled_and_saved_documents_validate(self, validator, name, tmp_path):
+        bundled = resources.files("tbctrl.scenarios").joinpath(f"{name}.json").read_text("utf-8")
+        validator.validate(json.loads(bundled))
+        save_scenario(builtin_scenarios()[name], tmp_path / "saved.json")
+        validator.validate(json.loads((tmp_path / "saved.json").read_text()))
+
+    def test_schema_rejects_unknown_key(self, validator):
+        doc = flagship_doc()
+        doc["extra"] = 1
+        assert not validator.is_valid(doc)
 
 
 class TestFindScenario:
