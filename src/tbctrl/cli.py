@@ -276,7 +276,8 @@ def cmd_verify(args) -> int:
                 x = rng.uniform(1.0, 1e4, size=d.state_dim)
                 a = models.dynamics(mid, 0.3, x, u0, p)
                 b = models.uncontrolled_rhs(mid, 0.3, x, p)
-                worst = max(worst, float(np.max(np.abs(a - b))))
+                # np.maximum, unlike max(), keeps a NaN difference
+                worst = float(np.maximum(worst, np.max(np.abs(a - b))))
             red_ok = worst == 0.0
             red_note = f" reduction={'exact' if red_ok else f'MISMATCH ({worst:g})'}"
         adj_ok = adj.max_adjoint_residual < 1e-6

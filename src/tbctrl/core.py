@@ -150,14 +150,6 @@ class TimeTable:
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self.times, self.values))
 
-    @property
-    def min_value(self) -> float:
-        return min(self.values)
-
-    @property
-    def max_value(self) -> float:
-        return max(self.values)
-
 
 class ParameterSet:
     """Named scalar parameters; individual entries may be time profiles.

@@ -15,7 +15,7 @@ import numpy as np
 from ..core import CostWeights, ParameterSet, ValidationError
 from .base import CostateFn, ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
-from .baselines import NEUTRAL_CONTROLS, has_baseline, uncontrolled_rhs
+from .baselines import has_baseline, neutral_control, uncontrolled_rhs
 
 __all__ = [
     "ModelId",
@@ -134,11 +134,3 @@ def default_params(model: ModelId) -> ParameterSet:
     """A plausible, valid parameter set for demos and verification sampling."""
     return ParameterSet(_DEFAULTS[ModelId(model)])
 
-
-def neutral_control(model: ModelId) -> np.ndarray:
-    """Control vector at which the controlled system matches its uncontrolled baseline."""
-    model = ModelId(model)
-    try:
-        return np.array(NEUTRAL_CONTROLS[model])
-    except KeyError:
-        raise KeyError(f"no uncontrolled baseline recorded for {model.value}") from None

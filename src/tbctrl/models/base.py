@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,20 @@ CharFn = Callable[[float, Vec, Vec, Params, CostWeights], Vec]
 CostateFn = Callable[[float, Vec, Vec, Vec, Params], Vec]  # (t, lam, x, u, q), as the kernel calls it
 
 
+class Domain(NamedTuple):
+    """Admissible range of a parameter: lo <= v <= hi, or lo < v < hi when ``open``."""
+
+    lo: float
+    hi: float
+    open: bool = False
+
+
+NONNEGATIVE = Domain(0.0, float("inf"))
+POSITIVE = Domain(0.0, float("inf"), open=True)
+UNIT = Domain(0.0, 1.0)
+OPEN_UNIT = Domain(0.0, 1.0, open=True)
+
+
 @dataclass(frozen=True)
 class ModelDefinition:
     """Uniform interface to one model: dimensions, dynamics, adjoint, control law.
@@ -51,6 +65,11 @@ class ModelDefinition:
     ``PARAMS``), which the caller resolves with ``ParameterSet.values``: once
     per RK4 pass, or at each evaluation time when the set holds a time table.
     They return index-mutable sequences (lists; ``jac`` an array).
+
+    ``domains`` maps a parameter to its admissible range and lists only the
+    exceptions: every parameter it does not name must be finite and >= 0
+    (``NONNEGATIVE``). Time tables are allowed only for the names in
+    ``time_dependent_ok``; a table's minimum and maximum must lie in the domain.
     """
 
     id: ModelId
@@ -66,10 +85,7 @@ class ModelDefinition:
     isolated: tuple[float, ...] | None = None
     jac: JacFn | None = None
     adjoint: AdjointFn | None = None
-    nonnegative_params: tuple[str, ...] = ()
-    unit_interval_params: tuple[str, ...] = ()
-    open_unit_params: tuple[str, ...] = ()
-    positive_params: tuple[str, ...] = ()
+    domains: Mapping[str, Domain] = field(default_factory=dict)
     time_dependent_ok: tuple[str, ...] = ()
     sum_constraints: tuple[tuple[str, str], ...] = ()  # pairs whose sum must stay <= 1
     separable_controls: bool = True  # Hamiltonian additively separable across controls
@@ -87,57 +103,34 @@ def clamp(v: float, lo: float, hi: float) -> float:
     return min(max(lo, v), hi)
 
 
-def _param_range(p: ParameterSet, name: str, t_dep_ok: bool) -> tuple[float, float] | str:
-    """Value range of a parameter entry, or an error string."""
-    v = p.raw(name)
-    if isinstance(v, TimeTable):
-        if not t_dep_ok:
-            return f"parameter {name!r} may not be time-dependent for this model"
-        return (v.min_value, v.max_value)
-    return (v, v)
-
-
 def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
     """Collect every range/constraint violation; an empty list means valid."""
     violations: list[str] = []
+    maxima: dict[str, float] = {}
     for name in defn.required_params:
         if name not in p:
             violations.append(f"missing parameter {name!r}")
-    present = [n for n in defn.required_params if n in p]
-
-    ranges: dict[str, tuple[float, float]] = {}
-    for name in present:
-        r = _param_range(p, name, name in defn.time_dependent_ok)
-        if isinstance(r, str):
-            violations.append(r)
+            continue
+        v = p.raw(name)
+        if isinstance(v, TimeTable):
+            if name not in defn.time_dependent_ok:
+                violations.append(f"parameter {name!r} may not be time-dependent for this model")
+                continue
+            vmin, vmax = min(v.values), max(v.values)
         else:
-            ranges[name] = r
-
-    def check(name: str, lo: float | None, hi: float | None, strict_lo=False, strict_hi=False):
-        if name not in ranges:
-            return
-        vmin, vmax = ranges[name]
-        if not np.isfinite(vmin) or not np.isfinite(vmax):
+            vmin = vmax = v
+        maxima[name] = vmax
+        if not (np.isfinite(vmin) and np.isfinite(vmax)):
             violations.append(f"parameter {name!r} must be finite")
-            return
-        if lo is not None and (vmin < lo or (strict_lo and vmin <= lo)):
-            op = ">" if strict_lo else ">="
-            violations.append(f"parameter {name!r} must be {op} {lo}, got {vmin}")
-        if hi is not None and (vmax > hi or (strict_hi and vmax >= hi)):
-            op = "<" if strict_hi else "<="
-            violations.append(f"parameter {name!r} must be {op} {hi}, got {vmax}")
-
-    for name in defn.nonnegative_params:
-        check(name, 0.0, None)
-    for name in defn.positive_params:
-        check(name, 0.0, None, strict_lo=True)
-    for name in defn.unit_interval_params:
-        check(name, 0.0, 1.0)
-    for name in defn.open_unit_params:
-        check(name, 0.0, 1.0, strict_lo=True, strict_hi=True)
+            continue
+        lo, hi, strict = defn.domains.get(name, NONNEGATIVE)
+        if vmin < lo or (strict and vmin <= lo):
+            violations.append(f"parameter {name!r} must be {'>' if strict else '>='} {lo}, got {vmin}")
+        if vmax > hi or (strict and vmax >= hi):
+            violations.append(f"parameter {name!r} must be {'<' if strict else '<='} {hi}, got {vmax}")
     for a, b in defn.sum_constraints:
-        if a in ranges and b in ranges:
-            total = ranges[a][1] + ranges[b][1]
+        if a in maxima and b in maxima:
+            total = maxima[a] + maxima[b]
             if total > 1.0:
                 violations.append(f"parameters must satisfy {a} + {b} <= 1, got {total}")
     return violations

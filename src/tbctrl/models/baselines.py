@@ -15,16 +15,7 @@ from ..core import ParameterSet
 from .base import ModelId, live_population
 from . import seirs, two_strain, reinfection, isolation, korea
 
-__all__ = ["NEUTRAL_CONTROLS", "uncontrolled_rhs", "has_baseline"]
-
-# Control values at which each controlled system degenerates to its baseline.
-NEUTRAL_CONTROLS: dict[ModelId, tuple[float, ...]] = {
-    ModelId.SEIRS: (0.0,),
-    ModelId.TWO_STRAIN: (1.0, 0.0),
-    ModelId.REINFECTION: (0.0,),
-    ModelId.ISOLATION_IMMIGRATION: (0.0, 0.0),
-    ModelId.KOREA: (0.0, 0.0, 0.0),
-}
+__all__ = ["has_baseline", "neutral_control", "uncontrolled_rhs"]
 
 
 def _seirs_rhs(t, x, p):
@@ -110,23 +101,33 @@ def _korea_rhs(t, x, p):
     ])
 
 
+# model -> (control at which the controlled system degenerates to its baseline, baseline rhs)
 _BASELINES = {
-    ModelId.SEIRS: _seirs_rhs,
-    ModelId.TWO_STRAIN: _two_strain_rhs,
-    ModelId.REINFECTION: _reinfection_rhs,
-    ModelId.ISOLATION_IMMIGRATION: _isolation_rhs,
-    ModelId.KOREA: _korea_rhs,
+    ModelId.SEIRS: ((0.0,), _seirs_rhs),
+    ModelId.TWO_STRAIN: ((1.0, 0.0), _two_strain_rhs),
+    ModelId.REINFECTION: ((0.0,), _reinfection_rhs),
+    ModelId.ISOLATION_IMMIGRATION: ((0.0, 0.0), _isolation_rhs),
+    ModelId.KOREA: ((0.0, 0.0, 0.0), _korea_rhs),
 }
+
+
+def _baseline(model: ModelId):
+    model = ModelId(model)
+    try:
+        return _BASELINES[model]
+    except KeyError:
+        raise KeyError(f"no uncontrolled baseline recorded for {model.value}") from None
 
 
 def has_baseline(model: ModelId) -> bool:
     return model in _BASELINES
 
 
+def neutral_control(model: ModelId) -> np.ndarray:
+    """Control vector at which the controlled system matches its uncontrolled baseline."""
+    return np.array(_baseline(model)[0])
+
+
 def uncontrolled_rhs(model: ModelId, t: float, x: np.ndarray, p: ParameterSet) -> np.ndarray:
     """Right-hand side of the model's uncontrolled baseline system."""
-    try:
-        fn = _BASELINES[model]
-    except KeyError:
-        raise KeyError(f"no uncontrolled baseline recorded for {model.value}") from None
-    return fn(t, np.asarray(x, dtype=float), p)
+    return _baseline(model)[1](t, np.asarray(x, dtype=float), p)

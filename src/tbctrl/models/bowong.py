@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind
-from .base import ModelDefinition, ModelId, clamp, live_population
+from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "I2")
 PARAMS = ("Lambda", "beta", "mu", "g", "f", "h", "r1", "r2", "r3",
@@ -119,8 +119,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 1.0),  # all active cases, diagnosed or not
     latent=(0.0, 1.0, 0.0, 0.0),
     jac=jac,
-    nonnegative_params=("Lambda", "beta", "mu", "r2", "r3", "k1", "d1", "d3"),
-    unit_interval_params=("g", "f", "h", "sigma", "r1"),
+    domains=dict.fromkeys(("g", "f", "h", "sigma", "r1"), UNIT),
     separable_controls=False,  # u1 and u2 couple through the detected-progression flow
 )
 

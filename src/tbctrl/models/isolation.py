@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind
-from .base import ModelDefinition, ModelId, clamp, live_population
+from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "J", "T")
 PARAMS = ("Lambda_star", "A", "p_star", "q_star", "beta", "c", "l", "m", "p",
@@ -92,9 +92,7 @@ DEFINITION = ModelDefinition(
     latent=(0.0, 1.0, 0.0, 0.0, 0.0),
     isolated=(0.0, 0.0, 0.0, 1.0, 0.0),
     jac=jac,
-    nonnegative_params=("Lambda_star", "A", "beta", "c", "p", "k1", "mu",
-                        "d3", "d4", "r2", "r3", "xi"),
-    unit_interval_params=("p_star", "q_star", "l", "m", "sigma", "sigma_star"),
+    domains=dict.fromkeys(("p_star", "q_star", "l", "m", "sigma", "sigma_star"), UNIT),
     sum_constraints=(("p_star", "q_star"),),
 )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind
-from .base import ModelDefinition, ModelId, clamp, live_population
+from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I", "L5")
 PARAMS = ("b", "mu", "beta", "alpha", "k", "s", "r")
@@ -82,8 +82,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0),
     jac=jac,
-    nonnegative_params=("b", "mu", "beta", "alpha", "k", "r"),
-    unit_interval_params=("s",),
+    domains={"s": UNIT},
     time_dependent_ok=TIME_DEPENDENT,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind, ValidationError
-from .base import ModelDefinition, ModelId, clamp
+from .base import OPEN_UNIT, POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L3", "I1", "L4", "T")
 PARAMS = ("N", "mu", "beta", "sigma", "sigma_R", "delta", "k1",
@@ -92,11 +92,8 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 0.0, 0.0),
     latent=(0.0, 0.0, 0.0, 1.0, 0.0),  # persistent latents L4
     jac=jac,
-    nonnegative_params=("mu", "beta", "delta", "omega", "omega_R",
-                        "tau0", "tau1", "tau2"),
-    unit_interval_params=("sigma", "sigma_R", "k1"),
-    open_unit_params=("eps1", "eps2"),
-    positive_params=("N",),
+    domains={"sigma": UNIT, "sigma_R": UNIT, "k1": UNIT,
+             "eps1": OPEN_UNIT, "eps2": OPEN_UNIT, "N": POSITIVE},
 )
 
 DEFAULT_PARAMS = {

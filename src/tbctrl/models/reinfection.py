@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind
-from .base import ModelDefinition, ModelId, clamp, live_population
+from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "T")
 PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r2", "d1", "rho")
@@ -77,8 +77,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0),
     jac=jac,
-    nonnegative_params=("Lambda", "beta", "c", "mu", "k1", "r2", "d1", "rho"),
-    unit_interval_params=("sigma",),
+    domains={"sigma": UNIT},
 )
 
 DEFAULT_PARAMS = {

@@ -9,7 +9,7 @@ parameter N (recruitment Lambda = mu*N and d1 = 0 keep it exact).
 from __future__ import annotations
 
 from ..core import CostKind, ValidationError
-from .base import ModelDefinition, ModelId, clamp
+from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "T")
 PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r1", "r2", "d1", "N")
@@ -66,9 +66,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0),
     adjoint=adjoint,
-    nonnegative_params=("Lambda", "beta", "c", "mu", "k1", "r1", "r2", "d1"),
-    unit_interval_params=("sigma",),
-    positive_params=("N",),
+    domains={"sigma": UNIT, "N": POSITIVE},
 )
 
 DEFAULT_PARAMS = {

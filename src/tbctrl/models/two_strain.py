@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostKind, ValidationError
-from .base import ModelDefinition, ModelId, clamp
+from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "L2", "I2", "T")
 PARAMS = ("Lambda", "beta", "beta_star", "c", "mu", "sigma",
@@ -96,10 +96,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 0.0, 0.0, 1.0, 0.0),  # resistant infectious I2
     latent=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),      # resistant latent L2
     jac=jac,
-    nonnegative_params=("Lambda", "beta", "beta_star", "c", "mu", "k1", "k2",
-                        "r1", "r2", "d1", "d2", "p", "q"),
-    unit_interval_params=("sigma", "p", "q"),
-    positive_params=("N",),
+    domains={"sigma": UNIT, "p": UNIT, "q": UNIT, "N": POSITIVE},
     sum_constraints=(("p", "q"),),
 )
 

@@ -8,6 +8,7 @@ search over admissible controls cross-checks the closed-form control laws.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,13 +91,13 @@ def _resolve(model, p, w):
 def _sample(d, w: CostWeights, samples: int, seed: int, residual) -> tuple[float, list[dict]]:
     """Score ``residual(t, x, lam, u) -> (res, info)`` at seeded random points.
 
-    Returns the largest residual and the three worst samples' records.
+    Returns the largest residual and the three worst samples' records. A
+    non-finite residual (NaN included) counts as the largest.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     worst: list[tuple[float, dict]] = []
-    max_res = 0.0
     for si in range(samples):
         # Log-uniform compartment sizes spread the check across population scales.
         x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
@@ -104,11 +105,9 @@ def _sample(d, w: CostWeights, samples: int, seed: int, residual) -> tuple[float
         u = rng.uniform(w.lower, w.upper, size=d.control_dim)
         t = rng.uniform(0.0, 5.0)
         res, info = residual(t, x, lam, u)
-        if res > max_res:
-            max_res = res
         worst.append((res, {"sample": si, "residual": res, **info}))
-    worst.sort(key=lambda e: -e[0])
-    return max_res, [info for _, info in worst[:3]]
+    worst.sort(key=lambda e: (math.isfinite(e[0]), -e[0]))
+    return worst[0][0], [info for _, info in worst[:3]]
 
 
 def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
@@ -169,7 +168,7 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
                     candidates.append(cand)
         h_min = min(itertools.chain(
             (h_star,), (hamiltonian(model, t, x, lam, v, p, w) for v in candidates)))
-        res = max(0.0, h_star - h_min) / max(1.0, abs(h_star))
+        res = (h_star - h_min) / max(1.0, abs(h_star))  # h_min <= h_star, as h_star is a candidate
         return res, {"u_star": u_star.tolist(), "t": t}
 
     max_res, worst = _sample(d, w, samples, seed, residual)

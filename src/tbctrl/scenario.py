@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, replace
@@ -117,7 +118,17 @@ def _reject_unknown(obj: Mapping, allowed: set[str], path: str):
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
         raise ValidationError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:  # a JSON integer too long for a float
+        raise ValidationError(f"{path}: number out of float range") from None
+
+
+def _finite(obj, path: str) -> float:
+    v = _number(obj, path)
+    if not math.isfinite(v):
+        raise ValidationError(f"{path}: expected a finite number, got {v}")
+    return v
 
 
 def _fraction_value(obj, path: str) -> Fraction:
@@ -126,7 +137,7 @@ def _fraction_value(obj, path: str) -> Fraction:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"{path}: cannot parse fraction {obj!r}") from None
-    return Fraction(_number(obj, path))
+    return Fraction(_finite(obj, path))
 
 
 def _parse_parameters(obj, path: str) -> ParameterSet:
@@ -163,7 +174,7 @@ def _parse_initial_state(obj, d, path: str):
             f"({', '.join(d.state_labels)}), got {len(raw)} values")
     total = None
     if "total" in obj:
-        total = _number(obj["total"], f"{path}.total")
+        total = _finite(obj["total"], f"{path}.total")
         if total <= 0:
             raise ValidationError(f"{path}.total: must be positive")
     if mode == "fractions":
@@ -175,7 +186,7 @@ def _parse_initial_state(obj, d, path: str):
             raise ValidationError(f"{path}.values: initial fractions must sum to 1, got {float(s)!r}")
         values = tuple(float(f) for f in fracs)
     else:
-        values = tuple(_number(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
+        values = tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         if any(v < 0 for v in values):
             raise ValidationError(f"{path}.values: counts must be nonnegative")
     return mode, values, total
@@ -227,7 +238,7 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
     return kind, weights
 
 
-def _parse_fbs(obj, path: str) -> FbsSettings:
+def _parse_fbs(obj, d, path: str) -> FbsSettings:
     if obj is None:
         return FbsSettings()
     obj = _require_mapping(obj, path)
@@ -245,10 +256,14 @@ def _parse_fbs(obj, path: str) -> FbsSettings:
     if "initial_control" in obj:
         v = obj["initial_control"]
         if isinstance(v, (list, tuple)):
+            if len(v) != d.control_dim:
+                raise ValidationError(
+                    f"{path}.initial_control: {d.id.value} has {d.control_dim} control(s), "
+                    f"got {len(v)} values")
             kwargs["initial_control"] = tuple(
-                _number(x, f"{path}.initial_control[{i}]") for i, x in enumerate(v))
+                _finite(x, f"{path}.initial_control[{i}]") for i, x in enumerate(v))
         else:
-            kwargs["initial_control"] = _number(v, f"{path}.initial_control")
+            kwargs["initial_control"] = _finite(v, f"{path}.initial_control")
     try:
         return FbsSettings(**kwargs)
     except ValidationError as exc:
@@ -322,7 +337,7 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
         raise ValidationError(f"$.grid: {exc}") from None
 
     kind, weights = _parse_cost(doc["cost"], d, "$.cost")
-    fbs = _parse_fbs(doc.get("fbs"), "$.fbs")
+    fbs = _parse_fbs(doc.get("fbs"), d, "$.fbs")
     sweep = _parse_sweep(doc["sweep"], d, "$.sweep") if "sweep" in doc else None
 
     config = ScenarioConfig(

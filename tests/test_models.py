@@ -97,8 +97,8 @@ def boundary_points(draw, mid):
     defaults = default_params(mid)
     vals = {name: defaults.value(name) * draw(st.floats(0.5, 2.0))
             for name in d.required_params}
-    for name in d.unit_interval_params:
-        vals[name] = min(vals[name], 1.0)
+    for name, domain in d.domains.items():
+        vals[name] = min(vals[name], domain.hi)
     for a, b in d.sum_constraints:
         vals[b] = min(vals[b], 1.0 - vals[a])
     p = ParameterSet(vals)
@@ -236,6 +236,10 @@ class TestValidateParams:
         p = flagship_params().with_updates({"mu": -0.1})
         msgs = validate_params(ModelId.SEIRS, p)
         assert any("'mu'" in m for m in msgs)
+
+    def test_proportion_below_zero_reported_once(self):
+        p = default_params(ModelId.TWO_STRAIN).with_updates({"p": -0.1})
+        assert validate_params(ModelId.TWO_STRAIN, p) == ["parameter 'p' must be >= 0.0, got -0.1"]
 
     def test_time_table_only_where_supported(self):
         p = flagship_params().with_updates({"mu": TimeTable((0.0, 1.0), (0.01, 0.02))})

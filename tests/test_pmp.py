@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from tbctrl import (CostWeights, ModelId, dynamics, hamiltonian, running_cost,
                     verify_adjoint_consistency, verify_control_stationarity)
 from tbctrl.core import ParameterSet, ValidationError
 from tbctrl import models as models_pkg
+from tbctrl.cli import main
 
 
 def flagship_params():
@@ -131,3 +134,49 @@ class TestControlStationarity:
             replace(defn, characterize=lambda t, x, lam, p, w: np.array([1.0])))
         r = verify_control_stationarity(ModelId.SEIRS, samples=20, grid_points=51)
         assert r.max_stationarity_residual > 1e-6
+
+
+def _nan_first(fn):
+    def broken(*args):
+        out = list(fn(*args))
+        out[0] = math.nan
+        return out
+    return broken
+
+
+class TestNonFiniteResiduals:
+    @pytest.mark.parametrize("name, residuals", [
+        ("rhs", ("max_adjoint_residual", "max_stationarity_residual")),
+        ("adjoint", ("max_adjoint_residual",)),
+        ("characterize", ("max_stationarity_residual",)),
+    ])
+    def test_nan_model_output_fails_the_checks(self, monkeypatch, capsys, name, residuals):
+        defn = models_pkg.model_definition(ModelId.SEIRS)
+        monkeypatch.setitem(models_pkg.MODELS, ModelId.SEIRS,
+                            replace(defn, **{name: _nan_first(getattr(defn, name))}))
+        adj = verify_adjoint_consistency(ModelId.SEIRS, samples=5)
+        stat = verify_control_stationarity(ModelId.SEIRS, samples=5, grid_points=11)
+        for attr in residuals:
+            report = adj if attr == "max_adjoint_residual" else stat
+            assert not math.isfinite(getattr(report, attr))
+            assert not math.isfinite(report.worst_offenders[0]["residual"])
+        assert main(["verify", "seirs", "--samples", "5"]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_sample_ranks_first(self, monkeypatch):
+        defn = models_pkg.model_definition(ModelId.SEIRS)
+        calls = itertools.count()
+
+        def nan_on_third_call(*args):
+            out = defn.adjoint(*args)
+            if next(calls) == 2:
+                out[0] = math.nan
+            return out
+
+        monkeypatch.setitem(models_pkg.MODELS, ModelId.SEIRS,
+                            replace(defn, adjoint=nan_on_third_call))
+        r = verify_adjoint_consistency(ModelId.SEIRS, samples=10)
+        assert math.isnan(r.max_adjoint_residual)
+        first, second, _ = r.worst_offenders
+        assert first["sample"] == 2 and math.isnan(first["residual"])
+        assert second["residual"] < 1e-6

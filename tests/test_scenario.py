@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from tbctrl.core import TimeTable, ValidationError
 from tbctrl.scenario import SCHEMA_ID, builtin_scenario_names, find_scenario, sweep_points
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.json"
+
+NAN, INF = math.nan, math.inf
 
 
 def flagship_doc():
@@ -166,6 +169,37 @@ class TestLoadScenario:
         text = json.dumps(doc).replace('"UPPER"', "1e400")  # parses to inf
         with pytest.raises(ValidationError, match=r"^\$\.cost: control bounds must be finite"):
             load_scenario(text)
+
+    @pytest.mark.parametrize("edit, where", [
+        ({"initial_state": {"values": [NAN, 0.5, 0.25, 0.25]}}, r"initial_state\.values\[0\]"),
+        ({"initial_state": {"values": [0.5, INF, 0.25, 0.25]}}, r"initial_state\.values\[1\]"),
+        ({"initial_state": {"mode": "counts", "values": [7000.0, NAN, 400.0, 100.0]}},
+         r"initial_state\.values\[1\]"),
+        ({"initial_state": {"values": [0.5, 0.25, 0.25, 0.0], "total": INF}},
+         r"initial_state\.total"),
+        ({"fbs": {"initial_control": NAN}}, r"fbs\.initial_control"),
+        ({"fbs": {"initial_control": [INF]}}, r"fbs\.initial_control\[0\]"),
+    ])
+    def test_non_finite_numbers_rejected(self, edit, where):
+        doc = flagship_doc()
+        for key, value in edit.items():
+            doc[key] = value
+        with pytest.raises(ValidationError, match=rf"^\$\.{where}: expected a finite number"):
+            load_scenario(json.dumps(doc))
+
+    def test_integer_beyond_float_range_rejected(self):
+        doc = flagship_doc()
+        doc["initial_state"] = {"mode": "counts", "values": [1.0, 2.0, 3.0, "HUGE"]}
+        text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 400)
+        with pytest.raises(ValidationError, match=r"^\$\.initial_state\.values\[3\]: number out"):
+            load_scenario(text)
+
+    def test_initial_control_length_checked(self):
+        doc = flagship_doc()
+        doc["fbs"] = {"initial_control": [0.1, 0.2]}
+        with pytest.raises(ValidationError,
+                           match=r"^\$\.fbs\.initial_control: seirs has 1 control\(s\), got 2"):
+            load_scenario(json.dumps(doc))
 
     def test_fraction_mode_needs_population(self):
         doc = flagship_doc()
