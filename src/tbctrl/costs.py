@@ -32,8 +32,6 @@ def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights)
         raise ValidationError(f"{d.id.value}: control dimension mismatch in trajectory")
     if traj.state.shape[1] != d.state_dim:
         raise ValidationError(f"{d.id.value}: state dimension mismatch in trajectory")
-    if len(w.b) != d.control_dim:
-        raise ValidationError(f"{d.id.value} needs {d.control_dim} effort weights, got {len(w.b)}")
     vec = models.cost_state_vector(model, w)
     integrand = traj.state @ vec + 0.5 * (np.square(traj.control) @ w.b_array)
     return float(_trapezoid(integrand, dx=traj.grid.h))

@@ -65,6 +65,8 @@ def dynamics(model: ModelId, t: float, x: np.ndarray, u: np.ndarray,
 @lru_cache(maxsize=128)
 def _cost_vec(model: ModelId, w: CostWeights) -> np.ndarray:
     d = MODELS[model]
+    if len(w.b) != d.control_dim:
+        raise ValidationError(f"{model.value} needs {d.control_dim} effort weights, got {len(w.b)}")
     vec = w.a1 * np.array(d.infectious) + w.a2 * np.array(d.latent)
     if d.isolated is not None:
         vec = vec + w.a_isolated * np.array(d.isolated)
@@ -119,8 +121,6 @@ def running_cost(model: ModelId, x: np.ndarray, u: np.ndarray, w: CostWeights) -
     """Objective integrand: linear state burden plus quadratic control effort."""
     d = model_definition(model)
     u = np.asarray(u, dtype=float)
-    if len(w.b) != d.control_dim:
-        raise ValidationError(f"{d.id.value} needs {d.control_dim} effort weights, got {len(w.b)}")
     vec = _cost_vec(d.id, w)
     return float(vec @ np.asarray(x, dtype=float) + 0.5 * np.dot(w.b_array, np.square(u)))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -69,7 +70,8 @@ class ModelDefinition:
     ``domains`` maps a parameter to its admissible range and lists only the
     exceptions: every parameter it does not name must be finite and >= 0
     (``NONNEGATIVE``). Time tables are allowed only for the names in
-    ``time_dependent_ok``; a table's minimum and maximum must lie in the domain.
+    ``time_dependent_ok``; every table value must be finite, and the table's
+    minimum and maximum must lie in the domain.
     """
 
     id: ModelId
@@ -116,11 +118,12 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
             if name not in defn.time_dependent_ok:
                 violations.append(f"parameter {name!r} may not be time-dependent for this model")
                 continue
-            vmin, vmax = min(v.values), max(v.values)
+            values = v.values
         else:
-            vmin = vmax = v
+            values = (v,)
+        vmin, vmax = min(values), max(values)
         maxima[name] = vmax
-        if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        if not all(map(math.isfinite, values)):  # min/max skip a NaN past the first entry
             violations.append(f"parameter {name!r} must be finite")
             continue
         lo, hi, strict = defn.domains.get(name, NONNEGATIVE)

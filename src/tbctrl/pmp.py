@@ -3,11 +3,14 @@
 The verifiers here are deliberately dumb: central differences of the
 Hamiltonian in the state cross-check the analytic adjoints, and a dense grid
 search over admissible controls cross-checks the closed-form control laws.
+H has one implementation, the private kernel ``_hamiltonian``. The public
+``hamiltonian`` validates its arguments and calls it at one point; the
+verifiers resolve the parameters once per sample and call it directly, the
+grid search with every candidate control of a sample as one column batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .core import CostWeights, ParameterSet, ValidationError
 from . import models
-from .models import ModelId
+from .models import ModelId, _cost_vec
 
 __all__ = [
     "DEFAULT_SEED",
@@ -29,16 +32,29 @@ __all__ = [
 DEFAULT_SEED = 1234
 
 
+def _hamiltonian(d, t: float, x, lam, u, q: tuple, w: CostWeights):
+    """H = g.x + 0.5 sum_i b_i u_i^2 + sum_i lam_i f_i, with f = d.rhs(t, x, u, q).
+
+    The kernel behind every Hamiltonian evaluation; it validates nothing. x and
+    lam are one state and costate (arrays), q is the model's parameter tuple at
+    t, and u holds one entry per control: each a float, or a (G,) column, in
+    which case H comes back as a (G,) array, one value per control column.
+    """
+    f = d.rhs(t, x, u, q)
+    h = float(_cost_vec(d.id, w) @ x) + 0.5 * sum(b * (ui * ui) for b, ui in zip(w.b, u))
+    return h + sum(li * fi for li, fi in zip(lam, f))
+
+
 def hamiltonian(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> float:
     """Running cost plus inner product of adjoint and dynamics."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     d = models.model_definition(model)
-    if lam.shape != (d.state_dim,):
-        raise ValidationError(f"{d.id.value}: adjoint must have shape ({d.state_dim},), got {lam.shape}")
-    f = models.dynamics(model, t, x, u, p)
-    return models.running_cost(model, x, u, w) + float(np.dot(lam, f))
+    x, lam, u = (np.asarray(v, dtype=float) for v in (x, lam, u))
+    for what, v, n in (("adjoint", lam, d.state_dim), ("state", x, d.state_dim),
+                       ("control", u, d.control_dim)):
+        if v.shape != (n,):
+            raise ValidationError(f"{d.id.value}: {what} must have shape ({n},), got {v.shape}")
+    return float(_hamiltonian(d, t, x, lam, u, p.values(d.required_params, t), w))
 
 
 def hamiltonian_control_gradient(model: ModelId, t, x, lam, u, p, w,
@@ -85,6 +101,7 @@ def _resolve(model, p, w):
     if w is None:
         w = CostWeights(a1=1.0, a2=1.0 if d.cost_kind.value == "C1" else 0.0,
                         b=tuple(100.0 for _ in range(d.control_dim)))
+    _cost_vec(model, w)  # rejects weights that do not fit the model before any sampling
     return model, d, p, w
 
 
@@ -119,8 +136,10 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
     differenced with step 1e-4 * max(1, |x_i|).
     """
     model, d, p, w = _resolve(model, p, w)
+    costate = models.costate(d, w)
 
     def residual(t, x, lam, u):
+        q = p.values(d.required_params, t)
         grad = np.empty(d.state_dim)
         for i in range(d.state_dim):
             h = 1e-4 * max(1.0, abs(x[i]))
@@ -128,10 +147,9 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
             xm = x.copy()
             xp[i] += h
             xm[i] -= h
-            grad[i] = (hamiltonian(model, t, xp, lam, u, p, w)
-                       - hamiltonian(model, t, xm, lam, u, p, w)) / (2.0 * h)
-        analytic = models.adjoint_rhs(model, t, x, lam, u, p, w)
-        diff = np.abs(analytic - (-grad))
+            grad[i] = (_hamiltonian(d, t, xp, lam, u, q, w)
+                       - _hamiltonian(d, t, xm, lam, u, q, w)) / (2.0 * h)
+        diff = np.abs(np.array(costate(t, lam, x, u, q)) + grad)
         res = float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
         return res, {"component": int(np.argmax(diff)), "t": t, "x": x.tolist()}
 
@@ -151,24 +169,25 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
     the joint minimum); the non-separable model gets the full tensor grid.
     """
     model, d, p, w = _resolve(model, p, w)
+    m = d.control_dim
     axis = np.linspace(w.lower, w.upper, grid_points)
-    tensor = None if d.separable_controls else [
-        np.array(v) for v in itertools.product(axis, repeat=d.control_dim)]
+    # Candidate controls, one per column; NaN marks an entry held at u*, and
+    # column 0 is u* itself, so h_star and h_min come from one evaluation.
+    if d.separable_controls:
+        grid = np.full((m, 1 + m * grid_points), np.nan)
+        for i in range(m):
+            grid[i, 1 + i * grid_points:1 + (i + 1) * grid_points] = axis
+    else:
+        grid = np.full((m, 1 + grid_points ** m), np.nan)
+        grid[:, 1:] = np.stack(np.meshgrid(*[axis] * m, indexing="ij")).reshape(m, -1)
+    held = np.isnan(grid)
 
     def residual(t, x, lam, _):
-        u_star = models.control_characterization(model, t, x, lam, p, w)
-        h_star = hamiltonian(model, t, x, lam, u_star, p, w)
-        candidates = tensor
-        if candidates is None:
-            candidates = []
-            for i in range(d.control_dim):
-                for v in axis:
-                    cand = u_star.copy()
-                    cand[i] = v
-                    candidates.append(cand)
-        h_min = min(itertools.chain(
-            (h_star,), (hamiltonian(model, t, x, lam, v, p, w) for v in candidates)))
-        res = (h_star - h_min) / max(1.0, abs(h_star))  # h_min <= h_star, as h_star is a candidate
+        q = p.values(d.required_params, t)
+        u_star = np.array(d.characterize(t, x, lam, q, w))
+        h = _hamiltonian(d, t, x, lam, np.where(held, u_star[:, None], grid), q, w)
+        h_star = float(h[0])
+        res = (h_star - float(h.min())) / max(1.0, abs(h_star))  # NaN if any candidate H is
         return res, {"u_star": u_star.tolist(), "t": t}
 
     max_res, worst = _sample(d, w, samples, seed, residual)

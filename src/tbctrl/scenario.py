@@ -247,7 +247,7 @@ def _parse_fbs(obj, d, path: str) -> FbsSettings:
     if "relaxation" in obj:
         kwargs["relaxation"] = _number(obj["relaxation"], f"{path}.relaxation")
     if "tolerance" in obj:
-        kwargs["tolerance"] = _number(obj["tolerance"], f"{path}.tolerance")
+        kwargs["tolerance"] = _finite(obj["tolerance"], f"{path}.tolerance")
     if "max_iterations" in obj:
         v = obj["max_iterations"]
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):

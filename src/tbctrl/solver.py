@@ -17,6 +17,7 @@ than after every step.
 
 from __future__ import annotations
 
+import math
 import numbers
 from array import array
 from dataclasses import dataclass
@@ -62,8 +63,8 @@ class FbsSettings:
     def __post_init__(self):
         if not (0.0 <= self.relaxation < 1.0):
             raise ValidationError(f"relaxation must lie in [0, 1), got {self.relaxation}")
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:  # an infinite tolerance stops after one sweep
+            raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

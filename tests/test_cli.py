@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -81,6 +82,14 @@ class TestSimulate:
         bad.write_text('{"schema": "tbctrl-scenario/1", "model": "seirs"}')
         code = main(["simulate", str(bad), "-o", str(tmp_path / "x")])
         assert code == 2
+
+    def test_infinite_tolerance_is_validation_error(self, small_scenario_file, tmp_path, capsys):
+        doc = json.loads(small_scenario_file.read_text())
+        doc["fbs"]["tolerance"] = math.inf
+        bad = tmp_path / "inf-tol.json"
+        bad.write_text(json.dumps(doc))  # written as Infinity
+        assert main(["optimize", str(bad), "-o", str(tmp_path / "x")]) == 2
+        assert "$.fbs.tolerance" in capsys.readouterr().err
 
     def test_constant_control_vector(self, small_scenario_file, tmp_path):
         out = tmp_path / "c"

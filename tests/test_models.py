@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -251,6 +252,14 @@ class TestValidateParams:
             {"s": TimeTable((0.0, 1.0), (0.5, 1.5))})
         msgs = validate_params(ModelId.KOREA, p)
         assert any("'s'" in m for m in msgs)
+
+    @pytest.mark.parametrize("values", [(math.nan, 0.05, 0.06), (0.05, math.nan, 0.06),
+                                        (0.05, 0.06, math.nan)])
+    def test_nan_anywhere_in_time_table_reported(self, values):
+        # min()/max() skip a NaN that is not the first entry; every value is checked
+        p = default_params(ModelId.KOREA).with_updates(
+            {"b": TimeTable((0.0, 1.0, 2.0), values)})
+        assert validate_params(ModelId.KOREA, p) == ["parameter 'b' must be finite"]
 
 
 class TestKoreaTimeDependence:

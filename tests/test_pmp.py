@@ -8,8 +8,9 @@ import pytest
 
 from tbctrl import (CostWeights, ModelId, dynamics, hamiltonian, running_cost,
                     verify_adjoint_consistency, verify_control_stationarity)
-from tbctrl.core import ParameterSet, ValidationError
+from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
+from tbctrl.pmp import _hamiltonian
 from tbctrl.cli import main
 
 
@@ -59,6 +60,26 @@ class TestHamiltonian:
         got = hamiltonian(ModelId.SEIRS, 0.0, x, lam, np.array([0.37]),
                           flagship_params(), CostWeights(a1=1.0, b=(100.0,)))
         assert got == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_control_columns_match_single_points(self, mid):
+        # one kernel call over G control columns equals G calls of the public wrapper
+        d = models_pkg.model_definition(mid)
+        p = models_pkg.default_params(mid)
+        if mid is ModelId.KOREA:  # q must be resolved at t, not at 0
+            p = p.with_updates({"mu": TimeTable((0.0, 5.0), (0.01, 0.03))})
+        w = CostWeights(a1=1.0, a2=0.5, b=tuple(40.0 + 10.0 * i for i in range(d.control_dim)))
+        rng = np.random.default_rng(11)
+        t = 2.5
+        for _ in range(3):
+            x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
+            lam = rng.uniform(-100.0, 100.0, size=d.state_dim)
+            cols = rng.uniform(0.0, 1.0, size=(d.control_dim, 25))
+            h = _hamiltonian(d, t, x, lam, cols, p.values(d.required_params, t), w)
+            assert h.shape == (25,)
+            for j in range(25):
+                assert h[j] == pytest.approx(
+                    hamiltonian(mid, t, x, lam, cols[:, j], p, w), rel=1e-12, abs=0.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -133,6 +154,16 @@ class TestControlStationarity:
             models_pkg.MODELS, ModelId.SEIRS,
             replace(defn, characterize=lambda t, x, lam, p, w: np.array([1.0])))
         r = verify_control_stationarity(ModelId.SEIRS, samples=20, grid_points=51)
+        assert r.max_stationarity_residual > 1e-6
+
+    def test_mutated_tensor_law_detected(self, monkeypatch):
+        # bowong is checked on the full tensor grid, not per-component sweeps
+        defn = models_pkg.model_definition(ModelId.BOWONG)
+        assert not defn.separable_controls
+        monkeypatch.setitem(
+            models_pkg.MODELS, ModelId.BOWONG,
+            replace(defn, characterize=lambda t, x, lam, p, w: [0.5, 0.5]))
+        r = verify_control_stationarity(ModelId.BOWONG, samples=20, grid_points=51)
         assert r.max_stationarity_residual > 1e-6
 
 

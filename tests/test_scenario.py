@@ -179,6 +179,7 @@ class TestLoadScenario:
          r"initial_state\.total"),
         ({"fbs": {"initial_control": NAN}}, r"fbs\.initial_control"),
         ({"fbs": {"initial_control": [INF]}}, r"fbs\.initial_control\[0\]"),
+        ({"fbs": {"tolerance": INF}}, r"fbs\.tolerance"),  # would stop after one sweep
     ])
     def test_non_finite_numbers_rejected(self, edit, where):
         doc = flagship_doc()

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,8 @@ class TestInitialControlExpansion:
             FbsSettings(relaxation=1.0)
         with pytest.raises(ValidationError):
             FbsSettings(tolerance=0.0)
+        with pytest.raises(ValidationError, match="tolerance must be finite"):
+            FbsSettings(tolerance=math.inf)  # would stop after one sweep, reported converged
         with pytest.raises(ValidationError):
             FbsSettings(max_iterations=0)
 
