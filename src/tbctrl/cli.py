@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n-steps", type=int, help="override grid resolution")
         sp.add_argument("--tolerance", type=float, help="override sweep tolerance")
         sp.add_argument("--max-iterations", type=int, help="override iteration cap")
-        sp.add_argument("--relaxation", type=float, help="override control relaxation weight")
+        sp.add_argument("--relaxation", type=float, help="damping used when the sweep residual rises")
 
     sp = sub.add_parser("simulate", help="integrate the state under a fixed control")
     add_common(sp)

@@ -32,6 +32,12 @@ def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights)
         raise ValidationError(f"{d.id.value}: control dimension mismatch in trajectory")
     if traj.state.shape[1] != d.state_dim:
         raise ValidationError(f"{d.id.value}: state dimension mismatch in trajectory")
-    vec = models.cost_state_vector(model, w)
-    integrand = traj.state @ vec + 0.5 * (np.square(traj.control) @ w.b_array)
-    return float(_trapezoid(integrand, dx=traj.grid.h))
+    return _quadrature(traj.state, traj.control, models.cost_state_vector(model, w), w.b_array,
+                       traj.grid.h)
+
+
+def _quadrature(state: np.ndarray, control: np.ndarray, vec: np.ndarray, b: np.ndarray,
+                h: float) -> float:
+    """Trapezoid of g.x + 0.5 sum_i b_i u_i^2 along the rows; checks nothing."""
+    integrand = state @ vec + 0.5 * (np.square(control) @ b)
+    return float(_trapezoid(integrand, dx=h))

@@ -58,10 +58,10 @@ def _reinfection_rhs(t, x, p):
     lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p.values(reinfection.PARAMS)
     s, l1, i1, tr = x
     n = live_population(x)
-    bc = beta * c / n
-    inf_s = bc * s * i1
-    inf_t = sigma * bc * tr * i1
-    reinf = rho * bc * l1 * i1
+    bi = beta * c * i1 / n
+    inf_s = bi * s
+    inf_t = sigma * bi * tr
+    reinf = rho * bi * l1
     return np.array([
         lam_in - inf_s - mu * s,
         inf_s - reinf - (mu + k1) * l1 + inf_t,

@@ -21,10 +21,10 @@ def rhs(t, x, u, p):
     lam_in, beta, c, mu, sigma, k1, r2, d1, rho = p
     s, l1, i1, tr = x
     n = live_population(x)
-    bc = beta * c / n
-    inf_s = bc * s * i1
-    inf_t = sigma * bc * tr * i1
-    reinf = rho * bc * (1.0 - u[0]) * l1 * i1
+    bi = beta * c * i1 / n  # i1 / n <= 1, so no overflow however small N is
+    inf_s = bi * s
+    inf_t = sigma * bi * tr
+    reinf = rho * bi * (1.0 - u[0]) * l1
     return [
         lam_in - inf_s - mu * s,
         inf_s - reinf - (mu + k1) * l1 + inf_t,

@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ConsistencyReport",
     "hamiltonian",
-    "hamiltonian_control_gradient",
     "verify_adjoint_consistency",
     "verify_control_stationarity",
 ]
@@ -55,25 +54,6 @@ def hamiltonian(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
         if v.shape != (n,):
             raise ValidationError(f"{d.id.value}: {what} must have shape ({n},), got {v.shape}")
     return float(_hamiltonian(d, t, x, lam, u, p.values(d.required_params, t), w))
-
-
-def hamiltonian_control_gradient(model: ModelId, t, x, lam, u, p, w,
-                                 step: float = 1e-3) -> np.ndarray:
-    """dH/du by central differences.
-
-    Every catalog Hamiltonian is polynomial of degree two in the controls, so
-    the central difference is exact up to roundoff for any step.
-    """
-    u = np.asarray(u, dtype=float)
-    grad = np.empty_like(u)
-    for i in range(u.size):
-        up = u.copy()
-        um = u.copy()
-        up[i] += step
-        um[i] -= step
-        grad[i] = (hamiltonian(model, t, x, lam, up, p, w)
-                   - hamiltonian(model, t, x, lam, um, p, w)) / (2.0 * step)
-    return grad
 
 
 @dataclass

@@ -1,18 +1,25 @@
 """Forward-backward sweep solver.
 
-One iteration integrates the state forward with classical RK4, integrates
-the adjoint backward from the zero terminal condition, evaluates the
-closed-form control law along the sweep, and relaxes the control update with
-a convex combination. Iteration stops when the relative L1 change of the
-control drops below tolerance; the returned control is the pointwise
-characterization from the final sweep (re-integrated once more), which
-removes the relaxation offset left on clamped arcs.
+The sweep is a fixed-point iteration u <- T(u): one sweep integrates the
+state forward with classical RK4, integrates the adjoint backward from the
+zero terminal condition and evaluates the closed-form control law along the
+grid, giving u_hat = T(u). The next control comes from projected Anderson
+mixing (type II, memory 3, no damping) on the residual r = u_hat - u: the
+last few residual differences fit r by least squares, the matching
+control-law differences are taken off u_hat, and the result is clipped to
+the control bounds. When |r|_1 rises against the previous sweep the memory
+is cleared and the sweep takes the relaxed step c*u + (1-c)*u_hat instead.
+Iteration stops when |u_hat - u|_1 / |u_hat|_1 drops below tolerance; the
+returned control is that u_hat, the pointwise characterization from the
+final sweep (re-integrated once more). A solve that runs out of iterations
+returns its cheapest iterate, flagged.
 
 Both passes, and the direct oracle's simulations, run one RK4 kernel. It
 works on Python floats rather than small arrays, hands the model its
 parameters as a tuple resolved once per pass (at each evaluation time only
 when the set holds a time table), and checks finiteness once per pass rather
-than after every step.
+than after every step. The sweep checks its weights once, before the first
+iteration, and prices each iterate with the bare cost quadrature.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ import numpy as np
 from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid,
                    Trajectory, ValidationError)
 from . import models
-from .costs import total_cost
+from .costs import _quadrature, check_kind_weights, total_cost
 from .models import ModelId
-from .pmp import hamiltonian_control_gradient
+from .pmp import _hamiltonian
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -50,9 +57,12 @@ __all__ = [
 class FbsSettings:
     """Sweep iteration knobs.
 
-    ``relaxation`` is the weight on the previous control in the convex
-    update u <- c*u_old + (1-c)*u_characterized. ``initial_control`` may be a
-    scalar, one value per control, or a full (n_nodes, control_dim) array.
+    ``relaxation`` is the damping c of the fallback step
+    u <- c*u + (1-c)*u_hat, taken when the sweep residual rises instead of
+    the Anderson step. ``tolerance`` bounds the relative fixed-point residual
+    |u_hat - u|_1 / |u_hat|_1 at which the sweep stops. ``initial_control``
+    may be a scalar, one value per control, or a full (n_nodes, control_dim)
+    array.
     """
 
     relaxation: float = 0.5
@@ -223,6 +233,47 @@ def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights) -> None:
         raise ValidationError(f"{d.id.value} needs {d.control_dim} effort weights, got {len(w.b)}")
 
 
+_MEMORY = 3  # Anderson mixing keeps at most this many residual differences
+
+
+def _least_squares(columns: list[np.ndarray], r: np.ndarray) -> list[float]:
+    """Coefficients g minimising |r - sum_j g_j columns[j]|_2, by modified Gram-Schmidt.
+
+    Meant for the few flat columns of Anderson mixing: plain dot products,
+    no LAPACK. A column that is numerically in the span of the earlier ones
+    (or zero) gets coefficient 0.
+    """
+    qs: list[np.ndarray] = []  # orthonormal basis of the kept columns
+    r_cols: list[list[float]] = []  # R's column for each kept column, on qs[:k+1]
+    kept: list[int] = []
+    for j, col in enumerate(columns):
+        v = col.copy()
+        coef = []
+        for q in qs:
+            c = float(q @ v)
+            v -= c * q
+            coef.append(c)
+        norm = math.sqrt(float(v @ v))
+        if norm <= 1e-12 * math.sqrt(float(col @ col)):
+            continue
+        qs.append(v / norm)
+        r_cols.append(coef + [norm])
+        kept.append(j)
+    rest = r.copy()
+    proj = []  # Q^T r, with r orthogonalized as the columns were
+    for q in qs:
+        c = float(q @ rest)
+        rest -= c * q
+        proj.append(c)
+    g = [0.0] * len(qs)
+    for i in reversed(range(len(qs))):  # back substitution on the upper-triangular R
+        g[i] = (proj[i] - sum(r_cols[k][i] * g[k] for k in range(i + 1, len(qs)))) / r_cols[i][i]
+    gamma = [0.0] * len(columns)
+    for j, gj in zip(kept, g):
+        gamma[j] = gj
+    return gamma
+
+
 def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     """Run the forward-backward sweep on a scenario until the control settles."""
     model = scenario.model
@@ -232,6 +283,7 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     grid = scenario.grid
     settings = scenario.fbs
     validate_problem(model, p, w)
+    check_kind_weights(scenario.cost_kind, w)
     x0 = scenario.initial_state()
 
     u = _expand_initial_control(settings.initial_control, grid.n_nodes, d.control_dim)
@@ -240,13 +292,18 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     char = d.characterize
     names = d.required_params
     q = p.values(names)  # the control law's parameters, unless p holds a time table
+    vec, b = models.cost_state_vector(model, w), w.b_array
 
     history: list[float] = []
     best_cost = np.inf
     best_u = u.copy()
     converged = False
-    rel_change = np.inf
+    rel_residual = np.inf
     iterations = 0
+    d_res: list[np.ndarray] = []  # the last residual differences, flat
+    d_law: list[np.ndarray] = []  # the matching differences of the control law's output
+    prev_res = prev_law = None
+    prev_norm = np.inf
 
     for it in range(1, settings.max_iterations + 1):
         iterations = it
@@ -260,21 +317,36 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
         for t, x, lam in zip(grid.nodes, map(np.ndarray.tolist, state), map(np.ndarray.tolist, adjoint)):
             laws.extend(char(t, x, lam, p.values(names, t) if p._timed else q, w))
         u_hat = np.frombuffer(laws, dtype=float).reshape(u.shape)
-        cost = total_cost(scenario.cost_kind, model, Trajectory(grid, state, u), w)
+        cost = _quadrature(state, u, vec, b, grid.h)
         history.append(cost)
         if cost < best_cost:
             best_cost = cost
             best_u = u.copy()
-        u_new = relax * u + (1.0 - relax) * u_hat
-        rel_change = float(np.sum(np.abs(u_new - u))) / max(float(np.sum(np.abs(u_new))), 1e-12)
-        if rel_change < settings.tolerance:
+        res = (u_hat - u).ravel()
+        norm = float(np.sum(np.abs(res)))
+        rel_residual = norm / max(float(np.sum(np.abs(u_hat))), 1e-12)
+        if rel_residual < settings.tolerance:
             converged = True
-            # Land on the pointwise Hamiltonian minimizer from the final sweep:
-            # relaxed iterates only approach clamped arcs geometrically, and the
-            # leftover offset is pure suboptimality.
+            # Land on the pointwise Hamiltonian minimizer from the final sweep.
             u = u_hat
             break
-        u = u_new
+        if norm > prev_norm:
+            # The residual rose: forget the secant history and damp.
+            d_res.clear()
+            d_law.clear()
+            u_next = relax * u + (1.0 - relax) * u_hat
+        else:
+            if prev_res is not None:
+                d_res.append(res - prev_res)
+                d_law.append(u_hat - prev_law)
+                if len(d_res) > _MEMORY:
+                    del d_res[0], d_law[0]
+            u_next = u_hat.copy()
+            for g, dl in zip(_least_squares(d_res, res), d_law):
+                u_next -= g * dl
+            np.clip(u_next, w.lower, w.upper, out=u_next)
+        prev_res, prev_law, prev_norm = res, u_hat, norm
+        u = u_next
 
     u_final = u if converged else best_u
     state = integrate_forward(model, p, x0, u_final, grid)
@@ -285,7 +357,7 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
         iterations=iterations,
         converged=converged,
         cost_history=tuple(history),
-        final_control_change=rel_change,
+        final_control_change=rel_residual,
         message="" if converged else f"no convergence within {settings.max_iterations} iterations; best iterate returned",
     )
     return Solution(trajectory=traj, cost=cost, report=report)
@@ -297,16 +369,25 @@ def reduced_cost_gradient(model: ModelId, p: ParameterSet, w: CostWeights,
     """Adjoint-route gradient of the discretized cost w.r.t. each control node.
 
     Sweeps the state forward and the costate backward for the given control,
-    then scales dH/du at each node by its trapezoidal quadrature weight.
+    then scales dH/du at each node by its trapezoidal quadrature weight. dH/du
+    is a central difference; every catalog Hamiltonian is quadratic in the
+    controls, so it is exact up to roundoff for any step. Each node makes one
+    Hamiltonian call, with the 2m shifted controls as columns.
     """
+    d = models.model_definition(model)
     control = np.asarray(control, dtype=float)
     state = integrate_forward(model, p, x0, control, grid)
     adjoint = integrate_adjoint_backward(model, p, w, state, control, grid)
-    n = grid.n_steps
-    h = grid.h
+    m, step = d.control_dim, 1e-3
+    # Node i's controls as 2m columns: column k shifts u_k up by step, column m + k down.
+    columns = control[:, :, None] + np.hstack([step * np.eye(m), -step * np.eye(m)])
+    names = d.required_params
+    q = p.values(names)
     grad = np.empty_like(control)
-    for i in range(n + 1):
-        weight = h if 0 < i < n else 0.5 * h
-        grad[i] = weight * hamiltonian_control_gradient(
-            model, grid.nodes[i], state[i], adjoint[i], control[i], p, w)
+    for i, (t, x, lam, u) in enumerate(zip(grid.nodes.tolist(), state.tolist(), adjoint.tolist(),
+                                           columns)):
+        h = _hamiltonian(d, t, x, lam, u, p.values(names, t) if p._timed else q, w)
+        grad[i] = (h[:m] - h[m:]) / (2.0 * step)
+    grad *= grid.h
+    grad[[0, -1]] *= 0.5
     return grad

@@ -121,6 +121,17 @@ class TestNonnegativity:
         p, t, x, u, i = data.draw(boundary_points(mid))
         assert dynamics(mid, t, x, u, p)[i] >= 0.0
 
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_tiny_live_population_stays_finite(self, mid):
+        # A lone subnormal-scale compartment: reinfection once formed beta*c/N
+        # first, which overflowed to inf and made every component NaN.
+        d = model_definition(mid)
+        x = np.zeros(d.state_dim)
+        x[-1] = 2.2250738585072014e-308
+        f = dynamics(mid, 0.0, x, np.zeros(d.control_dim), default_params(mid))
+        assert np.all(np.isfinite(f))
+        assert np.all(f[:-1] >= 0.0)
+
 
 class TestReductionIdentities:
     @pytest.mark.parametrize("mid", [m for m in ModelId if has_baseline(m)])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_rhs,
-                    default_params, dynamics, integrate_adjoint_backward, integrate_forward,
-                    make_time_grid, model_definition, reduced_cost_gradient, solve_fbs,
-                    total_cost)
-from tbctrl.core import TimeTable, Trajectory, ValidationError
+                    control_characterization, default_params, dynamics,
+                    integrate_adjoint_backward, integrate_forward, make_time_grid,
+                    model_definition, reduced_cost_gradient, solve_fbs, total_cost)
+from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.oracle import _coarse_boundaries, _fine_controls, _Simulator
-from tbctrl.solver import FbsSettings, _expand_initial_control
+from tbctrl.scenario import ScenarioConfig
+from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -320,6 +321,40 @@ class TestSolveFbs:
         rel = np.sum(np.abs(u_new - u)) / max(np.sum(np.abs(u_new)), 1e-12)
         assert rel < cfg.fbs.tolerance
 
+    def test_returned_control_is_a_fixed_point(self, flagship, shrink, solve_cached):
+        # The stopping test's own measure, |T(u) - u|_1 / |T(u)|_1, at the returned u.
+        cfg = shrink(flagship, 1000)
+        sol = solve_cached.get("flagship-n1000", cfg)
+        u = sol.trajectory.control
+        state = integrate_forward(cfg.model, cfg.params, cfg.initial_state(), u, cfg.grid)
+        lam = integrate_adjoint_backward(cfg.model, cfg.params, cfg.weights,
+                                         state, u, cfg.grid)
+        u_hat = np.array([control_characterization(cfg.model, t, x, l, cfg.params, cfg.weights)
+                          for t, x, l in zip(cfg.grid.nodes, state, lam)])
+        assert np.sum(np.abs(u_hat - u)) / np.sum(np.abs(u_hat)) < cfg.fbs.tolerance
+
+    def test_accelerated_sweep_count(self, flagship, shrink, solve_cached):
+        # Relaxation alone (c = 0.5) takes 18 sweeps here.
+        cfg = shrink(flagship, 1000)
+        sol = solve_cached.get("flagship-n1000", cfg)
+        assert sol.report.converged and sol.report.iterations <= 10
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_every_model_converges_nonnegative(self, mid):
+        d = model_definition(mid)
+        cfg = ScenarioConfig(
+            name=f"{mid.value}-default", model=mid, params=default_params(mid),
+            initial_mode="counts",
+            initial_values=(7000.0, 2000.0, 1000.0) + (0.0,) * (d.state_dim - 3),
+            grid=make_time_grid(0.0, 5.0, 500), cost_kind=d.cost_kind,
+            weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
+                                b=(50.0,) * d.control_dim),
+            fbs=FbsSettings())
+        sol = solve_fbs(cfg)
+        assert sol.report.converged, sol.report.message
+        assert sol.trajectory.state_nonnegative is True
+        assert np.min(sol.trajectory.state) >= 0.0
+
     def test_iteration_cap_returns_best_flagged(self, flagship, shrink):
         cfg = shrink(flagship, 400, max_iterations=2)
         sol = solve_fbs(cfg)
@@ -364,6 +399,26 @@ class TestInitialControlExpansion:
             FbsSettings(max_iterations=0)
 
 
+class TestLeastSquares:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_lapack(self, k):
+        rng = np.random.default_rng(40 + k)
+        a = rng.standard_normal((5001, k))
+        r = rng.standard_normal(5001)
+        gamma = _least_squares([a[:, j].copy() for j in range(k)], r)
+        expected = np.linalg.lstsq(a, r, rcond=None)[0]
+        assert np.allclose(gamma, expected, rtol=0.0, atol=1e-10)
+
+    def test_dependent_column_gets_zero(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(5001)
+        b = rng.standard_normal(5001)
+        r = 2.0 * a - b
+        gamma = _least_squares([a, b, 3.0 * a, np.zeros(5001)], r)
+        assert gamma[2:] == [0.0, 0.0]
+        assert np.allclose(gamma[:2], [2.0, -1.0], rtol=0.0, atol=1e-12)
+
+
 class TestReducedGradient:
     def test_matches_finite_differences(self, flagship, shrink):
         cfg = shrink(flagship, 800)
@@ -387,3 +442,32 @@ class TestReducedGradient:
             um[j, 0] -= delta
             fd = (cost_of(up) - cost_of(um)) / (2 * delta)
             assert abs(grad[j, 0] - fd) / max(abs(fd), 1e-12) < 1e-3
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_every_model_matches_finite_differences(self, mid):
+        d = model_definition(mid)
+        p = default_params(mid)
+        if mid is ModelId.KOREA:  # parameters resolved at each node's time
+            mu = p.value("mu")
+            p = p.with_updates({"mu": TimeTable((0.0, 2.0, 5.0), (mu, 1.5 * mu, mu))})
+        g = make_time_grid(0.0, 5.0, 200)
+        x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
+        w = CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
+                        b=(50.0,) * d.control_dim)
+        # A smooth control: against a rough one the costate route is only O(h) close.
+        control = 0.5 + 0.3 * np.sin(np.outer(g.nodes, np.arange(1, d.control_dim + 1)))
+        grad = reduced_cost_gradient(mid, p, w, g, x0, control)
+
+        def cost_of(u):
+            state = integrate_forward(mid, p, x0, u, g)
+            return total_cost(d.cost_kind, mid, Trajectory(g, state, u), w)
+
+        delta = 1e-3
+        # Interior nodes: next to tf, where lam -> 0, the relative gap grows.
+        for j, k in ((50, 0), (100, d.control_dim - 1), (150, 0)):
+            up = control.copy()
+            um = control.copy()
+            up[j, k] += delta
+            um[j, k] -= delta
+            fd = (cost_of(up) - cost_of(um)) / (2 * delta)
+            assert abs(grad[j, k] - fd) / max(abs(fd), 1e-12) < 1e-3
