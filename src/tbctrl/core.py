@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -13,6 +14,7 @@ __all__ = [
     "ValidationError",
     "NonFiniteError",
     "CostKind",
+    "check_kind_weights",
     "TimeGrid",
     "make_time_grid",
     "Trajectory",
@@ -46,6 +48,15 @@ class CostKind(str, Enum):
     C1 = "C1"
     C2 = "C2"
     C3 = "C3"
+
+
+def check_kind_weights(kind: CostKind, w: CostWeights) -> None:
+    """Reject weight sets inconsistent with the declared functional shape."""
+    kind = CostKind(kind)
+    if kind is CostKind.C2 and w.a2 != 0.0:
+        raise ValidationError("cost kind C2 has no latent term; a2 must be 0")
+    if kind is CostKind.C3 and w.a1 != 0.0:
+        raise ValidationError("cost kind C3 has no infectious term; a1 must be 0")
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,8 @@ class TimeTable:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.times) == 0 or len(self.times) != len(self.values):
             raise ValidationError("time table needs equally many times and values (at least one)")
+        if not all(map(math.isfinite, self.times)):
+            raise ValidationError("time table times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValidationError("time table times must be strictly increasing")
 

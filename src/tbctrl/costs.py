@@ -4,22 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CostKind, CostWeights, Trajectory, ValidationError
+from .core import CostKind, CostWeights, Trajectory, ValidationError, check_kind_weights
 from . import models
 from .models import ModelId
 
-__all__ = ["CostKind", "check_kind_weights", "total_cost"]
+__all__ = ["CostKind", "total_cost"]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def check_kind_weights(kind: CostKind, w: CostWeights) -> None:
-    """Reject weight sets inconsistent with the declared functional shape."""
-    kind = CostKind(kind)
-    if kind is CostKind.C2 and w.a2 != 0.0:
-        raise ValidationError("cost kind C2 has no latent term; a2 must be 0")
-    if kind is CostKind.C3 and w.a1 != 0.0:
-        raise ValidationError("cost kind C3 has no infectious term; a1 must be 0")
 
 
 def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights) -> float:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import CostWeights, ParameterSet, ValidationError
+from ..core import CostKind, CostWeights, ParameterSet, ValidationError, check_kind_weights
 from .base import CostateFn, ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
 from .baselines import has_baseline, neutral_control, uncontrolled_rhs
@@ -28,6 +28,7 @@ __all__ = [
     "running_cost",
     "cost_state_vector",
     "validate_params",
+    "validate_problem",
     "default_params",
     "neutral_control",
     "has_baseline",
@@ -49,21 +50,9 @@ def model_definition(model: ModelId | str) -> ModelDefinition:
         raise ValidationError(f"unknown model {model!r}; known models: {known}") from None
 
 
-def dynamics(model: ModelId, t: float, x: np.ndarray, u: np.ndarray,
-             p: ParameterSet) -> np.ndarray:
-    """Time derivative of the state under control u."""
-    d = model_definition(model)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (d.state_dim,):
-        raise ValidationError(f"{d.id.value}: state must have shape ({d.state_dim},), got {x.shape}")
-    if u.shape != (d.control_dim,):
-        raise ValidationError(f"{d.id.value}: control must have shape ({d.control_dim},), got {u.shape}")
-    return np.array(d.rhs(t, x, u, p.values(d.required_params, t)))
-
-
 @lru_cache(maxsize=128)
 def _cost_vec(model: ModelId, w: CostWeights) -> np.ndarray:
+    """The state-cost vector g; the one check that w fits the model (effort weights, a_isolated)."""
     d = MODELS[model]
     if len(w.b) != d.control_dim:
         raise ValidationError(f"{model.value} needs {d.control_dim} effort weights, got {len(w.b)}")
@@ -87,42 +76,72 @@ def costate(d: ModelDefinition, w: CostWeights) -> CostateFn:
     It is the explicit ``adjoint`` when the model spells one out, else
     -(J^T lam) - g from the analytic Jacobian; q is the model's parameter tuple.
     """
+    g = _cost_vec(d.id, w)  # also rejects weights that do not fit the model
     if d.adjoint is not None:
         adjoint = d.adjoint
         return lambda t, lam, x, u, q: adjoint(t, x, lam, u, q, w)
     jac = d.jac
-    g = _cost_vec(d.id, w)
     return lambda t, lam, x, u, q: (-(jac(t, x, u, q).T @ lam) - g).tolist()
+
+
+def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights,
+                     kind: CostKind | None = None) -> ModelDefinition:
+    """The model's definition, if p, w and the cost kind (when given) make a valid problem.
+
+    Checks the parameters, then the weights' fit to the model, then the kind.
+    """
+    d = model_definition(model)
+    violations = validate_against(d, p)
+    if violations:
+        raise ValidationError(f"{d.id.value}: invalid parameters: " + "; ".join(violations))
+    _cost_vec(d.id, w)
+    if kind is not None:
+        check_kind_weights(kind, w)
+    return d
+
+
+def _point(model: ModelId, **vectors) -> list:
+    """The model's definition, then each named vector as a float array of the model's shape.
+
+    A vector named ``control`` needs one entry per control, any other one per compartment.
+    """
+    d = model_definition(model)
+    out: list = [d]
+    for what, v in vectors.items():
+        n = d.control_dim if what == "control" else d.state_dim
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n,):
+            raise ValidationError(f"{d.id.value}: {what} must have shape ({n},), got {v.shape}")
+        out.append(v)
+    return out
+
+
+def dynamics(model: ModelId, t: float, x: np.ndarray, u: np.ndarray,
+             p: ParameterSet) -> np.ndarray:
+    """Time derivative of the state under control u."""
+    d, x, u = _point(model, state=x, control=u)
+    return np.array(d.rhs(t, x, u, p.values(d.required_params, t)))
 
 
 def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Time derivative of the costate: -dH/dx for the model's Hamiltonian."""
-    d = model_definition(model)
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if lam.shape != (d.state_dim,):
-        raise ValidationError(f"{d.id.value}: adjoint must have shape ({d.state_dim},), got {lam.shape}")
+    d, x, lam, u = _point(model, state=x, adjoint=lam, control=u)
     return np.array(costate(d, w)(t, lam, x, u, p.values(d.required_params, t)))
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                              p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Pointwise minimizer of the Hamiltonian over the admissible control box."""
-    d = model_definition(model)
-    if len(w.b) != d.control_dim:
-        raise ValidationError(f"{d.id.value} needs {d.control_dim} effort weights, got {len(w.b)}")
-    return np.array(d.characterize(t, np.asarray(x, dtype=float), np.asarray(lam, dtype=float),
-                                   p.values(d.required_params, t), w))
+    d, x, lam = _point(model, state=x, adjoint=lam)
+    _cost_vec(d.id, w)  # the weights must fit the model
+    return np.array(d.characterize(t, x, lam, p.values(d.required_params, t), w))
 
 
 def running_cost(model: ModelId, x: np.ndarray, u: np.ndarray, w: CostWeights) -> float:
     """Objective integrand: linear state burden plus quadratic control effort."""
-    d = model_definition(model)
-    u = np.asarray(u, dtype=float)
-    vec = _cost_vec(d.id, w)
-    return float(vec @ np.asarray(x, dtype=float) + 0.5 * np.dot(w.b_array, np.square(u)))
+    d, x, u = _point(model, state=x, control=u)
+    return float(_cost_vec(d.id, w) @ x + 0.5 * np.dot(w.b_array, np.square(u)))
 
 
 def validate_params(model: ModelId, p: ParameterSet) -> list[str]:

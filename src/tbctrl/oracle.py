@@ -13,13 +13,14 @@ import numpy as np
 
 from .core import TimeGrid, Trajectory, ValidationError
 from . import models
-from .solver import SolveReport, Solution, _rk4, validate_problem
+from .solver import SolveReport, Solution, _rk4
 
 __all__ = ["solve_direct", "best_constant_control"]
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _GRAD_TOL = 1e-5
+_FD_STEP = 1e-4  # central-difference step in each coarse control value
 # constant-control lattice points per axis for the starting point, by control_dim
 _INIT_LATTICE_POINTS = {1: 11, 2: 7}
 
@@ -74,8 +75,7 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     model, p, w = scenario.model, scenario.params, scenario.weights
-    validate_problem(model, p, w)
-    d = models.model_definition(model)
+    d = models.validate_problem(model, p, w, scenario.cost_kind)
     sim = _Simulator(model, p, w, scenario.grid, scenario.initial_state())
     axis = np.linspace(w.lower, w.upper, grid_points)
     mesh = np.meshgrid(*([axis] * d.control_dim), indexing="ij")
@@ -89,8 +89,7 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     return best_u, best_cost
 
 
-def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
-                 max_iters: int = 100) -> Solution:
+def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solution:
     """Projected finite-difference gradient descent on piecewise-constant controls.
 
     Starts from the cheapest point of a coarse lattice of constant controls,
@@ -100,14 +99,11 @@ def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
     ``report.converged`` records whether the gradient test was met.
     """
     model, p, w = scenario.model, scenario.params, scenario.weights
-    validate_problem(model, p, w)
-    d = models.model_definition(model)
+    d = models.validate_problem(model, p, w, scenario.cost_kind)
     grid = scenario.grid
     if coarse_steps < 1 or coarse_steps > grid.n_steps:
         raise ValidationError(
             f"coarse_steps must lie in [1, {grid.n_steps}], got {coarse_steps}")
-    if not fd_step > 0.0:
-        raise ValidationError(f"fd_step must be positive, got {fd_step}")
 
     sim = _Simulator(model, p, w, grid, scenario.initial_state())
     lo, hi = w.lower, w.upper
@@ -139,12 +135,12 @@ def solve_direct(scenario, coarse_steps: int = 50, fd_step: float = 1e-4,
             for kc in range(nu):
                 idx = jc * nu + kc
                 orig = flat[idx]
-                flat[idx] = orig + fd_step
+                flat[idx] = orig + _FD_STEP
                 up = sim.cost(u, start, x_start, pre)
-                flat[idx] = orig - fd_step
+                flat[idx] = orig - _FD_STEP
                 down = sim.cost(u, start, x_start, pre)
                 flat[idx] = orig
-                grad[jc, kc] = (up - down) / (2.0 * fd_step)
+                grad[jc, kc] = (up - down) / (2.0 * _FD_STEP)
 
         projected = u - np.clip(u - grad, lo, hi)
         pg_norm = float(np.max(np.abs(projected)))

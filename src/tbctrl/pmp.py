@@ -5,8 +5,9 @@ Hamiltonian in the state cross-check the analytic adjoints, and a dense grid
 search over admissible controls cross-checks the closed-form control laws.
 H has one implementation, the private kernel ``_hamiltonian``. The public
 ``hamiltonian`` validates its arguments and calls it at one point; the
-verifiers resolve the parameters once per sample and call it directly, the
-grid search with every candidate control of a sample as one column batch.
+verifiers check the problem once, resolve the parameters once per sample and
+call it directly, the grid search with every candidate control of a sample as
+one column batch.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ def _hamiltonian(d, t: float, x, lam, u, q: tuple, w: CostWeights):
 def hamiltonian(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> float:
     """Running cost plus inner product of adjoint and dynamics."""
-    d = models.model_definition(model)
-    x, lam, u = (np.asarray(v, dtype=float) for v in (x, lam, u))
-    for what, v, n in (("adjoint", lam, d.state_dim), ("state", x, d.state_dim),
-                       ("control", u, d.control_dim)):
-        if v.shape != (n,):
-            raise ValidationError(f"{d.id.value}: {what} must have shape ({n},), got {v.shape}")
+    d, x, lam, u = models._point(model, state=x, adjoint=lam, control=u)
     return float(_hamiltonian(d, t, x, lam, u, p.values(d.required_params, t), w))
 
 
@@ -75,14 +71,13 @@ class ConsistencyReport:
 
 def _resolve(model, p, w):
     d = models.model_definition(model)
-    model = d.id
     if p is None:
-        p = models.default_params(model)
+        p = models.default_params(d.id)
     if w is None:
         w = CostWeights(a1=1.0, a2=1.0 if d.cost_kind.value == "C1" else 0.0,
                         b=tuple(100.0 for _ in range(d.control_dim)))
-    _cost_vec(model, w)  # rejects weights that do not fit the model before any sampling
-    return model, d, p, w
+    models.validate_problem(d.id, p, w)  # before any sampling
+    return d.id, d, p, w
 
 
 def _sample(d, w: CostWeights, samples: int, seed: int, residual) -> tuple[float, list[dict]]:

@@ -15,9 +15,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .core import (CostKind, CostWeights, ParameterSet, TimeGrid, TimeTable,
-                   ValidationError, make_time_grid)
+                   ValidationError, check_kind_weights, make_time_grid)
 from . import models
-from .costs import check_kind_weights
 from .models import ModelId
 from .solver import FbsSettings
 
@@ -149,7 +148,7 @@ def _parse_parameters(obj, path: str) -> ParameterSet:
             _reject_unknown(v, {"times", "values"}, sub)
             if "times" not in v or "values" not in v:
                 raise ValidationError(f"{sub}: time table needs 'times' and 'values'")
-            times = [_number(t, f"{sub}.times") for t in v["times"]]
+            times = [_finite(t, f"{sub}.times") for t in v["times"]]
             values = [_number(t, f"{sub}.values") for t in v["values"]]
             out[name] = TimeTable(tuple(times), tuple(values))
         else:

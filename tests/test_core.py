@@ -98,6 +98,12 @@ class TestTimeTable:
         with pytest.raises(ValidationError):
             TimeTable((0.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("times", [(0.0, float("nan"), 3.0), (float("nan"),),
+                                       (0.0, float("inf"))])
+    def test_times_must_be_finite(self, times):
+        with pytest.raises(ValidationError, match="^time table times must be finite$"):
+            TimeTable(times, (0.05,) * len(times))
+
 
 class TestParameterSet:
     def test_lookup_and_missing(self):

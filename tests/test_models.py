@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs,
-                    control_characterization, default_params, dynamics,
-                    model_definition, running_cost, validate_params)
-from tbctrl.core import TimeTable
+from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs, best_constant_control,
+                    control_characterization, default_params, dynamics, hamiltonian,
+                    model_definition, reduced_cost_gradient, running_cost, solve_direct,
+                    solve_fbs, validate_params, verify_adjoint_consistency,
+                    verify_control_stationarity)
+from tbctrl.core import TimeTable, ValidationError
 from tbctrl.models import (MODELS, cost_state_vector, has_baseline,
                            neutral_control, uncontrolled_rhs)
 
@@ -311,3 +314,65 @@ class TestDegenerateInputs:
         with pytest.raises(ValidationError):
             adjoint_rhs(ModelId.SEIRS, 0.0, np.zeros(4), np.zeros(3), np.zeros(1),
                         p, CostWeights(a1=1.0, b=(1.0,)))
+
+
+    @pytest.mark.parametrize("mid", [ModelId.SEIRS, ModelId.KOREA])
+    @pytest.mark.parametrize("wrapper, vector", [
+        ("dynamics", "x"), ("dynamics", "u"),
+        ("adjoint_rhs", "x"), ("adjoint_rhs", "lam"), ("adjoint_rhs", "u"),
+        ("control_characterization", "x"), ("control_characterization", "lam"),
+        ("running_cost", "x"), ("running_cost", "u"),
+        ("hamiltonian", "x"), ("hamiltonian", "lam"), ("hamiltonian", "u"),
+    ])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_every_point_wrapper_checks_every_vector(self, mid, wrapper, vector, extra):
+        d = model_definition(mid)
+        p, w = default_params(mid), CostWeights(a1=1.0, b=(50.0,) * d.control_dim)
+        v = {"x": np.full(d.state_dim, 100.0), "lam": np.ones(d.state_dim),
+             "u": np.full(d.control_dim, 0.5)}
+        v[vector] = np.full(len(v[vector]) + extra, v[vector][0])
+        x, lam, u = v["x"], v["lam"], v["u"]
+        call = {
+            "dynamics": lambda: dynamics(mid, 0.5, x, u, p),
+            "adjoint_rhs": lambda: adjoint_rhs(mid, 0.5, x, lam, u, p, w),
+            "control_characterization": lambda: control_characterization(mid, 0.5, x, lam, p, w),
+            "running_cost": lambda: running_cost(mid, x, u, w),
+            "hamiltonian": lambda: hamiltonian(mid, 0.5, x, lam, u, p, w),
+        }[wrapper]
+        what = {"x": "state", "lam": "adjoint", "u": "control"}[vector]
+        with pytest.raises(ValidationError, match=rf"^{mid.value}: {what} must have shape"):
+            call()
+
+
+# Each entry point that solves or checks a problem, called on a scenario.
+PROBLEM_ENTRIES = {
+    "solve_fbs": solve_fbs,
+    "solve_direct": lambda cfg: solve_direct(cfg, coarse_steps=5, max_iters=1),
+    "best_constant_control": lambda cfg: best_constant_control(cfg, grid_points=2),
+    "reduced_cost_gradient": lambda cfg: reduced_cost_gradient(
+        cfg.model, cfg.params, cfg.weights, cfg.grid, cfg.initial_state(),
+        np.zeros((cfg.grid.n_nodes, 1))),
+    "verify_adjoint_consistency": lambda cfg: verify_adjoint_consistency(
+        cfg.model, cfg.params, cfg.weights, samples=1),
+    "verify_control_stationarity": lambda cfg: verify_control_stationarity(
+        cfg.model, cfg.params, cfg.weights, samples=1),
+}
+# The cost-kind rule applies only where a scenario brings a cost kind.
+KIND_ENTRIES = ("solve_fbs", "solve_direct", "best_constant_control")
+
+
+class TestValidateProblem:
+    @pytest.mark.parametrize("entry, problem", [
+        *((e, pr) for pr in ("mu = -1", "seirs with a_isolated = 1") for e in PROBLEM_ENTRIES),
+        *((e, "C2 with a2 = 1") for e in KIND_ENTRIES),
+    ])
+    def test_every_entry_point_rejects_the_same_problems(self, flagship, shrink, entry, problem):
+        cfg = shrink(flagship, 50)
+        assert cfg.model is ModelId.SEIRS and cfg.cost_kind.value == "C2"
+        cfg = {
+            "mu = -1": replace(cfg, params=cfg.params.with_updates({"mu": -1.0})),
+            "seirs with a_isolated = 1": replace(cfg, weights=replace(cfg.weights, a_isolated=1.0)),
+            "C2 with a2 = 1": replace(cfg, weights=replace(cfg.weights, a2=1.0)),
+        }[problem]
+        with pytest.raises(ValidationError):
+            PROBLEM_ENTRIES[entry](cfg)

@@ -39,8 +39,6 @@ class TestSolveDirect:
             solve_direct(cfg, coarse_steps=101)
         with pytest.raises(ValidationError):
             solve_direct(cfg, coarse_steps=0)
-        with pytest.raises(ValidationError):
-            solve_direct(cfg, fd_step=0.0)
 
 
 class TestBestConstantControl:

@@ -180,6 +180,10 @@ class TestLoadScenario:
         ({"fbs": {"initial_control": NAN}}, r"fbs\.initial_control"),
         ({"fbs": {"initial_control": [INF]}}, r"fbs\.initial_control\[0\]"),
         ({"fbs": {"tolerance": INF}}, r"fbs\.tolerance"),  # would stop after one sweep
+        ({"parameters": {"k1": {"times": [0.0, NAN], "values": [1.0, 1.0]}}},
+         r"parameters\.k1\.times"),
+        ({"parameters": {"k1": {"times": [-INF, 0.0], "values": [1.0, 1.0]}}},
+         r"parameters\.k1\.times"),
     ])
     def test_non_finite_numbers_rejected(self, edit, where):
         doc = flagship_doc()

@@ -383,8 +383,8 @@ class TestInitialControlExpansion:
     def test_scalar_vector_and_full_array(self):
         assert _expand_initial_control(0.3, 4, 2).shape == (4, 2)
         assert np.all(_expand_initial_control((0.1, 0.2), 3, 2) == [0.1, 0.2])
-        full = np.ones((3, 2))
-        assert np.array_equal(_expand_initial_control(full, 3, 2), full)
+        with pytest.raises(ValidationError):  # a full (n_nodes, control_dim) array is not accepted
+            _expand_initial_control(np.ones((3, 2)), 3, 2)
         with pytest.raises(ValidationError):
             _expand_initial_control(np.ones((2, 2)), 3, 2)
 
