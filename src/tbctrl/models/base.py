@@ -27,8 +27,10 @@ class ModelId(str, Enum):
 
 
 # States, costates and controls are sequences of floats (lists in the RK4
-# kernel, arrays through the public wrappers); the parameter argument is the
-# tuple of the model's PARAMS values, as ParameterSet.values returns it.
+# kernel, arrays through the public wrappers), and an rhs also takes lists of
+# (B,) numpy columns (an RK4 batch, a Hamiltonian control grid); the parameter
+# argument is the tuple of the model's PARAMS values, as ParameterSet.values
+# returns it.
 Vec = Sequence[float]
 Params = tuple[float, ...]
 RhsFn = Callable[[float, Vec, Vec, Params], Vec]
@@ -140,8 +142,16 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
 
 
 def live_population(x: Vec) -> float:
+    """N, the sum of x's entries, which are floats or the (B,) columns of an RK4 batch.
+
+    N <= 0 is refused; for a batch, the message names the lowest member's N.
+    """
     # left to right, as np.sum adds so few terms; builtin sum() is compensated from Python 3.12
     n = reduce(add, x)
-    if n <= 0.0:
-        raise ValidationError(f"degenerate population: N(t) = {n}")
-    return n
+    try:  # costs the float path nothing
+        if not n <= 0.0:
+            return n
+    except ValueError:  # a (B,) column has no single truth value
+        if not (n <= 0.0).any():
+            return n
+    raise ValidationError(f"degenerate population: N(t) = {np.min(n)}")

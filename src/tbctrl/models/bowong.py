@@ -49,8 +49,8 @@ def jac(t, x, u, p):
     n = live_population(x)
     u1, u2 = u
     phi = beta * i1 / n
-    n2 = n * n  # underflows to 0 once N < 1.5e-162; np.divide then gives inf, not ZeroDivisionError
-    d_phi = np.array([-phi / n, -phi / n, np.divide(beta * (n - i1), n2), -phi / n])
+    # d(phi)/dY, dividing by N once per factor: N * N underflows to 0 below N ~ 1e-154
+    d_phi = np.array([-phi / n, -phi / n, beta * (1.0 - i1 / n) / n, -phi / n])
     chem = 1.0 - u1 * r1
     detected = u2 * h
     e_s = np.array([1.0, 0.0, 0.0, 0.0])

@@ -39,8 +39,8 @@ def jac(t, x, u, p):
     sv, l1, iv, l5 = x
     n = live_population(x)
     u1, u2, u3 = u
-    n2 = n * n
-    d_w = beta * np.array([iv * (n - sv), -sv * iv, sv * (n - iv), -sv * iv]) / n2
+    sn, i_n = sv / n, iv / n  # shares of N, each divided once: N * N underflows below N ~ 1e-154
+    d_w = beta * np.array([i_n * (1.0 - sn), -sn * i_n, sn * (1.0 - i_n), -sn * i_n])
     j = np.zeros((4, 4))
     j[0] = b - (1.0 - u1) * d_w  # bN grows with every compartment
     j[0, 0] -= mu

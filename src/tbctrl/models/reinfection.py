@@ -38,12 +38,13 @@ def jac(t, x, u, p):
     s, l1, i1, tr = x
     n = live_population(x)
     bc = beta * c
-    n2 = n * n
+    # Shares of N, each divided once: N * N underflows to 0 below N ~ 1e-154.
+    sn, ln, i_n, tn = s / n, l1 / n, i1 / n, tr / n
     # Gradients of the three incidence flows; every compartment feeds N.
-    d_inf_s = bc * np.array([i1 * (n - s), -s * i1, s * (n - i1), -s * i1]) / n2
-    d_inf_t = sigma * bc * np.array([-tr * i1, -tr * i1, tr * (n - i1), i1 * (n - tr)]) / n2
+    d_inf_s = bc * np.array([i_n * (1.0 - sn), -sn * i_n, sn * (1.0 - i_n), -sn * i_n])
+    d_inf_t = sigma * bc * np.array([-tn * i_n, -tn * i_n, tn * (1.0 - i_n), i_n * (1.0 - tn)])
     ru = rho * bc * (1.0 - u[0])
-    d_reinf = ru * np.array([-l1 * i1, i1 * (n - l1), l1 * (n - i1), -l1 * i1]) / n2
+    d_reinf = ru * np.array([-ln * i_n, i_n * (1.0 - ln), ln * (1.0 - i_n), -ln * i_n])
     j = np.zeros((4, 4))
     j[0] = -d_inf_s
     j[0, 0] -= mu

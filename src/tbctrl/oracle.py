@@ -5,9 +5,19 @@ estimated by central finite differences of simulate-then-integrate, and the
 iteration is projected gradient descent with Armijo backtracking. The state
 integrator is shared with the sweep solver, but the cost quadrature and its
 assembly are written here independently, and no adjoint code is reused.
+
+The RK4 kernel takes float lists or numpy columns. The base run and the line
+search integrate one control on floats. The 2*M*m shifted controls of a
+gradient (M coarse intervals, m controls), and the constant-control lattice
+of the starting point, run as a batch of (B,) columns (B <= 128, more
+batches past that) through the same kernel and the model's own rhs, bitwise
+as B float runs would.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -23,6 +33,9 @@ _GRAD_TOL = 1e-5
 _FD_STEP = 1e-4  # central-difference step in each coarse control value
 # constant-control lattice points per axis for the starting point, by control_dim
 _INIT_LATTICE_POINTS = {1: 11, 2: 7}
+# members per batched run: wide enough to spread numpy's per-call cost, and a
+# bound on what a run keeps (n_nodes * _BATCH floats)
+_BATCH = 128
 
 
 def _coarse_boundaries(n_steps: int, coarse_steps: int) -> np.ndarray:
@@ -31,17 +44,27 @@ def _coarse_boundaries(n_steps: int, coarse_steps: int) -> np.ndarray:
     return -(-j * n_steps // coarse_steps)  # ceil(j*n/M)
 
 
+def _intervals(n_steps: int, coarse_steps: int) -> np.ndarray:
+    """Coarse interval of each fine node."""
+    return np.minimum(np.arange(n_steps + 1) * coarse_steps // n_steps, coarse_steps - 1)
+
+
 def _fine_controls(u_coarse: np.ndarray, n_steps: int) -> np.ndarray:
-    m = u_coarse.shape[0]
-    idx = np.minimum(np.arange(n_steps + 1) * m // n_steps, m - 1)
-    return u_coarse[idx]
+    return u_coarse[_intervals(n_steps, u_coarse.shape[0])]
+
+
+def _trapezoid(g: np.ndarray, prefix: float, h: float) -> float:
+    """``prefix`` plus the trapezoid integral of the running cost g, a contiguous node array."""
+    return prefix + float(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
 
 
 class _Simulator:
-    """Restartable simulate-then-integrate of the piecewise-constant objective.
+    """Simulate-then-integrate of the piecewise-constant objective.
 
     The running cost is assembled here from the model's weight patterns, not
-    taken from :mod:`tbctrl.costs`.
+    taken from :mod:`tbctrl.costs`: g = sum_k vec_k x_k + 0.5 sum_j b_j u_j^2,
+    each sum taken left to right over the state and control entries, so that
+    a float run and a batch member give the same bits.
     """
 
     def __init__(self, model, p, w, grid: TimeGrid, x0):
@@ -52,22 +75,73 @@ class _Simulator:
         vec = w.a1 * np.array(d.infectious) + w.a2 * np.array(d.latent)
         if d.isolated is not None:
             vec = vec + w.a_isolated * np.array(d.isolated)
-        self.state_vec = vec
-        self.b = w.b_array
+        self.state_vec = vec.tolist()
+        self.b = w.b
 
-    def run(self, u_coarse: np.ndarray, start: int = 0, x_start=None):
-        """States from node ``start`` (at ``x_start``, default x0) and the running cost at each."""
-        fine = _fine_controls(u_coarse, self.grid.n_steps)[start:]
-        x = self.x0 if x_start is None else x_start
-        state = _rk4(self.d.rhs, x, self.grid.nodes[start:], (fine,), "state",
+    def state_cost(self, xs):
+        """sum_k vec_k x_k over the state entries xs (floats, node arrays or batch columns).
+
+        A zero weight times an infinite entry is NaN, so a non-finite entry
+        anywhere in x gives a non-finite value, as the batch kernel needs.
+        """
+        return reduce(add, map(mul, self.state_vec, xs))
+
+    def effort(self, us):
+        """0.5 sum_j b_j u_j^2 over the control entries us."""
+        return 0.5 * reduce(add, [b * np.square(u) for b, u in zip(self.b, us)])
+
+    def run(self, u_coarse: np.ndarray):
+        """States at every node and the running cost at each, for one control."""
+        fine = _fine_controls(u_coarse, self.grid.n_steps)
+        state = _rk4(self.d.rhs, self.x0, self.grid.nodes, (fine,), "state",
                      self.p, self.d.required_params)
-        return state, state @ self.state_vec + 0.5 * (np.square(fine) @ self.b)
+        return state, self.state_cost(state.T) + self.effort(fine.T)
 
-    def cost(self, u_coarse: np.ndarray, start: int = 0, x_start=None,
-             prefix: float = 0.0) -> float:
-        """``prefix`` plus the trapezoid integral of the running cost from node ``start``."""
-        _, g = self.run(u_coarse, start, x_start)
-        return prefix + float(self.grid.h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
+    def cost(self, u_coarse: np.ndarray) -> float:
+        """The trapezoid integral of the running cost."""
+        return _trapezoid(self.run(u_coarse)[1], 0.0, self.grid.h)
+
+    def costs(self, coarse: np.ndarray, starts: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+        """The costs of B piecewise-constant controls, run as batches through the kernel.
+
+        Member b's control on coarse interval j is ``coarse[j, :, b]``. Its
+        cost is ``prefix[starts[b]]`` plus the trapezoid of its running cost
+        from node ``starts[b]``. A batch holds at most ``_BATCH`` members and
+        keeps only their running state cost at each node.
+        """
+        grid = self.grid
+        intervals = _intervals(grid.n_steps, coarse.shape[0])
+        effort = self.effort(coarse.transpose(1, 0, 2))  # (M, B): each member's on each interval
+        out = np.empty(coarse.shape[-1])
+        for lo in range(0, out.size, _BATCH):
+            by_interval = list(coarse[:, :, lo:lo + _BATCH])
+            y0 = np.broadcast_to(self.x0[:, None], (self.x0.size, by_interval[0].shape[-1]))
+            kept = _rk4(self.d.rhs, y0, grid.nodes, ([by_interval[j] for j in intervals.tolist()],),
+                        "state", self.p, self.d.required_params, keep=self.state_cost)
+            for b, column in enumerate(kept.T, lo):
+                s = int(starts[b])
+                out[b] = _trapezoid(column[s:] + effort[intervals[s:], b], float(prefix[s]), grid.h)
+        return out
+
+    def gradient(self, u: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+        """Central differences of the cost in each coarse value of u, one batched run per shift.
+
+        Member 2i shifts flat entry i of u up by ``_FD_STEP`` and member 2i+1
+        down, and runs the whole horizon from x0. The RK4 step into an
+        interval's first node already reads that interval's control, so a
+        member's rows equal the base run's up to the node s before it, and
+        its cost is the base run's ``prefix[s]`` plus its own trapezoid from
+        s, as a run restarted at s would give.
+        """
+        coarse_steps, m = u.shape
+        size = coarse_steps * m
+        shifted = np.repeat(u[:, :, None], 2 * size, axis=2)
+        flat, i = shifted.reshape(size, 2 * size), np.arange(size)
+        flat[i, 2 * i] += _FD_STEP
+        flat[i, 2 * i + 1] -= _FD_STEP
+        starts = np.maximum(_coarse_boundaries(self.grid.n_steps, coarse_steps) - 1, 0)
+        costs = self.costs(shifted, np.repeat(starts, 2 * m), prefix)
+        return ((costs[0::2] - costs[1::2]) / (2.0 * _FD_STEP)).reshape(u.shape)
 
 
 def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, float]:
@@ -79,10 +153,12 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     sim = _Simulator(model, p, w, scenario.grid, scenario.initial_state())
     axis = np.linspace(w.lower, w.upper, grid_points)
     mesh = np.meshgrid(*([axis] * d.control_dim), indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    # the lattice as batch members on a single coarse interval, each run from node 0
+    costs = sim.costs(points.T[None], np.zeros(len(points), dtype=int), np.zeros(1))
     best_u = None
     best_cost = np.inf
-    for const in np.stack([m.ravel() for m in mesh], axis=-1):
-        cost = sim.cost(const.reshape(1, -1))
+    for const, cost in zip(points, costs.tolist()):
         if cost < best_cost:
             best_cost = cost
             best_u = const
@@ -108,9 +184,6 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     sim = _Simulator(model, p, w, grid, scenario.initial_state())
     lo, hi = w.lower, w.upper
     nu = d.control_dim
-    # the RK4 step into an interval's first node already reads that interval's
-    # control, so a perturbed coordinate's run restarts one node earlier
-    starts = np.maximum(_coarse_boundaries(grid.n_steps, coarse_steps) - 1, 0)
 
     const, cost = best_constant_control(scenario, _INIT_LATTICE_POINTS.get(nu, 5))
     u = np.tile(const, (coarse_steps, 1))
@@ -125,22 +198,9 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
 
     for it in range(1, max_iters + 1):
         iterations = it
-        base_state, g = sim.run(u)
+        _, g = sim.run(u)
         prefix = np.concatenate(([0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))))
-        grad = np.empty_like(u)
-        flat = u.reshape(-1)
-        for jc in range(coarse_steps):
-            start = int(starts[jc])
-            x_start, pre = base_state[start], float(prefix[start])
-            for kc in range(nu):
-                idx = jc * nu + kc
-                orig = flat[idx]
-                flat[idx] = orig + _FD_STEP
-                up = sim.cost(u, start, x_start, pre)
-                flat[idx] = orig - _FD_STEP
-                down = sim.cost(u, start, x_start, pre)
-                flat[idx] = orig
-                grad[jc, kc] = (up - down) / (2.0 * _FD_STEP)
+        grad = sim.gradient(u, prefix)
 
         projected = u - np.clip(u - grad, lo, hi)
         pg_norm = float(np.max(np.abs(projected)))

@@ -232,6 +232,7 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
             upper=upper,
         )
         check_kind_weights(kind, weights)
+        models.cost_state_vector(d.id, weights)  # the weights must fit the model (a_isolated)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return kind, weights

@@ -15,7 +15,9 @@ final sweep (re-integrated once more). A solve that runs out of iterations
 returns its cheapest iterate, flagged.
 
 Both passes, and the direct oracle's simulations, run one RK4 kernel. It
-works on Python floats rather than small arrays, hands the model its
+takes float lists or numpy columns: one run works on Python floats rather
+than small arrays, and the oracle's batches on a (B,) column per
+compartment, one member per entry. It hands the model its
 parameters as a tuple resolved once per pass (at each evaluation time only
 when the set holds a time table), and checks finiteness once per pass rather
 than after every step. The sweep checks the problem once, before the first
@@ -104,36 +106,62 @@ def _located(message: str, ts: np.ndarray, j: int, backward: bool) -> NonFiniteE
     return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
 
 
-def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, what: str, backward: bool):
-    """Raise NonFiniteError at the first non-finite row past the start, in integration order."""
-    bad = ~np.isfinite(rows[1:]).all(axis=1)
+def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool):
+    """Raise NonFiniteError at the first non-finite row past the start, in integration order.
+
+    A non-finite entry stays non-finite in every later row, so ``rows()``
+    (the rows, or the kept values, so far) is searched only when ``last``,
+    the pass's latest row, has one.
+    """
+    if np.isfinite(last).all():
+        return
+    bad = ~np.isfinite(rows()[1:]).all(axis=1)
     if bad.any():
         raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 
 
 def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterSet,
-         names: tuple[str, ...], backward: bool = False) -> np.ndarray:
+         names: tuple[str, ...], backward: bool = False, keep=None) -> np.ndarray:
     """Classical RK4 of y' = f(t, y, *d, q) along ``nodes``, from the last node if ``backward``.
 
     The pass runs on Python floats: y and every stage are lists, ``drivers``
     are node-indexed arrays (one per part of d) read a row at a time, and a
     half-step takes the mean of the two end rows. q is the tuple of the
     parameters ``names`` in ``p``, resolved once per pass, or at each
-    evaluation time if ``p`` holds a time table. Finiteness is checked once
-    per pass, not per step, and the first non-finite row in integration
-    order is reported. A ValidationError from f (say, a live population
-    driven to N <= 0) is located like a non-finite row, at the node the
-    failing step integrates to; only at a forward pass's first evaluation,
-    which sees just the given y0, d0 and parameters, is it passed on
-    unchanged.
+    evaluation time if ``p`` holds a time table.
+
+    Given ``keep``, the pass runs a batch of B members on numpy columns: y0 is
+    (w, B), each driver is node-indexed (m, B) rows, and y and every stage are
+    lists of (B,) columns, which f takes as it takes floats. Each member then
+    gets bitwise the rows of its own float pass. Instead of the rows, the pass
+    returns keep(y), a (B,) column, at each node, as an (n_nodes, B) array;
+    keep must give a member whose row has a non-finite entry a non-finite
+    value.
+
+    Finiteness is checked once per pass, not per step, and the first
+    non-finite row (or kept value) in integration order is reported. A
+    ValidationError from f (say, a live population driven to N <= 0) is
+    located like a non-finite row, at the node the failing step integrates
+    to; only at a forward pass's first evaluation, which sees just the given
+    y0, d0 and parameters, is it passed on unchanged.
     """
     order = slice(None, None, -1 if backward else 1)
     ts = nodes[order]
-    runs = zip(*(map(np.ndarray.tolist, a[order]) for a in drivers))
+    if keep is None:
+        flat = array("d", y0)  # the rows in integration order, appended as they are made
+        y = flat.tolist()
+        store = flat.extend
+        runs = zip(*(map(np.ndarray.tolist, a[order]) for a in drivers))
+    else:
+        flat = array("d")  # the kept columns, likewise
+        y = list(y0)
+        store = lambda y: flat.frombytes(keep(y).tobytes())
+        store(y)
+        runs = zip(*(a[order] for a in drivers))
+    width = np.shape(y0)[-1]  # w floats a row, or B kept values
+    rows = lambda: np.frombuffer(flat, dtype=float).reshape(-1, width)
     values, timed = p.values, p._timed
     q0 = qm = qe = values(names)
-    flat = array("d", y0)  # the rows in integration order, appended as they are made
-    y = flat.tolist()
     t = float(ts[0])
     d0 = next(runs)
     k1 = None  # set once the pass's first evaluation returns
@@ -152,23 +180,18 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
             h6 = h / 6.0
             y = [yi + h6 * (a + 2.0 * b + 2.0 * c + e)
                  for yi, a, b, c, e in zip(y, k1, k2, k3, k4)]
-            flat.extend(y)
+            store(y)
             t, d0 = t1, d1
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(_rows(flat, len(y0)), ts, what, backward)
+        _raise_first_nonfinite(y, rows, ts, what, backward)
         raise
     except ValidationError as exc:
         if k1 is None and not backward:
             raise
-        _raise_first_nonfinite(_rows(flat, len(y0)), ts, what, backward)
+        _raise_first_nonfinite(y, rows, ts, what, backward)
         raise _located(f"{what} left the model's domain ({exc})", ts, j, backward) from exc
-    rows = _rows(flat, len(y0))
-    _raise_first_nonfinite(rows, ts, what, backward)
-    return rows[order]
-
-
-def _rows(flat: array, width: int) -> np.ndarray:
-    return np.frombuffer(flat, dtype=float).reshape(-1, width)
+    _raise_first_nonfinite(y, rows, ts, what, backward)
+    return rows()[order]
 
 
 def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,

@@ -135,6 +135,18 @@ class TestNonnegativity:
         assert np.all(np.isfinite(f))
         assert np.all(f[:-1] >= 0.0)
 
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_tiny_live_population_costate_stays_finite(self, mid):
+        # reinfection, korea and bowong once divided by N * N, which underflows
+        # to 0 below N ~ 1e-154 and made their costate NaN
+        d = model_definition(mid)
+        w = CostWeights(a1=1.0, a2=1.0, b=(50.0,) * d.control_dim,
+                        a_isolated=1.0 if d.isolated is not None else 0.0)
+        lam = np.linspace(-1.0, 1.0, d.state_dim)
+        f = adjoint_rhs(mid, 0.0, np.full(d.state_dim, 1e-200), lam,
+                        np.full(d.control_dim, 0.5), default_params(mid), w)
+        assert np.all(np.isfinite(f))
+
 
 class TestReductionIdentities:
     @pytest.mark.parametrize("mid", [m for m in ModelId if has_baseline(m)])

@@ -3,8 +3,54 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tbctrl import best_constant_control, solve_direct
-from tbctrl.core import ValidationError
+from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
+                    make_time_grid, model_definition, oracle, solve_direct)
+from tbctrl.core import CostKind, TimeTable, ValidationError
+from tbctrl.oracle import _FD_STEP, _coarse_boundaries, _fine_controls, _Simulator
+from tbctrl.scenario import ScenarioConfig
+from tbctrl.solver import FbsSettings, _rk4
+
+
+def model_config(mid, n_steps, time_table=False):
+    """A scenario on a model's defaults; korea's mu as a time table when asked."""
+    d = model_definition(mid)
+    p = default_params(mid)
+    if time_table:
+        mu = p.value("mu")
+        p = p.with_updates({"mu": TimeTable((0.0, 2.0, 5.0), (mu, 1.5 * mu, mu))})
+    return ScenarioConfig(
+        name=f"{mid.value}-default", model=mid, params=p, initial_mode="counts",
+        initial_values=(7000.0, 2000.0, 1000.0) + (100.0,) * (d.state_dim - 3),
+        grid=make_time_grid(0.0, 5.0, n_steps), cost_kind=d.cost_kind,
+        weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
+                            b=(50.0,) * d.control_dim),
+        fbs=FbsSettings())
+
+
+def scalar_gradient(sim, u):
+    """Central differences from one float suffix run per shifted coarse value.
+
+    Each run restarts at the node before its interval, from the base run's
+    state there, and adds its trapezoid to the base run's cost up to that node.
+    """
+    g, h, n = sim.grid, sim.grid.h, sim.grid.n_steps
+    base, g_base = sim.run(u)
+    prefix = np.concatenate(([0.0], np.cumsum(0.5 * h * (g_base[:-1] + g_base[1:]))))
+    starts = np.maximum(_coarse_boundaries(n, u.shape[0]) - 1, 0)
+    grad = np.empty_like(u)
+    for (j, k), value in np.ndenumerate(u):
+        s = int(starts[j])
+        costs = []
+        for shifted in (value + _FD_STEP, value - _FD_STEP):
+            v = u.copy()
+            v[j, k] = shifted
+            fine = _fine_controls(v, n)[s:]
+            rows = _rk4(sim.d.rhs, base[s], g.nodes[s:], (fine,), "state", sim.p,
+                        sim.d.required_params)
+            run = sim.state_cost(rows.T) + sim.effort(fine.T)
+            costs.append(float(prefix[s]) + float(h * (np.sum(run) - 0.5 * (run[0] + run[-1]))))
+        grad[j, k] = (costs[0] - costs[1]) / (2.0 * _FD_STEP)
+    return grad
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +87,46 @@ class TestSolveDirect:
             solve_direct(cfg, coarse_steps=0)
 
 
+class TestBatchedGradient:
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_matches_scalar_suffix_runs(self, mid, monkeypatch):
+        cfg = model_config(mid, 100, time_table=mid is ModelId.KOREA)
+        d = model_definition(mid)
+        # every weight pattern in play, so the running cost sums several terms
+        w = CostWeights(a1=1.0, a2=0.7, b=tuple(np.linspace(30.0, 70.0, d.control_dim)),
+                        a_isolated=0.4 if d.isolated is not None else 0.0)
+        sim = _Simulator(mid, cfg.params, w, cfg.grid, cfg.initial_state())
+        u = np.random.default_rng(7).uniform(0.2, 0.8, (7, d.control_dim))
+        _, g = sim.run(u)
+        prefix = np.concatenate(([0.0], np.cumsum(0.5 * cfg.grid.h * (g[:-1] + g[1:]))))
+        reference = scalar_gradient(sim, u)
+        assert np.array_equal(sim.gradient(u, prefix), reference)
+        monkeypatch.setattr(oracle, "_BATCH", 5)  # several batches, the last one narrower
+        assert np.array_equal(sim.gradient(u, prefix), reference)
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_solve_direct_on_every_model(self, mid):
+        sol = solve_direct(model_config(mid, 100), coarse_steps=5, max_iters=2)
+        _, const_cost = best_constant_control(model_config(mid, 100), grid_points=3)
+        assert np.isfinite(sol.cost) and sol.cost <= const_cost
+        assert sol.report.iterations >= 1
+
+
 class TestBestConstantControl:
+    @pytest.mark.parametrize("mid, points", [(ModelId.SEIRS, 11), (ModelId.BOWONG, 7)])
+    def test_lattice_batch_matches_scalar_loop(self, mid, points):
+        cfg = model_config(mid, 200)
+        sim = _Simulator(mid, cfg.params, cfg.weights, cfg.grid, cfg.initial_state())
+        axis = np.linspace(0.0, 1.0, points)
+        best_u, best_cost = None, np.inf
+        for const in np.stack(np.meshgrid(*[axis] * len(cfg.weights.b), indexing="ij"),
+                              axis=-1).reshape(-1, len(cfg.weights.b)):
+            cost = sim.cost(const.reshape(1, -1))
+            if cost < best_cost:
+                best_u, best_cost = const, cost
+        const, cost = best_constant_control(cfg, grid_points=points)
+        assert np.array_equal(const, best_u) and cost == best_cost
+
     def test_zero_state_weight_prefers_zero(self, flagship, shrink):
         cfg = shrink(flagship, 300)
         cfg = replace(cfg, weights=replace(cfg.weights, a1=0.0))

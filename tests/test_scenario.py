@@ -132,6 +132,12 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="1 control"):
             load_scenario(json.dumps(doc))
 
+    def test_isolated_weight_needs_an_isolated_compartment(self):
+        doc = flagship_doc()
+        doc["cost"]["a_isolated"] = 1.0
+        with pytest.raises(ValidationError, match=r"^\$\.cost: seirs has no isolated compartment"):
+            load_scenario(json.dumps(doc))
+
     def test_kind_consistency_checked(self):
         doc = flagship_doc()
         doc["cost"]["a2"] = 1.0

@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_
                     integrate_adjoint_backward, integrate_forward, make_time_grid,
                     model_definition, reduced_cost_gradient, solve_fbs, total_cost)
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
-from tbctrl.oracle import _coarse_boundaries, _fine_controls, _Simulator
+from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.scenario import ScenarioConfig
-from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares
+from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares, _rk4
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -82,20 +84,20 @@ class TestReferenceKernel:
         assert not np.array_equal(assert_passes_match_reference(mid, table, seed=42),
                                   assert_passes_match_reference(mid, constant, seed=42))
 
-    def test_oracle_suffix_restart_matches_reference(self, flagship, shrink):
+    def test_oracle_batch_matches_reference(self, flagship, shrink):
+        # each member of a batch keeps bitwise the running state cost of its own pass
         cfg = shrink(flagship, 300)
         g = cfg.grid
         sim = _Simulator(cfg.model, cfg.params, cfg.weights, g, cfg.initial_state())
-        u_coarse = np.random.default_rng(3).uniform(0.0, 1.0, (25, 1))
-        fine = _fine_controls(u_coarse, g.n_steps)
-        state, _ = sim.run(u_coarse)
-        # mid-grid, at the node before coarse interval 13, as the gradient restarts
-        start = int(_coarse_boundaries(g.n_steps, 25)[13]) - 1
-        suffix, _ = sim.run(u_coarse, start, state[start])
-        ref = reference_rk4(lambda t, x, v: dynamics(cfg.model, t, x, v, cfg.params),
-                            state[start], g.nodes[start:], (fine[start:],))
-        assert np.array_equal(suffix, ref)
-        assert np.array_equal(suffix, state[start:])
+        fine = _fine_controls(np.random.default_rng(3).uniform(0.0, 1.0, (25, 1, 4)), g.n_steps)
+        x0 = np.broadcast_to(cfg.initial_state()[:, None], (4, 4))
+        kept = _rk4(sim.d.rhs, x0, g.nodes, (fine,), "state", cfg.params, sim.d.required_params,
+                    keep=sim.state_cost)
+        assert kept.shape == (g.n_nodes, 4)
+        for b in range(4):
+            ref = reference_rk4(lambda t, x, v: dynamics(cfg.model, t, x, v, cfg.params),
+                                cfg.initial_state(), g.nodes, (fine[:, :, b],))
+            assert np.array_equal(kept[:, b], sim.state_cost(ref.T))
 
 
 class TestForwardIntegration:
@@ -168,6 +170,28 @@ class TestForwardIntegration:
         how = f"left the model's domain ({cause})" if refused else "became non-finite"
         assert str(err.value) == f"state {how} at step 1 (t=0.5)"
 
+    @pytest.mark.parametrize("spread, refused", [(False, False), (True, True)],
+                             ids=["non-finite", "refused"])
+    def test_one_batch_column_located_as_its_own_pass(self, spread, refused):
+        # the middle member blows up as in the reinfection cases above; the two
+        # beside it have no one infected or latent, so no flow moves them far
+        mid = ModelId.REINFECTION
+        d = model_definition(mid)
+        p = default_params(mid).with_updates({"beta": 1e300})
+        g = make_time_grid(0.0, 5.0, 10)
+        x0 = 1000.0 * np.arange(1.0, 5.0) if spread else np.array([100.0, 100.0, 100.0, 9000.0])
+        idle = np.array([1000.0, 0.0, 0.0, 1000.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonFiniteError) as alone:
+                integrate_forward(mid, p, x0, np.zeros((g.n_nodes, 1)), g)
+            with pytest.raises(NonFiniteError) as batch:
+                _rk4(d.rhs, np.column_stack([idle, x0, idle]), g.nodes,
+                     (np.zeros((g.n_nodes, 1, 3)),), "state", p, d.required_params,
+                     keep=lambda y: reduce(add, y))
+        assert (batch.value.step, batch.value.time) == (1, 0.5)
+        assert str(batch.value) == str(alone.value)
+        assert isinstance(batch.value.__cause__, ValidationError) == refused
+
     @pytest.mark.parametrize("mid", LIVE_POPULATION)
     def test_empty_initial_population_still_invalid(self, mid):
         d = model_definition(mid)
@@ -185,6 +209,19 @@ class TestForwardIntegration:
         with np.errstate(over="ignore", invalid="raise"):
             with pytest.raises(NonFiniteError) as err:
                 integrate_forward(ModelId.SEIRS, p, x0, np.zeros((g.n_nodes, 1)), g)
+        assert (err.value.step, err.value.time) == (1, 1.0)
+
+    def test_batch_blowup_located_when_invalid_operations_raise(self):
+        # the case above as the first member of a batch, beside a tame one
+        d = model_definition(ModelId.SEIRS)
+        p = zero_rate_params().with_updates({"mu": -3.0})
+        g = make_time_grid(0.0, 5.0, 5)
+        x0 = np.zeros((4, 2))
+        x0[0] = 1.13e307, 1.0
+        with np.errstate(over="ignore", invalid="raise"):
+            with pytest.raises(NonFiniteError) as err:
+                _rk4(d.rhs, x0, g.nodes, (np.zeros((g.n_nodes, 1, 2)),), "state", p,
+                     d.required_params, keep=lambda y: reduce(add, y))
         assert (err.value.step, err.value.time) == (1, 1.0)
 
     def test_negative_initial_state_rejected(self):
@@ -244,18 +281,31 @@ class TestBackwardIntegration:
         assert str(err.value) == ("adjoint left the model's domain (degenerate population: "
                                   "N(t) = 0.0) at step 9 (t=9)")
 
-    def test_vanishing_population_located(self):
-        # no recruitment and mu = 80 take N(t) to 5e-171 by t = 5, where N^2 in
-        # bowong's Jacobian underflows to 0: a non-finite costate, not a ZeroDivisionError
+    @staticmethod
+    def vanishing_population(mu):
+        # no recruitment: bowong's N(t) falls as exp(-mu t) from 4000
         mid = ModelId.BOWONG
-        p = default_params(mid).with_updates({"Lambda": 0.0, "mu": 80.0})
+        p = default_params(mid).with_updates({"Lambda": 0.0, "mu": mu})
         g = make_time_grid(0.0, 5.0, 2000)
         u = np.full((g.n_nodes, 2), 0.5)
         state = integrate_forward(mid, p, np.full(4, 1000.0), u, g)
+        return lambda: integrate_adjoint_backward(mid, p, CostWeights(a1=1.0, b=(1.0, 1.0)),
+                                                  state, u, g), g
+
+    def test_vanishing_population_located(self):
+        # mu = 145 takes N(t) to a subnormal 3.8e-312 by t = 5, where 1/N
+        # overflows: a non-finite costate, not a ZeroDivisionError
+        adjoint, g = self.vanishing_population(145.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError) as err:
-                integrate_adjoint_backward(mid, p, CostWeights(a1=1.0, b=(1.0, 1.0)), state, u, g)
+                adjoint()
         assert (err.value.step, err.value.time) == (1999, g.nodes[1999])
+
+    def test_tiny_population_costate_finite(self):
+        # mu = 80 takes N(t) to 5e-171 by t = 5, where N * N underflows to 0;
+        # the Jacobian divides by N once per factor, so the costate stays finite
+        adjoint, _ = self.vanishing_population(80.0)
+        assert np.all(np.isfinite(adjoint()))
 
     def test_initial_adjoint_step_halving_at_fixed_point(self, flagship, shrink):
         cfg = shrink(flagship, 1000)
