@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core import CostKind, CostWeights, ParameterSet, ValidationError, check_kind_weights
-from .base import CostateFn, ModelDefinition, ModelId, validate_against
+from .base import ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
 from .baselines import has_baseline, neutral_control, uncontrolled_rhs
 
@@ -70,8 +70,8 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     return _cost_vec(ModelId(model), w).copy()
 
 
-def costate(d: ModelDefinition, w: CostWeights) -> CostateFn:
-    """The model's costate right-hand side, lam' = f(t, lam, x, u, q), in the RK4 kernel's order.
+def costate(d: ModelDefinition, w: CostWeights):
+    """The model's costate right-hand side at one point, lam' = f(t, x, lam, u, q).
 
     It is the explicit ``adjoint`` when the model spells one out, else
     -(J^T lam) - g from the analytic Jacobian; q is the model's parameter tuple.
@@ -79,9 +79,45 @@ def costate(d: ModelDefinition, w: CostWeights) -> CostateFn:
     g = _cost_vec(d.id, w)  # also rejects weights that do not fit the model
     if d.adjoint is not None:
         adjoint = d.adjoint
-        return lambda t, lam, x, u, q: adjoint(t, x, lam, u, q, w)
+        return lambda t, x, lam, u, q: adjoint(t, x, lam, u, q, w)
     jac = d.jac
-    return lambda t, lam, x, u, q: (-(jac(t, x, u, q).T @ lam) - g).tolist()
+    return lambda t, x, lam, u, q: (-(jac(t, x, u, q).T @ lam) - g).tolist()
+
+
+def costate_coefficients(d: ModelDefinition, w: CostWeights, p: ParameterSet,
+                         t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The costate lam' = A lam + b at P points, as augmented matrices [[A, b], [0, 0]].
+
+    t is (P,), x (P, n) and u (P, m), one row per point; the result is laid
+    out (n+1, n+1, P), one matrix per last index. An explicit ``adjoint`` is
+    evaluated on (P,) columns (the parameters too, when ``p`` holds a time
+    table), once at lam = 0 for b and once at each lam = e_k for A's column k,
+    less b. Otherwise A = -J^T, one Jacobian call per point, and b = A 0 - g,
+    the costate at lam = 0, so that an inf in J makes b NaN as it makes the
+    pointwise costate NaN. A ValidationError from the model is passed on.
+    """
+    n = d.state_dim
+    names = d.required_params
+    out = np.zeros((n + 1, n + 1, len(t)))
+    if d.adjoint is not None:
+        f = costate(d, w)
+        if p._timed:
+            q = tuple(map(np.array, zip(*[p.values(names, ti) for ti in t.tolist()])))
+        else:
+            q = p.values(names)
+        xc, uc = list(x.T.copy()), list(u.T.copy())
+        for k in range(n + 1):  # lam = e_k for column k < n, lam = 0 for b in column n
+            for i, v in enumerate(f(t, xc, [float(j == k) for j in range(n)], uc, q)):
+                out[i, k] = v
+        out[:n, :n] -= out[:n, n:]
+        return out
+    jac, timed, q = d.jac, p._timed, p.values(names)
+    a = out[:n, :n]
+    for s, (ti, xi, ui) in enumerate(zip(t.tolist(), x.tolist(), u.tolist())):
+        a[..., s] = jac(ti, xi, ui, p.values(names, ti) if timed else q).T
+    a *= -1.0
+    out[:n, n] = (a * 0.0).sum(axis=1) - _cost_vec(d.id, w)[:, None]  # A 0: NaN where A has an inf
+    return out
 
 
 def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights,
@@ -127,7 +163,7 @@ def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Time derivative of the costate: -dH/dx for the model's Hamiltonian."""
     d, x, lam, u = _point(model, state=x, adjoint=lam, control=u)
-    return np.array(costate(d, w)(t, lam, x, u, p.values(d.required_params, t)))
+    return np.array(costate(d, w)(t, x, lam, u, p.values(d.required_params, t)))
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,

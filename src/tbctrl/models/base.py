@@ -27,17 +27,18 @@ class ModelId(str, Enum):
 
 
 # States, costates and controls are sequences of floats (lists in the RK4
-# kernel, arrays through the public wrappers), and an rhs also takes lists of
-# (B,) numpy columns (an RK4 batch, a Hamiltonian control grid); the parameter
-# argument is the tuple of the model's PARAMS values, as ParameterSet.values
-# returns it.
+# kernel, arrays through the public wrappers). An rhs also takes lists of (B,)
+# numpy columns (an RK4 batch, a Hamiltonian control grid), and an explicit
+# adjoint lists of (P,) columns, one entry per stage point of the costate pass,
+# with the time and, for a time table, each parameter as a column too. The
+# parameter argument is the tuple of the model's PARAMS values, as
+# ParameterSet.values returns it.
 Vec = Sequence[float]
 Params = tuple[float, ...]
 RhsFn = Callable[[float, Vec, Vec, Params], Vec]
 JacFn = Callable[[float, Vec, Vec, Params], np.ndarray]
 AdjointFn = Callable[[float, Vec, Vec, Vec, Params, CostWeights], Vec]
 CharFn = Callable[[float, Vec, Vec, Params, CostWeights], Vec]
-CostateFn = Callable[[float, Vec, Vec, Vec, Params], Vec]  # (t, lam, x, u, q), as the kernel calls it
 
 
 class Domain(NamedTuple):
@@ -66,7 +67,7 @@ class ModelDefinition:
     ``rhs``, ``jac``, ``adjoint`` and ``characterize`` take the model's
     parameters as one tuple in ``required_params`` order (the module's
     ``PARAMS``), which the caller resolves with ``ParameterSet.values``: once
-    per RK4 pass, or at each evaluation time when the set holds a time table.
+    per pass, or at each evaluation time when the set holds a time table.
     They return index-mutable sequences (lists; ``jac`` an array).
 
     ``domains`` maps a parameter to its admissible range and lists only the

@@ -124,7 +124,7 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
             xm[i] -= h
             grad[i] = (_hamiltonian(d, t, xp, lam, u, q, w)
                        - _hamiltonian(d, t, xm, lam, u, q, w)) / (2.0 * h)
-        diff = np.abs(np.array(costate(t, lam, x, u, q)) + grad)
+        diff = np.abs(np.array(costate(t, x, lam, u, q)) + grad)
         res = float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
         return res, {"component": int(np.argmax(diff)), "t": t, "x": x.tolist()}
 

@@ -14,14 +14,17 @@ returned control is that u_hat, the pointwise characterization from the
 final sweep (re-integrated once more). A solve that runs out of iterations
 returns its cheapest iterate, flagged.
 
-Both passes, and the direct oracle's simulations, run one RK4 kernel. It
-takes float lists or numpy columns: one run works on Python floats rather
-than small arrays, and the oracle's batches on a (B,) column per
-compartment, one member per entry. It hands the model its
-parameters as a tuple resolved once per pass (at each evaluation time only
-when the set holds a time table), and checks finiteness once per pass rather
-than after every step. The sweep checks the problem once, before the first
-iteration, and prices each iterate with the bare cost quadrature.
+The state pass and the direct oracle's simulations share one RK4 kernel,
+``_rk4``. It takes float lists or numpy columns: one run works on Python
+floats rather than small arrays, and the oracle's batches on a (B,) column
+per compartment, one member per entry. It hands the model its parameters as
+a tuple resolved once per pass (at each evaluation time only when the set
+holds a time table), and checks finiteness once per pass rather than after
+every step. The costate pass is the same RK4 rule applied to the costate,
+which is linear in lam: each step is an exact affine map, built from the
+costate's coefficients with stacked matrix products and composed by a
+blocked doubling scan (``_costate_pass``). The sweep checks the problem once, before
+the first iteration, and prices each iterate with the bare cost quadrature.
 """
 
 from __future__ import annotations
@@ -100,13 +103,13 @@ class Solution:
     report: SolveReport
 
 
-def _located(message: str, ts: np.ndarray, j: int, backward: bool) -> NonFiniteError:
+def _located(message: str, ts: np.ndarray, j: int, backward: bool = False) -> NonFiniteError:
     """NonFiniteError naming the node of the j-th row in integration order."""
     step = len(ts) - 1 - j if backward else j
     return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
 
 
-def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool):
+def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool = False):
     """Raise NonFiniteError at the first non-finite row past the start, in integration order.
 
     A non-finite entry stays non-finite in every later row, so ``rows()``
@@ -121,8 +124,8 @@ def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool
 
 
 def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterSet,
-         names: tuple[str, ...], backward: bool = False, keep=None) -> np.ndarray:
-    """Classical RK4 of y' = f(t, y, *d, q) along ``nodes``, from the last node if ``backward``.
+         names: tuple[str, ...], keep=None) -> np.ndarray:
+    """Classical RK4 of y' = f(t, y, *d, q) forward along ``nodes``.
 
     The pass runs on Python floats: y and every stage are lists, ``drivers``
     are node-indexed arrays (one per part of d) read a row at a time, and a
@@ -139,34 +142,32 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
     value.
 
     Finiteness is checked once per pass, not per step, and the first
-    non-finite row (or kept value) in integration order is reported. A
-    ValidationError from f (say, a live population driven to N <= 0) is
-    located like a non-finite row, at the node the failing step integrates
-    to; only at a forward pass's first evaluation, which sees just the given
-    y0, d0 and parameters, is it passed on unchanged.
+    non-finite row (or kept value) is reported. A ValidationError from f (say,
+    a live population driven to N <= 0) is located like a non-finite row, at
+    the node the failing step integrates to; only at the pass's first
+    evaluation, which sees just the given y0, d0 and parameters, is it passed
+    on unchanged.
     """
-    order = slice(None, None, -1 if backward else 1)
-    ts = nodes[order]
     if keep is None:
-        flat = array("d", y0)  # the rows in integration order, appended as they are made
+        flat = array("d", y0)  # the rows so far, appended as they are made
         y = flat.tolist()
         store = flat.extend
-        runs = zip(*(map(np.ndarray.tolist, a[order]) for a in drivers))
+        runs = zip(*(map(np.ndarray.tolist, a) for a in drivers))
     else:
         flat = array("d")  # the kept columns, likewise
         y = list(y0)
         store = lambda y: flat.frombytes(keep(y).tobytes())
         store(y)
-        runs = zip(*(a[order] for a in drivers))
+        runs = zip(*drivers)
     width = np.shape(y0)[-1]  # w floats a row, or B kept values
     rows = lambda: np.frombuffer(flat, dtype=float).reshape(-1, width)
     values, timed = p.values, p._timed
     q0 = qm = qe = values(names)
-    t = float(ts[0])
+    t = float(nodes[0])
     d0 = next(runs)
     k1 = None  # set once the pass's first evaluation returns
     try:
-        for j, (t1, d1) in enumerate(zip(map(float, ts[1:]), runs), 1):
+        for j, (t1, d1) in enumerate(zip(map(float, nodes[1:]), runs), 1):
             h = t1 - t
             tm, te = t + 0.5 * h, t + h
             dm = [[0.5 * (a + b) for a, b in zip(r0, r1)] for r0, r1 in zip(d0, d1)]
@@ -183,15 +184,163 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
             store(y)
             t, d0 = t1, d1
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(y, rows, ts, what, backward)
+        _raise_first_nonfinite(y, rows, nodes, what)
         raise
     except ValidationError as exc:
-        if k1 is None and not backward:
+        if k1 is None:
             raise
-        _raise_first_nonfinite(y, rows, ts, what, backward)
-        raise _located(f"{what} left the model's domain ({exc})", ts, j, backward) from exc
-    _raise_first_nonfinite(y, rows, ts, what, backward)
-    return rows()[order]
+        _raise_first_nonfinite(y, rows, nodes, what)
+        raise _located(f"{what} left the model's domain ({exc})", nodes, j) from exc
+    _raise_first_nonfinite(y, rows, nodes, what)
+    return rows()
+
+
+# Steps per block of the costate scan. It bounds the pass's working arrays, six
+# (n+1, n+1, block) stacks at the peak: about 80 KiB for four compartments,
+# which fits under what the sweep already holds. Longer blocks make fewer numpy
+# calls but hold more at once: with 128-step blocks the flagship benchmark's
+# peak RSS rose by up to 0.2 MiB, with 64-step blocks it does not rise.
+_BLOCK = 64
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small square matrices laid out (r, r, L), one per last index.
+
+    Broadcast products over the L-long rows rather than np.matmul: BLAS's
+    matrix-matrix code, paged in on first use, adds about 0.25 MiB to the
+    resident set of a process that has no other use for it.
+    """
+    out = a[:, :1] * b[:1]
+    for j in range(1, len(b)):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out
+
+
+def _affine_steps(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each step's RK4 map of lam' = A lam + b, as augmented matrices [[M, c], [0, 1]].
+
+    ``coef`` holds the augmented [[A, b], [0, 0]] of L steps, laid out
+    (n+1, n+1, 2L+1): at the L+1 nodes in integration order, then at the L
+    midpoints. ``h`` holds the L signed step sizes. RK4 on a linear system is
+    the exact affine map lam -> M lam + c, and each stage acts on the
+    augmented [lam; 1], so each is one stacked product. The result is laid out
+    (n+1, n+1, L).
+    """
+    steps = len(h)
+    a0, a1, am = coef[..., :steps], coef[..., 1:steps + 1], coef[..., steps + 1:]
+    hh = 0.5 * h
+    k = _matmul(am, a0)  # in place from here: few arrays live at once
+    k *= hh
+    k += am  # k2 = am (1 + hh k1), k1 = a0
+    m = 2.0 * k
+    m += a0
+    k = _matmul(am, k)
+    k *= hh
+    k += am  # k3
+    m += 2.0 * k
+    k = _matmul(a1, k)
+    k *= h
+    k += a1  # k4
+    m += k
+    m *= h / 6.0
+    for i in range(len(m)):
+        m[i, i] += 1.0
+    return m
+
+
+def _compose(m: np.ndarray) -> np.ndarray:
+    """Inclusive doubling scan over the last axis, in place: map j becomes map j after ... after map 0."""
+    s = 1
+    while s < m.shape[-1]:
+        m[..., s:] = _matmul(m[..., s:], m[..., :-s])
+        s *= 2
+    return m
+
+
+def _first_refusal(d, w: CostWeights, p: ParameterSet, t, x, u):
+    """The first step of a block whose stage point the pointwise costate refuses, and the error.
+
+    t, x and u are the block's stage points, as ``_costate_pass`` lays them
+    out; steps count from 1, and the points are tried in integration order.
+    """
+    f, names, zero = models.costate(d, w), d.required_params, [0.0] * d.state_dim
+    steps = len(t) // 2
+    for j, i in [(1, 0)] + [(j, i) for j in range(1, steps + 1) for i in (steps + j, j)]:
+        ti = float(t[i])
+        try:
+            f(ti, x[i].tolist(), zero, u[i].tolist(), p.values(names, ti))
+        except ValidationError as exc:
+            return j, exc
+    return None
+
+
+def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
+                  control: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Classical RK4 of the linear costate lam' = A lam + b backward from lam(tf) = 0.
+
+    A and b are fixed by the state and control rows, so each RK4 step is an
+    exact affine map of lam. The pass runs in blocks of ``_BLOCK`` steps, in
+    integration order. For each block it reads A and b off the model's costate
+    (``models.costate_coefficients``) at the block's distinct stage times (the
+    nodes, and the midpoints with the mean of the two end rows as drivers),
+    forms each step's map, composes the maps by a doubling scan and applies the
+    composites to the block's boundary value. The scan associates the sums
+    differently from a stage-by-stage pass, so the rows agree with one to
+    roundoff, not bitwise; lam(tf) is exactly 0.
+
+    Finiteness is checked once per pass, and the first non-finite row in
+    integration order is reported. A ValidationError from the costate is
+    located at the node of the first step to meet a failing stage time (the
+    latest such time), once the rows before it are integrated and checked.
+    """
+    n = d.state_dim
+    ts = nodes[::-1]  # integration order
+    lam = np.empty((len(nodes), n))  # allocated whole: a growing buffer is copied past the block arrays
+    lam[-1] = 0.0
+    rows = lambda: lam[done:][::-1]  # the rows so far, in integration order
+    y = [0.0] * n  # the latest row
+    done = len(nodes) - 1  # its node
+
+    def points(lo):
+        """Stage points from node done down to node lo: the nodes, then the midpoints."""
+        t, x, u = nodes[lo:done + 1][::-1], state[lo:done + 1][::-1], control[lo:done + 1][::-1]
+        return (np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])]),
+                np.concatenate([x, 0.5 * (x[:-1] + x[1:])]),
+                np.concatenate([u, 0.5 * (u[:-1] + u[1:])]))
+
+    def advance(lo):
+        """Integrate from node done down to node lo."""
+        nonlocal done, y
+        t, x, u = points(lo)
+        steps = done - lo
+        m = _compose(_affine_steps(models.costate_coefficients(d, w, p, t, x, u),
+                                   t[1:steps + 1] - t[:steps]))
+        block = m[:n, n] + m[:n, 0] * y[0]  # composite j applied to [y; 1], as (n, steps)
+        for k in range(1, n):
+            block += m[:n, k] * y[k]
+        lam[lo:done] = block.T[::-1]
+        y, done = lam[lo].tolist(), lo
+
+    try:
+        while done > 0:
+            lo = max(done - _BLOCK, 0)
+            try:
+                advance(lo)
+            except ValidationError:
+                refusal = _first_refusal(d, w, p, *points(lo))
+                if refusal is None:
+                    raise
+                j, exc = refusal
+                if j > 1:
+                    advance(done - j + 1)
+                _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+                raise _located(f"adjoint left the model's domain ({exc})", ts,
+                               len(nodes) - done, backward=True) from exc
+    except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
+        _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+        raise
+    _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+    return lam
 
 
 def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
@@ -222,8 +371,7 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
         raise ValidationError(f"{d.id.value}: state trajectory shape {state.shape} does not match grid")
     if control.shape != (grid.n_nodes, d.control_dim):
         raise ValidationError(f"{d.id.value}: control trajectory shape {control.shape} does not match grid")
-    return _rk4(models.costate(d, w), np.zeros(d.state_dim), grid.nodes, (state, control),
-                "adjoint", p, d.required_params, backward=True)
+    return _costate_pass(d, w, p, state, control, grid.nodes)
 
 
 def _expand_initial_control(initial, n_nodes: int, control_dim: int) -> np.ndarray:
@@ -323,6 +471,7 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
             laws.extend(char(t, x, lam, p.values(names, t) if p._timed else q, w))
         u_hat = np.frombuffer(laws, dtype=float).reshape(u.shape)
         cost = _quadrature(state, u, vec, b, grid.h)
+        del state, adjoint  # so that the next sweep's passes do not hold them too
         history.append(cost)
         if cost < best_cost:
             best_cost = cost

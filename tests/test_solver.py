@@ -10,10 +10,13 @@ from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_
                     control_characterization, default_params, dynamics,
                     integrate_adjoint_backward, integrate_forward, make_time_grid,
                     model_definition, reduced_cost_gradient, solve_fbs, total_cost)
+from tbctrl import models
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
+from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.scenario import ScenarioConfig
-from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares, _rk4
+from tbctrl.solver import (_BLOCK, FbsSettings, _costate_pass, _expand_initial_control,
+                           _least_squares, _rk4)
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -48,8 +51,17 @@ def reference_rk4(f, y0, nodes, drivers, backward=False):
     return out
 
 
+def assert_costate_matches(lam, ref_lam):
+    """The costate pass agrees with the stage-by-stage reference to 1e-13 relative.
+
+    The pass evaluates the same RK4 map with the sums associated differently,
+    so the rows agree to roundoff (1e-15 to 1e-14), not bitwise.
+    """
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-13 * np.max(np.abs(ref_lam))
+
+
 def assert_passes_match_reference(mid, p, seed, n_steps=200):
-    """Both passes equal ``reference_rk4`` over the per-point model wrappers; returns the state."""
+    """Both passes match ``reference_rk4`` over the per-point model wrappers; returns the state."""
     d = model_definition(mid)
     rng = np.random.default_rng(seed)
     g = make_time_grid(0.0, 5.0, n_steps)
@@ -64,12 +76,16 @@ def assert_passes_match_reference(mid, p, seed, n_steps=200):
     ref_lam = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
                             np.zeros(d.state_dim), g.nodes, (ref_state, u), backward=True)
     assert np.array_equal(state, ref_state)
-    assert np.array_equal(lam, ref_lam)
+    assert_costate_matches(lam, ref_lam)
     return state
 
 
 class TestReferenceKernel:
-    """The float RK4 kernel gives bitwise the results of the ndarray-stage loop."""
+    """The passes give the results of the ndarray-stage loop.
+
+    The state pass and the oracle's batches match it bitwise; the costate pass,
+    an affine scan of the same RK4 steps, to 1e-13 relative.
+    """
 
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_both_passes_match_reference(self, mid):
@@ -320,6 +336,130 @@ class TestBackwardIntegration:
         lam_fine = integrate_adjoint_backward(cfg.model, cfg.params, cfg.weights,
                                               state, u_fine, fine)[0]
         assert abs(lam_coarse[2] - lam_fine[2]) / abs(lam_fine[2]) < 1e-5
+
+
+class TestCostateScan:
+    """The blocked affine scan behind the costate pass, at its edges."""
+
+    @staticmethod
+    def problem(mid, n_steps, p=None, seed=5):
+        # n_steps steps of 0.02; the kernel takes nodes, so n_steps = 1 works too
+        d = model_definition(mid)
+        p = default_params(mid) if p is None else p
+        rng = np.random.default_rng(seed)
+        nodes = 0.02 * np.arange(n_steps + 1)
+        u = rng.uniform(0.0, 1.0, (len(nodes), d.control_dim))
+        x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
+        state = _rk4(d.rhs, x0, nodes, (u,), "state", p, d.required_params)
+        w = CostWeights(a1=1.0, a2=0.5 if d.cost_kind is CostKind.C1 else 0.0,
+                        b=(50.0,) * d.control_dim,
+                        a_isolated=0.7 if d.isolated is not None else 0.0)
+        ref = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
+                            np.zeros(d.state_dim), nodes, (state, u), backward=True)
+        return _costate_pass(d, w, p, state, u, nodes), ref
+
+    @pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("mid", [ModelId.SEIRS, ModelId.KOREA])
+    def test_block_edges_match_reference(self, mid, n_steps):
+        lam, ref = self.problem(mid, n_steps)
+        assert np.array_equal(lam[-1], np.zeros(len(lam[-1])))
+        assert_costate_matches(lam, ref)
+
+    def test_time_table_resolved_at_every_stage_time(self):
+        # seirs's explicit adjoint runs on columns; a beta table gives each stage its own q
+        mid = ModelId.SEIRS
+        constant = default_params(mid)
+        table = constant.with_updates(
+            {"beta": TimeTable((0.0, 1.0, 2.5, 4.0), (13.0, 20.0, 8.0, 15.0))})
+        lam, ref = self.problem(mid, _BLOCK + 44, table)
+        assert_costate_matches(lam, ref)
+        assert not np.allclose(lam, self.problem(mid, _BLOCK + 44, constant)[0])
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_b_is_the_costate_at_zero(self, mid):
+        # not -g: where the state holds an inf, 0 * inf makes the costate at lam = 0 NaN
+        d = model_definition(mid)
+        p = default_params(mid)
+        w = CostWeights(a1=1.0, b=(50.0,) * d.control_dim)
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.0, 5.0, 6)
+        x = 10.0 ** rng.uniform(1.0, 4.0, (6, d.state_dim))
+        x[2] = np.inf
+        u = rng.uniform(0.0, 1.0, (6, d.control_dim))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            coef = models.costate_coefficients(d, w, p, t, x, u)
+            at = [[adjoint_rhs(mid, ti, xi, lam, ui, p, w) for lam in np.eye(d.state_dim + 1, d.state_dim)]
+                  for ti, xi, ui in zip(t, x, u)]
+        zero = np.array([row[-1] for row in at])
+        assert not np.isfinite(zero[2]).all()
+        np.testing.assert_array_equal(coef[:-1, -1].T, zero)
+        assert np.array_equal(coef[-1], np.zeros((d.state_dim + 1, 6)))
+        for s in (0, 1, 3, 4, 5):
+            a = np.array(at[s][:-1]).T - zero[s][:, None]
+            assert np.allclose(coef[:-1, :-1, s], a, rtol=1e-13, atol=1e-13 * np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_nonfinite_stage_located_as_reference(self, mid):
+        # an inf state row at node 5 first meets the step that integrates node 6 to node 5
+        d = model_definition(mid)
+        nodes = np.linspace(0.0, 10.0, 11)
+        state = np.ones((11, d.state_dim))
+        state[5] = np.inf
+        u = np.zeros((11, d.control_dim))
+        p, w = default_params(mid), CostWeights(a1=1.0, b=(1.0,) * d.control_dim)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            ref = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
+                                np.zeros(d.state_dim), nodes, (state, u), backward=True)
+            with pytest.raises(NonFiniteError) as err:
+                _costate_pass(d, w, p, state, u, nodes)
+        assert np.isfinite(ref[6:]).all() and not np.isfinite(ref[5]).all()
+        assert (err.value.step, err.value.time) == (5, 5.0)
+
+    @staticmethod
+    def checked_seirs(monkeypatch):
+        # seirs's adjoint, refusing N <= 0 as the live-population models do, on columns too
+        defn = model_definition(ModelId.SEIRS)
+        adjoint = defn.adjoint
+
+        def checked(t, x, lam, u, p, w):
+            live_population(x)
+            return adjoint(t, x, lam, u, p, w)
+
+        monkeypatch.setitem(models.MODELS, ModelId.SEIRS, replace(defn, adjoint=checked))
+        return models.MODELS[ModelId.SEIRS]
+
+    @pytest.mark.parametrize("mid", [ModelId.SEIRS, ModelId.KOREA])
+    @pytest.mark.parametrize("a1, located", [
+        (1.0, "left the model's domain (degenerate population: N(t) = 0.0) at step 6 (t=18)"),
+        # |lam| = 3 (10 - i) a1 at node i overflows at node 7, before the step that meets node 6
+        (2.5e307, "became non-finite at step 7 (t=21)"),
+    ], ids=["refused", "non-finite-first"])
+    def test_refusal_located_at_latest_failing_stage(self, monkeypatch, mid, a1, located):
+        d = self.checked_seirs(monkeypatch) if mid is ModelId.SEIRS else model_definition(mid)
+        p = ParameterSet({name: 1.0 if name == "N" else 0.0 for name in d.required_params})
+        nodes = 3.0 * np.arange(11)
+        state = np.ones((11, d.state_dim))
+        state[[3, 6]] = 0.0  # N = 0 at nodes 3 and 6; node 6 is met first
+        u = np.zeros((11, d.control_dim))
+        w = CostWeights(a1=a1, b=(1.0,) * d.control_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                _costate_pass(d, w, p, state, u, nodes)
+        assert str(err.value) == f"adjoint {located}"
+
+    def test_refusal_located_past_a_block_edge(self, monkeypatch):
+        d = self.checked_seirs(monkeypatch)
+        n = 2 * _BLOCK + 3
+        nodes = np.linspace(0.0, 5.0, n + 1)
+        state = np.ones((n + 1, 4))
+        bad = n - _BLOCK - 7  # inside the second block
+        state[[bad, bad - 40]] = 0.0
+        u = np.zeros((n + 1, 1))
+        with pytest.raises(NonFiniteError) as err:
+            _costate_pass(d, CostWeights(a1=1.0, b=(1.0,)), default_params(ModelId.SEIRS),
+                          state, u, nodes)
+        assert (err.value.step, err.value.time) == (bad, nodes[bad])
+        assert isinstance(err.value.__cause__, ValidationError)
 
 
 class TestSolveFbs:
