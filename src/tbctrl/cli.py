@@ -38,12 +38,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """The header, then one line per row of the 2-D float array ``rows``.
+
+    Each value is written as ``_fmt`` writes it, in csv.writer's layout: comma
+    separated, no quoting (no formatted number needs it), CRLF line ends.
+    """
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(f).writerow(header)
+        f.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -52,14 +56,11 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _trajectory_rows(traj: Trajectory, with_adjoint: bool):
-    nodes = traj.grid.nodes
-    pop = traj.state.sum(axis=1)
-    for i in range(traj.grid.n_nodes):
-        row = [nodes[i], *traj.state[i], *traj.control[i], pop[i]]
-        if with_adjoint:
-            row.extend(traj.adjoint[i])
-        yield row
+def _trajectory_rows(traj: Trajectory, with_adjoint: bool) -> np.ndarray:
+    columns = [traj.grid.nodes, traj.state, traj.control, traj.state.sum(axis=1)]
+    if with_adjoint:
+        columns.append(traj.adjoint)
+    return np.column_stack(columns)
 
 
 def _trajectory_header(config: ScenarioConfig, with_adjoint: bool) -> list[str]:
@@ -170,7 +171,7 @@ def _optimize_into(config: ScenarioConfig, out: Path) -> dict:
     _write_trajectory(out / "trajectory.csv", config, solution.trajectory)
     _write_trajectory(out / "baseline.csv", config, baseline)
     _write_csv(out / "control.csv", ["t", *d.control_labels],
-               ([t, *u] for t, u in zip(config.grid.nodes, solution.trajectory.control)))
+               np.column_stack([config.grid.nodes, solution.trajectory.control]))
     report = solution.report
     u = solution.trajectory.control
     duration = config.grid.h * int(np.sum(np.all(u > _MAX_CONTROL_DURATION_LEVEL, axis=1)))

@@ -6,12 +6,13 @@ iteration is projected gradient descent with Armijo backtracking. The state
 integrator is shared with the sweep solver, but the cost quadrature and its
 assembly are written here independently, and no adjoint code is reused.
 
-The RK4 kernel takes float lists or numpy columns. The base run and the line
-search integrate one control on floats. The 2*M*m shifted controls of a
-gradient (M coarse intervals, m controls), and the constant-control lattice
-of the starting point, run as a batch of (B,) columns (B <= 128, more
-batches past that) through the same kernel and the model's own rhs, bitwise
-as B float runs would.
+The RK4 kernel takes float lists or numpy columns. The line search
+integrates one control on floats; the accepted candidate's run is the next
+iteration's base run, and the best iterate's run gives the returned
+trajectory. The 2*M*m shifted controls of a gradient (M coarse intervals, m
+controls), and the constant-control lattice of the starting point, run as a
+batch of (B,) columns (B <= 128, more batches past that) through the same
+kernel and the model's own rhs, bitwise as B float runs would.
 """
 
 from __future__ import annotations
@@ -195,10 +196,10 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     line_search_failed = False
     step = None
     iterations = 0
+    best_state, g = sim.run(u)  # g: the current iterate's running cost, from its run
 
     for it in range(1, max_iters + 1):
         iterations = it
-        _, g = sim.run(u)
         prefix = np.concatenate(([0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))))
         grad = sim.gradient(u, prefix)
 
@@ -214,7 +215,8 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = np.clip(u - step * grad, lo, hi)
-            cand_cost = sim.cost(cand)
+            cand_state, cand_g = sim.run(cand)
+            cand_cost = _trapezoid(cand_g, 0.0, grid.h)
             decrease = float(np.sum(grad * (u - cand)))
             if cand_cost <= cost - _ARMIJO * decrease:
                 accepted = True
@@ -223,16 +225,15 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
         if not accepted:
             line_search_failed = True
             break
-        u = cand
-        cost = cand_cost
+        u, g, cost = cand, cand_g, cand_cost  # the accepted run is the next base run
         history.append(cost)
         if cost < best_cost:
             best_cost = cost
             best_u = u.copy()
+            best_state = cand_state
         step *= 2.0
 
-    state, _ = sim.run(best_u)
-    traj = Trajectory(grid, state, _fine_controls(best_u, grid.n_steps))
+    traj = Trajectory(grid, best_state, _fine_controls(best_u, grid.n_steps))
     msg = "direct method (projected finite-difference gradient descent)"
     if line_search_failed:
         msg += "; line search stalled, best iterate returned"

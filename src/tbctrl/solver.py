@@ -14,6 +14,18 @@ returned control is that u_hat, the pointwise characterization from the
 final sweep (re-integrated once more). A solve that runs out of iterations
 returns its cheapest iterate, flagged.
 
+The sweep's start comes from nested iteration (``_start``). A grid of
+n >= 500 steps first solves the same problem on n // 10 steps, started the
+same way, and interpolates that control (its best iterate, if that level did
+not converge) linearly onto its own nodes; the coarsest level, and any grid
+under 500 steps, starts from the scenario's ``initial_control``. The
+flagship's 5000 steps thus start from 500, and those from 50. A coarse sweep
+costs a tenth of a fine one, and its control lands the fine sweep within
+about the tolerance, so the fine grid typically takes one or two sweeps. A
+coarse level that meets a non-finite value is dropped, and the next finer
+level starts from ``initial_control``. The report counts only the sweeps on
+the requested grid; each level is capped at ``max_iterations`` sweeps.
+
 The state pass and the direct oracle's simulations share one RK4 kernel,
 ``_rk4``. It takes float lists or numpy columns: one run works on Python
 floats rather than small arrays, and the oracle's batches on a (B,) column
@@ -66,7 +78,8 @@ class FbsSettings:
     u <- c*u + (1-c)*u_hat, taken when the sweep residual rises instead of
     the Anderson step. ``tolerance`` bounds the relative fixed-point residual
     |u_hat - u|_1 / |u_hat|_1 at which the sweep stops. ``initial_control``
-    is a scalar or one value per control, held over the whole grid.
+    is a scalar or one value per control, held over the coarsest grid the
+    sweep starts on.
     """
 
     relaxation: float = 0.5
@@ -429,18 +442,43 @@ def _least_squares(columns: list[np.ndarray], r: np.ndarray) -> list[float]:
     return gamma
 
 
-def solve_fbs(scenario: "ScenarioConfig") -> Solution:
-    """Run the forward-backward sweep on a scenario until the control settles."""
-    model = scenario.model
-    p = scenario.params
-    w = scenario.weights
-    grid = scenario.grid
-    settings = scenario.fbs
-    d = models.validate_problem(model, p, w, scenario.cost_kind)
-    x0 = scenario.initial_state()
+_COARSEN = 10  # each nested level has this many times fewer steps than the next finer one
+_COARSEST = 50  # and at least this many
 
-    u = _expand_initial_control(settings.initial_control, grid.n_nodes, d.control_dim)
-    np.clip(u, w.lower, w.upper, out=u)
+
+def _start(d, scenario: "ScenarioConfig", grid: TimeGrid) -> np.ndarray:
+    """The sweep's starting control on ``grid``.
+
+    On a grid of at least ``_COARSEN * _COARSEST`` steps it is the control
+    of the same problem solved one level coarser (its best iterate if that
+    sweep did not converge), interpolated linearly onto the grid's nodes.
+    Otherwise, or if the coarser solve meets a non-finite value, it is the
+    scenario's ``initial_control`` held over the grid, clipped to the bounds.
+    """
+    n = grid.n_steps // _COARSEN
+    if n >= _COARSEST:
+        coarse = TimeGrid(grid.t0, grid.tf, n)
+        start = _start(d, scenario, coarse)
+        try:
+            u = _sweep(d, scenario, coarse, start)[0]
+        except NonFiniteError:
+            pass
+        else:
+            return np.column_stack([np.interp(grid.nodes, coarse.nodes, c) for c in u.T])
+    w = scenario.weights
+    u = _expand_initial_control(scenario.fbs.initial_control, grid.n_nodes, d.control_dim)
+    return np.clip(u, w.lower, w.upper, out=u)
+
+
+def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
+    """Sweep from the control u on ``grid`` until the fixed-point residual settles.
+
+    Returns the control (the final characterization if converged, else the
+    cheapest iterate), the cost of each iterate, whether the sweep converged
+    and its last relative residual.
+    """
+    model, p, w, settings = scenario.model, scenario.params, scenario.weights, scenario.fbs
+    x0 = scenario.initial_state()
     relax = settings.relaxation
     char = d.characterize
     names = d.required_params
@@ -452,14 +490,12 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     best_u = u.copy()
     converged = False
     rel_residual = np.inf
-    iterations = 0
     d_res: list[np.ndarray] = []  # the last residual differences, flat
     d_law: list[np.ndarray] = []  # the matching differences of the control law's output
     prev_res = prev_law = None
     prev_norm = np.inf
 
     for it in range(1, settings.max_iterations + 1):
-        iterations = it
         try:
             state = integrate_forward(model, p, x0, u, grid)
             adjoint = integrate_adjoint_backward(model, p, w, state, u, grid)
@@ -502,17 +538,28 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
         prev_res, prev_law, prev_norm = res, u_hat, norm
         u = u_next
 
-    u_final = u if converged else best_u
-    state = integrate_forward(model, p, x0, u_final, grid)
-    adjoint = integrate_adjoint_backward(model, p, w, state, u_final, grid)
-    traj = Trajectory(grid, state, u_final, adjoint, state_nonnegative=_positivity(state))
+    return (u if converged else best_u), history, converged, rel_residual
+
+
+def solve_fbs(scenario: "ScenarioConfig") -> Solution:
+    """Run the forward-backward sweep on a scenario until the control settles.
+
+    The sweep starts from the problem's solution on coarser grids (see
+    ``_start``); the report counts the sweeps on the scenario's own grid.
+    """
+    model, p, w, grid = scenario.model, scenario.params, scenario.weights, scenario.grid
+    d = models.validate_problem(model, p, w, scenario.cost_kind)
+    u, history, converged, rel_residual = _sweep(d, scenario, grid, _start(d, scenario, grid))
+    state = integrate_forward(model, p, scenario.initial_state(), u, grid)
+    adjoint = integrate_adjoint_backward(model, p, w, state, u, grid)
+    traj = Trajectory(grid, state, u, adjoint, state_nonnegative=_positivity(state))
     cost = total_cost(scenario.cost_kind, model, traj, w)
     report = SolveReport(
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         cost_history=tuple(history),
         final_control_change=rel_residual,
-        message="" if converged else f"no convergence within {settings.max_iterations} iterations; best iterate returned",
+        message="" if converged else f"no convergence within {scenario.fbs.max_iterations} iterations; best iterate returned",
     )
     return Solution(trajectory=traj, cost=cost, report=report)
 

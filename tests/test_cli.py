@@ -3,10 +3,11 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tbctrl import get_scenario, make_time_grid, save_scenario
-from tbctrl.cli import main
+from tbctrl.cli import _write_csv, main
 
 
 @pytest.fixture()
@@ -35,6 +36,24 @@ def read_csv(path):
         header = next(reader)
         rows = [row for row in reader]
     return header, rows
+
+
+class TestWriteCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((501, 11)) * 10.0 ** rng.integers(-310, 309, (501, 11))
+        rows[0, :9] = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.7976931348623157e308,
+                       2.2250738585072014e-308, 0.1]
+        rows[1, :4] = [math.inf, -math.inf, math.nan, 1e16]
+        rows[2] = np.arange(11)  # integral values
+        header = ["t", "a,b", 'q"x', "lambda_S"] + [f"c{k}" for k in range(7)]
+        _write_csv(tmp_path / "new.csv", header, rows)
+        with open(tmp_path / "old.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.17g}" for v in row])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestListModels:

@@ -10,17 +10,30 @@ from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_
                     control_characterization, default_params, dynamics,
                     integrate_adjoint_backward, integrate_forward, make_time_grid,
                     model_definition, reduced_cost_gradient, solve_fbs, total_cost)
-from tbctrl import models
+from tbctrl import models, solver
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import (_BLOCK, FbsSettings, _costate_pass, _expand_initial_control,
-                           _least_squares, _rk4)
+                           _least_squares, _rk4, _sweep)
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
                    ModelId.BOWONG]
+
+
+def default_config(mid, n_steps):
+    """The model's default problem: counts 7000/2000/1000, unit state weights, b = 50."""
+    d = model_definition(mid)
+    return ScenarioConfig(
+        name=f"{mid.value}-default", model=mid, params=default_params(mid),
+        initial_mode="counts",
+        initial_values=(7000.0, 2000.0, 1000.0) + (0.0,) * (d.state_dim - 3),
+        grid=make_time_grid(0.0, 5.0, n_steps), cost_kind=d.cost_kind,
+        weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
+                            b=(50.0,) * d.control_dim),
+        fbs=FbsSettings())
 
 
 def zero_rate_params():
@@ -531,16 +544,7 @@ class TestSolveFbs:
 
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_every_model_converges_nonnegative(self, mid):
-        d = model_definition(mid)
-        cfg = ScenarioConfig(
-            name=f"{mid.value}-default", model=mid, params=default_params(mid),
-            initial_mode="counts",
-            initial_values=(7000.0, 2000.0, 1000.0) + (0.0,) * (d.state_dim - 3),
-            grid=make_time_grid(0.0, 5.0, 500), cost_kind=d.cost_kind,
-            weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
-                                b=(50.0,) * d.control_dim),
-            fbs=FbsSettings())
-        sol = solve_fbs(cfg)
+        sol = solve_fbs(default_config(mid, 500))
         assert sol.report.converged, sol.report.message
         assert sol.trajectory.state_nonnegative is True
         assert np.min(sol.trajectory.state) >= 0.0
@@ -567,6 +571,75 @@ class TestSolveFbs:
         bad = replace(flagship, params=flagship.params.with_updates({"mu": -1.0}))
         with pytest.raises(ValidationError):
             solve_fbs(bad)
+
+
+def single_grid(cfg):
+    """The sweep on the scenario's grid alone, from its initial control: (control, history, converged)."""
+    d = model_definition(cfg.model)
+    u0 = _expand_initial_control(cfg.fbs.initial_control, cfg.grid.n_nodes, d.control_dim)
+    u, history, converged, _ = _sweep(d, cfg, cfg.grid, np.clip(u0, cfg.weights.lower,
+                                                               cfg.weights.upper))
+    return u, history, converged
+
+
+def assert_single_grid(sol, cfg):
+    u, history, converged = single_grid(cfg)
+    assert np.array_equal(sol.trajectory.control, u)
+    assert sol.report.cost_history == tuple(history)
+    assert sol.report.converged is converged
+
+
+class TestNestedStart:
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_every_model_agrees_with_single_grid(self, mid):
+        cfg = default_config(mid, 1000)
+        sol = solve_fbs(cfg)
+        assert sol.report.converged, sol.report.message
+        u, _, converged = single_grid(cfg)
+        assert converged
+        state = integrate_forward(mid, cfg.params, cfg.initial_state(), u, cfg.grid)
+        cost = total_cost(cfg.cost_kind, mid, Trajectory(cfg.grid, state, u), cfg.weights)
+        assert abs(sol.cost - cost) <= 1e-8 * abs(cost)
+
+    def test_failing_coarse_level_falls_back_to_single_grid(self, flagship, shrink, monkeypatch):
+        cfg = shrink(flagship, 1000)
+        sweep = solver._sweep
+
+        def coarse_fails(d, scenario, grid, u):
+            if grid.n_steps < scenario.grid.n_steps:
+                raise NonFiniteError("coarse level", step=1, time=0.0)
+            return sweep(d, scenario, grid, u)
+
+        monkeypatch.setattr(solver, "_sweep", coarse_fails)
+        assert_single_grid(solve_fbs(cfg), cfg)
+
+    def test_grid_under_500_steps_is_single_grid(self, flagship, shrink):
+        cfg = shrink(flagship, 499)
+        assert_single_grid(solve_fbs(cfg), cfg)
+
+    @pytest.mark.parametrize("n_steps, levels", [(499, [499]), (500, [50, 500]),
+                                                 (1000, [100, 1000]), (5000, [50, 500, 5000])])
+    def test_levels_and_interpolated_starts(self, flagship, shrink, monkeypatch, n_steps, levels):
+        # Each level "solves" to u = t / tf, which a finer level interpolates exactly.
+        seen = []
+
+        def sweep(d, scenario, grid, u):
+            seen.append((grid, u.copy()))
+            return grid.nodes[:, None] / grid.tf, [0.0], True, 0.0
+
+        monkeypatch.setattr(solver, "_sweep", sweep)
+        solve_fbs(shrink(flagship, n_steps))
+        assert [grid.n_steps for grid, _ in seen] == levels
+        assert np.array_equal(seen[0][1], np.zeros((levels[0] + 1, 1)))
+        for grid, start in seen[1:]:
+            assert np.allclose(start, grid.nodes[:, None] / grid.tf, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 500])
+    def test_report_counts_sweeps_on_the_requested_grid(self, flagship, shrink, max_iterations):
+        sol = solve_fbs(shrink(flagship, 1000, max_iterations=max_iterations))
+        report = sol.report
+        assert report.iterations == len(report.cost_history) <= max_iterations
+        assert report.converged or report.iterations == max_iterations
 
 
 class TestInitialControlExpansion:
