@@ -2,7 +2,10 @@
 
 Controls are piecewise-constant on a coarse grid; the objective gradient is
 estimated by central finite differences of simulate-then-integrate, and the
-iteration is projected gradient descent with Armijo backtracking. The state
+iteration is projected gradient descent with Armijo backtracking. Each
+iteration's trial step is the spectral (Barzilai-Borwein) step s.s / s.y from
+the last accepted step s and the change y in the gradient over it, or, where
+s.y is not positive and finite, the last accepted step doubled. The state
 integrator is shared with the sweep solver, but the cost quadrature and its
 assembly are written here independently, and no adjoint code is reused.
 
@@ -166,6 +169,21 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     return best_u, best_cost
 
 
+def _spectral_step(du: np.ndarray, dgrad: np.ndarray, fallback: float) -> float:
+    """The Barzilai-Borwein (BB1) trial step s.s / s.y, or ``2 * fallback``.
+
+    s = ``du`` is the change in the iterate and y = ``dgrad`` the change in
+    its gradient over the last accepted step, both (M, m) arrays. Without a
+    positive, finite s.y (s = 0 after a fully clipped step, a stretch of
+    negative curvature, a non-finite gradient), the trial step is the last
+    accepted one, doubled.
+    """
+    sy = float(np.sum(du * dgrad))
+    if 0.0 < sy < np.inf:
+        return float(np.sum(du * du)) / sy
+    return 2.0 * fallback
+
+
 def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solution:
     """Projected finite-difference gradient descent on piecewise-constant controls.
 
@@ -174,6 +192,18 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     projected gradient falls below 1e-5 * (1 + |cost|) or the iteration
     budget runs out. The best evaluated iterate is returned either way;
     ``report.converged`` records whether the gradient test was met.
+
+    The first trial step moves the largest gradient entry a quarter of the
+    control range. Each later one is the Barzilai-Borwein step s.s / s.y
+    (Barzilai & Borwein 1988; projected form: Birgin, Martinez & Raydan
+    2000), with s the last accepted change in the control and y the change
+    in the gradient over it. When s.y is not positive and finite (a step
+    clipped to nothing, negative curvature), the trial step is the last
+    accepted step doubled. A trial step is halved until it passes the
+    monotone Armijo test on the projected candidate.
+
+    Raises ``ValidationError`` unless 1 <= coarse_steps <= n_steps and
+    max_iters >= 1.
     """
     model, p, w = scenario.model, scenario.params, scenario.weights
     d = models.validate_problem(model, p, w, scenario.cost_kind)
@@ -181,6 +211,8 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     if coarse_steps < 1 or coarse_steps > grid.n_steps:
         raise ValidationError(
             f"coarse_steps must lie in [1, {grid.n_steps}], got {coarse_steps}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
 
     sim = _Simulator(model, p, w, grid, scenario.initial_state())
     lo, hi = w.lower, w.upper
@@ -195,6 +227,7 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     converged = False
     line_search_failed = False
     step = None
+    prev_u = prev_grad = None  # the last accepted step's start and its gradient
     iterations = 0
     best_state, g = sim.run(u)  # g: the current iterate's running cost, from its run
 
@@ -212,6 +245,8 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
 
         if step is None:
             step = 0.25 * (hi - lo) / max(float(np.max(np.abs(grad))), 1e-12)
+        else:
+            step = _spectral_step(u - prev_u, grad - prev_grad, step)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = np.clip(u - step * grad, lo, hi)
@@ -225,13 +260,13 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
         if not accepted:
             line_search_failed = True
             break
+        prev_u, prev_grad = u, grad
         u, g, cost = cand, cand_g, cand_cost  # the accepted run is the next base run
         history.append(cost)
         if cost < best_cost:
             best_cost = cost
             best_u = u.copy()
             best_state = cand_state
-        step *= 2.0
 
     traj = Trajectory(grid, best_state, _fine_controls(best_u, grid.n_steps))
     msg = "direct method (projected finite-difference gradient descent)"

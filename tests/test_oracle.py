@@ -6,7 +6,8 @@ import pytest
 from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
                     make_time_grid, model_definition, oracle, solve_direct)
 from tbctrl.core import CostKind, TimeTable, ValidationError
-from tbctrl.oracle import _FD_STEP, _coarse_boundaries, _fine_controls, _Simulator
+from tbctrl.oracle import (_FD_STEP, _coarse_boundaries, _fine_controls, _Simulator,
+                           _spectral_step)
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import FbsSettings, _rk4
 
@@ -85,6 +86,45 @@ class TestSolveDirect:
             solve_direct(cfg, coarse_steps=101)
         with pytest.raises(ValidationError):
             solve_direct(cfg, coarse_steps=0)
+        for max_iters in (0, -3):
+            with pytest.raises(ValidationError, match="max_iters"):
+                solve_direct(cfg, coarse_steps=10, max_iters=max_iters)
+
+    def test_flagship_spectral_steps_converge_fast(self, flagship, shrink):
+        # 18 iterations with the doubled-step rule alone
+        sol = solve_direct(shrink(flagship, 500), coarse_steps=25)
+        assert sol.report.converged
+        assert sol.report.iterations <= 10
+        assert sol.cost <= 632.7243200783862 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_cross_checks_every_model(self, mid, default_config, solve_cached):
+        cfg = default_config(mid, 500)
+        sol = solve_direct(cfg, coarse_steps=20)
+        assert sol.report.converged, sol.report.message
+        _, const_cost = best_constant_control(cfg)
+        assert sol.cost <= const_cost
+        fbs = solve_cached.get(f"{mid.value}-default-n500", cfg)
+        assert abs(sol.cost - fbs.cost) / sol.cost < 0.01
+
+
+class TestSpectralStep:
+    def test_two_point_step_on_positive_curvature(self):
+        du = np.array([[0.1, -0.2], [0.3, 0.0]])
+        dgrad = np.array([[0.4, -0.1], [0.5, 2.0]])
+        expected = np.sum(du * du) / np.sum(du * dgrad)
+        assert _spectral_step(du, dgrad, 0.7) == expected
+        # on a quadratic with Hessian c*I the step is 1/c
+        assert _spectral_step(du, 4.0 * du, 0.7) == pytest.approx(0.25, rel=1e-15)
+
+    def test_doubles_the_last_step_without_positive_finite_curvature(self):
+        du = np.array([[0.1], [-0.2]])
+        assert _spectral_step(du, -du, 0.3) == 0.6  # s.y < 0
+        assert _spectral_step(du, np.array([[0.2], [0.1]]), 0.3) == 0.6  # s.y = 0
+        zero = np.zeros((2, 1))
+        assert _spectral_step(zero, np.array([[1.0], [2.0]]), 0.3) == 0.6  # fully clipped
+        assert _spectral_step(du, np.array([[np.inf], [0.0]]), 0.3) == 0.6
+        assert _spectral_step(du, np.array([[np.nan], [1.0]]), 0.3) == 0.6
 
 
 class TestBatchedGradient:

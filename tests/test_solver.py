@@ -14,26 +14,12 @@ from tbctrl import models, solver
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
-from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import (_BLOCK, FbsSettings, _costate_pass, _expand_initial_control,
                            _least_squares, _rk4, _sweep)
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
                    ModelId.BOWONG]
-
-
-def default_config(mid, n_steps):
-    """The model's default problem: counts 7000/2000/1000, unit state weights, b = 50."""
-    d = model_definition(mid)
-    return ScenarioConfig(
-        name=f"{mid.value}-default", model=mid, params=default_params(mid),
-        initial_mode="counts",
-        initial_values=(7000.0, 2000.0, 1000.0) + (0.0,) * (d.state_dim - 3),
-        grid=make_time_grid(0.0, 5.0, n_steps), cost_kind=d.cost_kind,
-        weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
-                            b=(50.0,) * d.control_dim),
-        fbs=FbsSettings())
 
 
 def zero_rate_params():
@@ -543,8 +529,8 @@ class TestSolveFbs:
         assert sol.report.converged and sol.report.iterations <= 10
 
     @pytest.mark.parametrize("mid", list(ModelId))
-    def test_every_model_converges_nonnegative(self, mid):
-        sol = solve_fbs(default_config(mid, 500))
+    def test_every_model_converges_nonnegative(self, mid, default_config, solve_cached):
+        sol = solve_cached.get(f"{mid.value}-default-n500", default_config(mid, 500))
         assert sol.report.converged, sol.report.message
         assert sol.trajectory.state_nonnegative is True
         assert np.min(sol.trajectory.state) >= 0.0
@@ -591,7 +577,7 @@ def assert_single_grid(sol, cfg):
 
 class TestNestedStart:
     @pytest.mark.parametrize("mid", list(ModelId))
-    def test_every_model_agrees_with_single_grid(self, mid):
+    def test_every_model_agrees_with_single_grid(self, mid, default_config):
         cfg = default_config(mid, 1000)
         sol = solve_fbs(cfg)
         assert sol.report.converged, sol.report.message
