@@ -1,9 +1,9 @@
 """Catalog of controlled TB transmission models behind one uniform interface.
 
-Every model exposes its ODE right-hand side, an analytically derived costate
-(adjoint) right-hand side, the closed-form projected minimizer of its
-Hamiltonian in the controls, and the linear state cost assembled from
-:class:`~tbctrl.core.CostWeights`.
+Every model exposes its ODE right-hand side, its hand-derived costate
+(adjoint) right-hand side -dH/dx, which spells out its own state-cost terms,
+the closed-form projected minimizer of its Hamiltonian in the controls, and
+the linear state cost assembled from :class:`~tbctrl.core.CostWeights`.
 """
 
 from __future__ import annotations
@@ -70,53 +70,31 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     return _cost_vec(ModelId(model), w).copy()
 
 
-def costate(d: ModelDefinition, w: CostWeights):
-    """The model's costate right-hand side at one point, lam' = f(t, x, lam, u, q).
-
-    It is the explicit ``adjoint`` when the model spells one out, else
-    -(J^T lam) - g from the analytic Jacobian; q is the model's parameter tuple.
-    """
-    g = _cost_vec(d.id, w)  # also rejects weights that do not fit the model
-    if d.adjoint is not None:
-        adjoint = d.adjoint
-        return lambda t, x, lam, u, q: adjoint(t, x, lam, u, q, w)
-    jac = d.jac
-    return lambda t, x, lam, u, q: (-(jac(t, x, u, q).T @ lam) - g).tolist()
-
-
 def costate_coefficients(d: ModelDefinition, w: CostWeights, p: ParameterSet,
                          t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The costate lam' = A lam + b at P points, as augmented matrices [[A, b], [0, 0]].
 
     t is (P,), x (P, n) and u (P, m), one row per point; the result is laid
-    out (n+1, n+1, P), one matrix per last index. An explicit ``adjoint`` is
+    out (n+1, n+1, P), one matrix per last index. The model's ``adjoint`` is
     evaluated on (P,) columns (the parameters too, when ``p`` holds a time
     table), once at lam = 0 for b and once at each lam = e_k for A's column k,
-    less b. Otherwise A = -J^T, one Jacobian call per point, and b = A 0 - g,
-    the costate at lam = 0, so that an inf in J makes b NaN as it makes the
-    pointwise costate NaN. A ValidationError from the model is passed on.
+    less b; b is the costate at lam = 0, so where the state holds an inf,
+    0 * inf makes it NaN as it makes the pointwise costate. A ValidationError
+    from the model is passed on, as is one for weights that do not fit it.
     """
+    _cost_vec(d.id, w)  # the weights must fit the model
     n = d.state_dim
     names = d.required_params
+    if p._timed:
+        q = tuple(map(np.array, zip(*[p.values(names, ti) for ti in t.tolist()])))
+    else:
+        q = p.values(names)
+    xc, uc = list(x.T.copy()), list(u.T.copy())
     out = np.zeros((n + 1, n + 1, len(t)))
-    if d.adjoint is not None:
-        f = costate(d, w)
-        if p._timed:
-            q = tuple(map(np.array, zip(*[p.values(names, ti) for ti in t.tolist()])))
-        else:
-            q = p.values(names)
-        xc, uc = list(x.T.copy()), list(u.T.copy())
-        for k in range(n + 1):  # lam = e_k for column k < n, lam = 0 for b in column n
-            for i, v in enumerate(f(t, xc, [float(j == k) for j in range(n)], uc, q)):
-                out[i, k] = v
-        out[:n, :n] -= out[:n, n:]
-        return out
-    jac, timed, q = d.jac, p._timed, p.values(names)
-    a = out[:n, :n]
-    for s, (ti, xi, ui) in enumerate(zip(t.tolist(), x.tolist(), u.tolist())):
-        a[..., s] = jac(ti, xi, ui, p.values(names, ti) if timed else q).T
-    a *= -1.0
-    out[:n, n] = (a * 0.0).sum(axis=1) - _cost_vec(d.id, w)[:, None]  # A 0: NaN where A has an inf
+    for k in range(n + 1):  # lam = e_k for column k < n, lam = 0 for b in column n
+        for i, v in enumerate(d.adjoint(t, xc, [float(j == k) for j in range(n)], uc, q, w)):
+            out[i, k] = v
+    out[:n, :n] -= out[:n, n:]
     return out
 
 
@@ -163,7 +141,8 @@ def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Time derivative of the costate: -dH/dx for the model's Hamiltonian."""
     d, x, lam, u = _point(model, state=x, adjoint=lam, control=u)
-    return np.array(costate(d, w)(t, x, lam, u, p.values(d.required_params, t)))
+    _cost_vec(d.id, w)  # the weights must fit the model
+    return np.array(d.adjoint(t, x, lam, u, p.values(d.required_params, t), w))
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,

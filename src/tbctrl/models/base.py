@@ -28,15 +28,14 @@ class ModelId(str, Enum):
 
 # States, costates and controls are sequences of floats (lists in the RK4
 # kernel, arrays through the public wrappers). An rhs also takes lists of (B,)
-# numpy columns (an RK4 batch, a Hamiltonian control grid), and an explicit
-# adjoint lists of (P,) columns, one entry per stage point of the costate pass,
-# with the time and, for a time table, each parameter as a column too. The
+# numpy columns (an RK4 batch, a Hamiltonian control grid), and an adjoint
+# lists of (P,) columns, one entry per stage point of the costate pass, with
+# the time and, for a time table, each parameter as a column too. The
 # parameter argument is the tuple of the model's PARAMS values, as
 # ParameterSet.values returns it.
 Vec = Sequence[float]
 Params = tuple[float, ...]
 RhsFn = Callable[[float, Vec, Vec, Params], Vec]
-JacFn = Callable[[float, Vec, Vec, Params], np.ndarray]
 AdjointFn = Callable[[float, Vec, Vec, Vec, Params, CostWeights], Vec]
 CharFn = Callable[[float, Vec, Vec, Params, CostWeights], Vec]
 
@@ -61,14 +60,15 @@ class ModelDefinition:
 
     ``infectious``/``latent``/``isolated`` are per-compartment weight patterns
     multiplied by the cost weights a1/a2/a_isolated to form the linear state
-    cost. ``adjoint`` is the explicit costate right-hand side when one is
-    spelled out; otherwise it is assembled from the analytic Jacobian ``jac``.
+    cost. ``adjoint`` is the hand-derived costate right-hand side,
+    lam' = -dH/dx = -(J^T lam) - g, with the state-cost terms g spelled out
+    on those patterns' compartments; it is linear in lam.
 
-    ``rhs``, ``jac``, ``adjoint`` and ``characterize`` take the model's
-    parameters as one tuple in ``required_params`` order (the module's
-    ``PARAMS``), which the caller resolves with ``ParameterSet.values``: once
-    per pass, or at each evaluation time when the set holds a time table.
-    They return index-mutable sequences (lists; ``jac`` an array).
+    ``rhs``, ``adjoint`` and ``characterize`` take the model's parameters as
+    one tuple in ``required_params`` order (the module's ``PARAMS``), which
+    the caller resolves with ``ParameterSet.values``: once per pass, or at
+    each evaluation time when the set holds a time table. They return
+    index-mutable sequences (lists).
 
     ``domains`` maps a parameter to its admissible range and lists only the
     exceptions: every parameter it does not name must be finite and >= 0
@@ -84,12 +84,11 @@ class ModelDefinition:
     cost_kind: CostKind
     required_params: tuple[str, ...]
     rhs: RhsFn
+    adjoint: AdjointFn
     characterize: CharFn
     infectious: tuple[float, ...]
     latent: tuple[float, ...]
     isolated: tuple[float, ...] | None = None
-    jac: JacFn | None = None
-    adjoint: AdjointFn | None = None
     domains: Mapping[str, Domain] = field(default_factory=dict)
     time_dependent_ok: tuple[str, ...] = ()
     sum_constraints: tuple[tuple[str, str], ...] = ()  # pairs whose sum must stay <= 1

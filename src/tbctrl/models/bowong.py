@@ -15,8 +15,6 @@ independent clamps.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
@@ -43,30 +41,29 @@ def rhs(t, x, u, p):
     ]
 
 
-def jac(t, x, u, p):
+def adjoint(t, x, lam, u, p, w):
+    # Hand-derived costate system for H = a1*(I1 + I2) + a2*L1 + (B/2)u^2 + <lam, f>.
     lam_in, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p
     s, l1, i1, i2 = x
+    m1, m2, m3, m4 = lam
     n = live_population(x)
     u1, u2 = u
     phi = beta * i1 / n
-    # d(phi)/dY, dividing by N once per factor: N * N underflows to 0 below N ~ 1e-154
-    d_phi = np.array([-phi / n, -phi / n, beta * (1.0 - i1 / n) / n, -phi / n])
-    chem = 1.0 - u1 * r1
     detected = u2 * h
-    e_s = np.array([1.0, 0.0, 0.0, 0.0])
-    e_l1 = np.array([0.0, 1.0, 0.0, 0.0])
-    e_i1 = np.array([0.0, 0.0, 1.0, 0.0])
-    e_i2 = np.array([0.0, 0.0, 0.0, 1.0])
-    d_phis = s * d_phi + phi * e_s
-    # gradient of (k1 + sigma*phi)*L1
-    d_leave = sigma * l1 * d_phi + (k1 + sigma * phi) * e_l1
-    j = np.zeros((4, 4))
-    j[0] = -d_phis - mu * e_s
-    j[1] = ((1.0 - g) * d_phis + r2 * e_i1 + r3 * e_i2
-            - chem * sigma * (l1 * d_phi + phi * e_l1) - (mu + k1 * chem) * e_l1)
-    j[2] = g * f * d_phis + detected * chem * d_leave - (mu + d1 + r2) * e_i1
-    j[3] = g * (1.0 - f) * d_phis + (1.0 - detected) * chem * d_leave - (mu + d3 + r3) * e_i2
-    return j
+    # Costate weights of the infection flow phi*S and of the progression
+    # (1 - u1*r1)*(k1 + sigma*phi)*L1 out of L1, by the rows they enter.
+    gs = (1.0 - g) * m2 + g * (f * m3 + (1.0 - f) * m4) - m1
+    gl = (1.0 - u1 * r1) * (detected * m3 + (1.0 - detected) * m4 - m2)
+    # Their gradients through phi, by shares of N (each divided once): every
+    # compartment feeds N, which gives all four rows the common term z.
+    fp = gs * (s / n) + gl * sigma * (l1 / n)
+    z = fp * phi
+    return [
+        z - gs * phi + mu * m1,
+        -w.a2 + z - gl * (k1 + sigma * phi) + mu * m2,
+        -w.a1 + z - beta * fp - r2 * m2 + (mu + d1 + r2) * m3,
+        -w.a1 + z - r3 * m2 + (mu + d3 + r3) * m4,
+    ]
 
 
 def characterize(t, x, lam, p, w):
@@ -118,7 +115,7 @@ DEFINITION = ModelDefinition(
     characterize=characterize,
     infectious=(0.0, 0.0, 1.0, 1.0),  # all active cases, diagnosed or not
     latent=(0.0, 1.0, 0.0, 0.0),
-    jac=jac,
+    adjoint=adjoint,
     domains=dict.fromkeys(("g", "f", "h", "sigma", "r1"), UNIT),
     separable_controls=False,  # u1 and u2 couple through the detected-progression flow
 )

@@ -11,8 +11,6 @@ with the isolated. Population N(t) is the live compartment sum.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
@@ -41,33 +39,34 @@ def rhs(t, x, u, pp):
     ]
 
 
-def jac(t, x, u, pp):
+def adjoint(t, x, lam, u, pp, w):
+    # Hand-derived costate system for H = a1*I1 + a2*L1 + a_isolated*J + (B/2)u^2 + <lam, f>.
     (lam_in, a_in, ps, qs, beta, c, lvl, m, p, sigma, sig_s, k1, mu,
      d3, d4, r2, r3, xi) = pp
     s, l1, i1, jc, tr = x
+    m1, m2, m3, m4, m5 = lam
     n = live_population(x)
-    u1, u2 = u
     bc = beta * c
     phi = bc * (i1 + lvl * jc) / n
     psi = sigma * bc * (i1 + sig_s * jc) / n
-    # d(phi)/dY and d(psi)/dY; the -phi/n part is the live-N feedback.
-    d_phi = np.array([0.0, 0.0, bc / n, bc * lvl / n, 0.0]) - phi / n
-    d_psi = np.array([0.0, 0.0, sigma * bc / n, sigma * bc * sig_s / n, 0.0]) - psi / n
-    e_s = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    e_l1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    e_i1 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    e_j = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    e_t = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    d_phis = s * d_phi + phi * e_s       # gradient of phi*S
-    d_phil = l1 * d_phi + phi * e_l1     # gradient of phi*L1
-    d_psit = tr * d_psi + psi * e_t      # gradient of psi*T
-    j = np.zeros((5, 5))
-    j[0] = -d_phis - mu * e_s
-    j[1] = (1.0 - m) * d_phis - p * d_phil + d_psit - (k1 + mu) * e_l1
-    j[2] = m * d_phis + p * d_phil + k1 * e_l1 - (mu + d3 + r2) * e_i1 - (1.0 + u2) * xi * e_i1
-    j[3] = (1.0 + u2) * xi * e_i1 - (r3 + mu + d4) * e_j
-    j[4] = r2 * e_i1 + r3 * e_j - d_psit - mu * e_t
-    return j
+    # Costate weights of the flows phi*S, phi*L1 and psi*T, by the rows they enter.
+    gs = (1.0 - m) * m2 + m * m3 - m1
+    gl = p * (m3 - m2)
+    gt = m2 - m5
+    # Their gradients through phi and psi, by shares of N (each divided once);
+    # every compartment feeds N, which gives all five rows the common term z.
+    fp = gs * (s / n) + gl * (l1 / n)
+    ft = gt * (tr / n)
+    z = fp * phi + ft * psi
+    e, et = bc * fp, sigma * bc * ft
+    iso = (1.0 + u[1]) * xi
+    return [
+        z - gs * phi + mu * m1,
+        -w.a2 + z - gl * phi + (k1 + mu) * m2 - k1 * m3,
+        -w.a1 + z - e - et + (mu + d3 + r2) * m3 + iso * (m3 - m4) - r2 * m5,
+        -w.a_isolated + z - lvl * e - sig_s * et + (r3 + mu + d4) * m4 - r3 * m5,
+        z - gt * psi + mu * m5,
+    ]
 
 
 def characterize(t, x, lam, pp, w):
@@ -91,7 +90,7 @@ DEFINITION = ModelDefinition(
     infectious=(0.0, 0.0, 1.0, 0.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0, 0.0),
     isolated=(0.0, 0.0, 0.0, 1.0, 0.0),
-    jac=jac,
+    adjoint=adjoint,
     domains=dict.fromkeys(("p_star", "q_star", "l", "m", "sigma", "sigma_star"), UNIT),
     sum_constraints=(("p_star", "q_star"),),
 )

@@ -10,8 +10,6 @@ s*r*I prevented from re-entering L1). Population N(t) is the live sum.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
@@ -34,25 +32,25 @@ def rhs(t, x, u, p):
     ]
 
 
-def jac(t, x, u, p):
+def adjoint(t, x, lam, u, p, w):
+    # Hand-derived costate system for H = a1*I + a2*L1 + (B/2)u^2 + <lam, f>.
     b, mu, beta, alpha, k, s, r = p
     sv, l1, iv, l5 = x
+    m1, m2, m3, m4 = lam
     n = live_population(x)
     u1, u2, u3 = u
     sn, i_n = sv / n, iv / n  # shares of N, each divided once: N * N underflows below N ~ 1e-154
-    d_w = beta * np.array([i_n * (1.0 - sn), -sn * i_n, sn * (1.0 - i_n), -sn * i_n])
-    j = np.zeros((4, 4))
-    j[0] = b - (1.0 - u1) * d_w  # bN grows with every compartment
-    j[0, 0] -= mu
-    j[1] = (1.0 - u1) * d_w
-    j[1, 1] -= k + u2 * alpha + mu
-    j[1, 2] += (1.0 - u3) * s * r
-    j[2, 1] = k
-    j[2, 2] = -(r + mu)
-    j[3, 1] = u2 * alpha
-    j[3, 2] = (1.0 - (1.0 - u3) * s) * r
-    j[3, 3] = -mu
-    return j
+    # The infection flow beta*S*I/N moves S to L1 under distancing; it and the
+    # births bN grow with every compartment through N, the common term z.
+    gw = beta * (1.0 - u1) * (m2 - m1)
+    z = gw * sn * i_n - b * m1
+    hold = (1.0 - u3) * s * r  # failed treatment back to L1; the rest goes to L5
+    return [
+        z - gw * i_n + mu * m1,
+        -w.a2 + z + (k + u2 * alpha + mu) * m2 - k * m3 - u2 * alpha * m4,
+        -w.a1 + z - gw * sn - hold * m2 + (r + mu) * m3 - (r - hold) * m4,
+        z + mu * m4,
+    ]
 
 
 def characterize(t, x, lam, p, w):
@@ -81,7 +79,7 @@ DEFINITION = ModelDefinition(
     characterize=characterize,
     infectious=(0.0, 0.0, 1.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0),
-    jac=jac,
+    adjoint=adjoint,
     domains={"s": UNIT},
     time_dependent_ok=TIME_DEPENDENT,
 )

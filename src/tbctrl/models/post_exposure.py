@@ -11,8 +11,6 @@ Births balance natural deaths, so population is the constant parameter N.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind, ValidationError
 from .base import OPEN_UNIT, POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
@@ -41,34 +39,26 @@ def rhs(t, x, u, p):
     ]
 
 
-def jac(t, x, u, p):
+def adjoint(t, x, lam, u, p, w):
+    # Hand-derived costate system for H = a1*I1 + a2*L4 + (B/2)u^2 + <lam, f>.
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
      tau0, tau1, tau2, eps1, eps2) = p
     s, l3, i1, l4, tr = x
+    m1, m2, m3, m4, m5 = lam
     u1, u2 = u
     th = beta / n_pop
+    foi = th * i1
     react_t = (1.0 - eps1 * u1) * omega_r
     treat_l4 = tau2 + eps2 * u2
-    j = np.zeros((5, 5))
-    # columns: S, L3, I1, L4, T
-    j[0] = [-th * i1 - mu, 0.0, -th * s, 0.0, 0.0]
-    j[1] = [th * i1,
-            -(delta + tau1 + mu),
-            th * (s + sigma * l4 + sig_r * tr),
-            th * i1 * sigma,
-            th * i1 * sig_r]
-    j[2] = [0.0, k1 * delta, -(tau0 + mu), omega, react_t]
-    j[3] = [0.0,
-            (1.0 - k1) * delta,
-            -sigma * th * l4,
-            -sigma * th * i1 - (omega + treat_l4 + mu),
-            0.0]
-    j[4] = [0.0,
-            tau1,
-            tau0 - sig_r * th * tr,
-            treat_l4,
-            -sig_r * th * i1 - react_t - mu]
-    return j
+    # Infection moves S, L4 (at sigma) and T (at sigma_R) to L3 at rate foi.
+    gs, gl, gt = m1 - m2, sigma * (m4 - m2), sig_r * (m5 - m2)
+    return [
+        foi * gs + mu * m1,
+        (delta + tau1 + mu) * m2 - k1 * delta * m3 - (1.0 - k1) * delta * m4 - tau1 * m5,
+        -w.a1 + th * (s * gs + l4 * gl + tr * gt) + (tau0 + mu) * m3 - tau0 * m5,
+        -w.a2 + foi * gl - omega * m3 + (omega + treat_l4 + mu) * m4 - treat_l4 * m5,
+        foi * gt - react_t * m3 + (react_t + mu) * m5,
+    ]
 
 
 def characterize(t, x, lam, p, w):
@@ -91,7 +81,7 @@ DEFINITION = ModelDefinition(
     characterize=characterize,
     infectious=(0.0, 0.0, 1.0, 0.0, 0.0),
     latent=(0.0, 0.0, 0.0, 1.0, 0.0),  # persistent latents L4
-    jac=jac,
+    adjoint=adjoint,
     domains={"sigma": UNIT, "sigma_R": UNIT, "k1": UNIT,
              "eps1": OPEN_UNIT, "eps2": OPEN_UNIT, "N": POSITIVE},
 )

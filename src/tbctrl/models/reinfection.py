@@ -8,8 +8,6 @@ contacts. The population N(t) is the live sum of compartments.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
@@ -33,30 +31,28 @@ def rhs(t, x, u, p):
     ]
 
 
-def jac(t, x, u, p):
+def adjoint(t, x, lam, u, p, w):
+    # Hand-derived costate system for H = a1*I1 + a2*L1 + (B/2)u^2 + <lam, f>.
     _, beta, c, mu, sigma, k1, r2, d1, rho = p
     s, l1, i1, tr = x
+    m1, m2, m3, m4 = lam
     n = live_population(x)
-    bc = beta * c
     # Shares of N, each divided once: N * N underflows to 0 below N ~ 1e-154.
     sn, ln, i_n, tn = s / n, l1 / n, i1 / n, tr / n
-    # Gradients of the three incidence flows; every compartment feeds N.
-    d_inf_s = bc * np.array([i_n * (1.0 - sn), -sn * i_n, sn * (1.0 - i_n), -sn * i_n])
-    d_inf_t = sigma * bc * np.array([-tn * i_n, -tn * i_n, tn * (1.0 - i_n), i_n * (1.0 - tn)])
-    ru = rho * bc * (1.0 - u[0])
-    d_reinf = ru * np.array([-ln * i_n, i_n * (1.0 - ln), ln * (1.0 - i_n), -ln * i_n])
-    j = np.zeros((4, 4))
-    j[0] = -d_inf_s
-    j[0, 0] -= mu
-    j[1] = d_inf_s - d_reinf + d_inf_t
-    j[1, 1] -= mu + k1
-    j[2] = d_reinf
-    j[2, 1] += k1
-    j[2, 2] -= mu + r2 + d1
-    j[3] = -d_inf_t
-    j[3, 2] += r2
-    j[3, 3] -= mu
-    return j
+    # Each incidence flow is (rate) * X * I1 / N; weigh its gradient by the
+    # costates it moves between. Every compartment feeds N, which gives all
+    # four rows the common term z.
+    gs = beta * c * (m2 - m1)                       # S -> L1
+    gt = sigma * beta * c * (m2 - m4)               # T -> L1
+    gr = rho * beta * c * (1.0 - u[0]) * (m3 - m2)  # L1 -> I1
+    v = gs * sn + gt * tn + gr * ln
+    z = v * i_n
+    return [
+        z - gs * i_n + mu * m1,
+        -w.a2 + z - gr * i_n + (mu + k1) * m2 - k1 * m3,
+        -w.a1 + z - v + (mu + r2 + d1) * m3 - r2 * m4,
+        z - gt * i_n + mu * m4,
+    ]
 
 
 def characterize(t, x, lam, p, w):
@@ -77,7 +73,7 @@ DEFINITION = ModelDefinition(
     characterize=characterize,
     infectious=(0.0, 0.0, 1.0, 0.0),
     latent=(0.0, 1.0, 0.0, 0.0),
-    jac=jac,
+    adjoint=adjoint,
     domains={"sigma": UNIT},
 )
 

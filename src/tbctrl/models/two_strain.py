@@ -12,8 +12,6 @@ unmitigated treatment failure recover the uncontrolled system.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import CostKind, ValidationError
 from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
@@ -47,33 +45,27 @@ def rhs(t, x, u, pp):
     ]
 
 
-def jac(t, x, u, pp):
+def adjoint(t, x, lam, u, pp, w):
+    # Hand-derived costate system for H = a1*I2 + a2*L2 + (B/2)u^2 + <lam, f>.
     _, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp
     s, l1, i1, l2, i2, tr = x
     u1, u2 = u
+    m1, m2, m3, m4, m5, m6 = lam
     th1 = beta * c / n_pop
     th2 = beta_s * c / n_pop
     ths = sigma * beta * c / n_pop
     fail = 1.0 - u2
-    j = np.zeros((6, 6))
-    # columns: S, L1, I1, L2, I2, T
-    j[0] = [-th1 * i1 - mu - th2 * i2, 0.0, -th1 * s, 0.0, -th2 * s, 0.0]
-    j[1] = [th1 * i1,
-            -(mu + k1 + u1 * r1) - th2 * i2,
-            th1 * s + ths * tr + fail * p * r2,
-            0.0,
-            -th2 * l1,
-            ths * i1]
-    j[2] = [0.0, k1, -(mu + r2 + d1), 0.0, 0.0, 0.0]
-    j[3] = [th2 * i2, th2 * i2, fail * q * r2, -(mu + k2), th2 * (s + l1 + tr), th2 * i2]
-    j[4] = [0.0, 0.0, 0.0, k2, -(mu + d2), 0.0]
-    j[5] = [0.0,
-            u1 * r1,
-            (1.0 - fail * (p + q)) * r2 - ths * tr,
-            0.0,
-            -th2 * tr,
-            -ths * i1 - mu - th2 * i2]
-    return j
+    # the resistant infections of S, L1 and T all feed L2
+    rs, rl, rt = m1 - m4, m2 - m4, m6 - m4
+    return [
+        th1 * i1 * (m1 - m2) + th2 * i2 * rs + mu * m1,
+        m2 * (mu + k1 + u1 * r1) - m3 * k1 - m6 * u1 * r1 + th2 * i2 * rl,
+        th1 * s * (m1 - m2) + ths * tr * (m6 - m2) + m3 * (mu + r2 + d1)
+        - fail * r2 * (p * m2 + q * m4) - (1.0 - fail * (p + q)) * r2 * m6,
+        -w.a2 + m4 * (mu + k2) - m5 * k2,
+        -w.a1 + th2 * (s * rs + l1 * rl + tr * rt) + m5 * (mu + d2),
+        ths * i1 * (m6 - m2) + th2 * i2 * rt + mu * m6,
+    ]
 
 
 def characterize(t, x, lam, pp, w):
@@ -95,7 +87,7 @@ DEFINITION = ModelDefinition(
     characterize=characterize,
     infectious=(0.0, 0.0, 0.0, 0.0, 1.0, 0.0),  # resistant infectious I2
     latent=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),      # resistant latent L2
-    jac=jac,
+    adjoint=adjoint,
     domains={"sigma": UNIT, "p": UNIT, "q": UNIT, "N": POSITIVE},
     sum_constraints=(("p", "q"),),
 )

@@ -73,8 +73,8 @@ def _resolve(model, p, w):
     d = models.model_definition(model)
     if p is None:
         p = models.default_params(d.id)
-    if w is None:
-        w = CostWeights(a1=1.0, a2=1.0 if d.cost_kind.value == "C1" else 0.0,
+    if w is None:  # every state-cost term the model has, so each adjoint term is checked
+        w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                         b=tuple(100.0 for _ in range(d.control_dim)))
     models.validate_problem(d.id, p, w)  # before any sampling
     return d.id, d, p, w
@@ -111,7 +111,6 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
     differenced with step 1e-4 * max(1, |x_i|).
     """
     model, d, p, w = _resolve(model, p, w)
-    costate = models.costate(d, w)
 
     def residual(t, x, lam, u):
         q = p.values(d.required_params, t)
@@ -124,7 +123,7 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
             xm[i] -= h
             grad[i] = (_hamiltonian(d, t, xp, lam, u, q, w)
                        - _hamiltonian(d, t, xm, lam, u, q, w)) / (2.0 * h)
-        diff = np.abs(np.array(costate(t, x, lam, u, q)) + grad)
+        diff = np.abs(np.array(d.adjoint(t, x, lam, u, q, w)) + grad)
         res = float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
         return res, {"component": int(np.argmax(diff)), "t": t, "x": x.tolist()}
 

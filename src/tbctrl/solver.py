@@ -276,12 +276,12 @@ def _first_refusal(d, w: CostWeights, p: ParameterSet, t, x, u):
     t, x and u are the block's stage points, as ``_costate_pass`` lays them
     out; steps count from 1, and the points are tried in integration order.
     """
-    f, names, zero = models.costate(d, w), d.required_params, [0.0] * d.state_dim
+    names, zero = d.required_params, [0.0] * d.state_dim
     steps = len(t) // 2
     for j, i in [(1, 0)] + [(j, i) for j in range(1, steps + 1) for i in (steps + j, j)]:
         ti = float(t[i])
         try:
-            f(ti, x[i].tolist(), zero, u[i].tolist(), p.values(names, ti))
+            d.adjoint(ti, x[i].tolist(), zero, u[i].tolist(), p.values(names, ti), w)
         except ValidationError as exc:
             return j, exc
     return None

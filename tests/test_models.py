@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs, best_constant_control,
                     control_characterization, default_params, dynamics, hamiltonian,
-                    model_definition, reduced_cost_gradient, running_cost, solve_direct,
-                    solve_fbs, validate_params, verify_adjoint_consistency,
-                    verify_control_stationarity)
+                    integrate_adjoint_backward, make_time_grid, model_definition,
+                    reduced_cost_gradient, running_cost, solve_direct, solve_fbs,
+                    validate_params, verify_adjoint_consistency, verify_control_stationarity)
 from tbctrl.core import TimeTable, ValidationError
 from tbctrl.models import (MODELS, cost_state_vector, has_baseline,
                            neutral_control, uncontrolled_rhs)
@@ -388,3 +388,26 @@ class TestValidateProblem:
         }[problem]
         with pytest.raises(ValidationError):
             PROBLEM_ENTRIES[entry](cfg)
+
+    @pytest.mark.parametrize("entry", ["adjoint_rhs", "integrate_adjoint_backward"])
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_costate_entry_points_check_the_weights_fit(self, mid, entry):
+        # no adjoint reads b and only isolation-immigration's reads a_isolated,
+        # so the entry points check the fit themselves
+        d = model_definition(mid)
+        p, g = default_params(mid), make_time_grid(0.0, 1.0, 4)
+        x, u = np.full(d.state_dim, 100.0), np.full(d.control_dim, 0.5)
+        call = {
+            "adjoint_rhs": lambda w: adjoint_rhs(mid, 0.5, x, np.ones(d.state_dim), u, p, w),
+            "integrate_adjoint_backward": lambda w: integrate_adjoint_backward(
+                mid, p, w, np.tile(x, (g.n_nodes, 1)), np.tile(u, (g.n_nodes, 1)), g),
+        }[entry]
+        fits = CostWeights(a1=1.0, b=(50.0,) * d.control_dim)
+        call(fits)
+        with pytest.raises(ValidationError, match=f"needs {d.control_dim} effort weights"):
+            call(replace(fits, b=(50.0,) * (d.control_dim + 1)))
+        if d.isolated is None:
+            with pytest.raises(ValidationError, match="no isolated compartment"):
+                call(replace(fits, a_isolated=1.0))
+        else:
+            call(replace(fits, a_isolated=1.0))

@@ -109,6 +109,27 @@ class TestAdjointConsistency:
         assert r.max_adjoint_residual > 1e-3
         assert r.worst_offenders[0]["residual"] > 1e-3
 
+    @pytest.mark.parametrize("mid, pattern, weight", [
+        (ModelId.ISOLATION_IMMIGRATION, "isolated", "a_isolated"),
+        (ModelId.REINFECTION, "latent", "a2"),  # a C2 model
+    ])
+    def test_dropped_state_cost_term_detected(self, monkeypatch, capsys, mid, pattern, weight):
+        # the default weights switch every state-cost term on, so none can go missing unseen
+        defn = models_pkg.model_definition(mid)
+        orig = defn.adjoint
+
+        def dropped(t, x, lam, u, p, w):
+            out = orig(t, x, lam, u, p, w)
+            for i, on in enumerate(getattr(defn, pattern)):
+                out[i] += on * getattr(w, weight)
+            return out
+
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, adjoint=dropped))
+        r = verify_adjoint_consistency(mid, samples=20)
+        assert r.max_adjoint_residual > 1e-3
+        assert main(["verify", mid.value]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValidationError):
             verify_adjoint_consistency(ModelId.SEIRS, samples=0)
