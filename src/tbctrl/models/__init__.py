@@ -76,19 +76,15 @@ def costate_coefficients(d: ModelDefinition, w: CostWeights, p: ParameterSet,
 
     t is (P,), x (P, n) and u (P, m), one row per point; the result is laid
     out (n+1, n+1, P), one matrix per last index. The model's ``adjoint`` is
-    evaluated on (P,) columns (the parameters too, when ``p`` holds a time
-    table), once at lam = 0 for b and once at each lam = e_k for A's column k,
+    evaluated on (P,) columns (a time-table parameter is a column too),
+    once at lam = 0 for b and once at each lam = e_k for A's column k,
     less b; b is the costate at lam = 0, so where the state holds an inf,
     0 * inf makes it NaN as it makes the pointwise costate. A ValidationError
     from the model is passed on, as is one for weights that do not fit it.
     """
     _cost_vec(d.id, w)  # the weights must fit the model
     n = d.state_dim
-    names = d.required_params
-    if p._timed:
-        q = tuple(map(np.array, zip(*[p.values(names, ti) for ti in t.tolist()])))
-    else:
-        q = p.values(names)
+    q = p.values(d.required_params, t)
     xc, uc = list(x.T.copy()), list(u.T.copy())
     out = np.zeros((n + 1, n + 1, len(t)))
     for k in range(n + 1):  # lam = e_k for column k < n, lam = 0 for b in column n

@@ -27,11 +27,12 @@ class ModelId(str, Enum):
 
 
 # States, costates and controls are sequences of floats (lists in the RK4
-# kernel, arrays through the public wrappers). An rhs also takes lists of (B,)
-# numpy columns (an RK4 batch, a Hamiltonian control grid), and an adjoint
-# lists of (P,) columns, one entry per stage point of the costate pass, with
-# the time and, for a time table, each parameter as a column too. The
-# parameter argument is the tuple of the model's PARAMS values, as
+# kernel, arrays through the public wrappers). rhs and adjoint also take numpy
+# arrays that broadcast together: (B,) columns of an RK4 batch, (P,) stage
+# points of the costate pass, (G,) candidate controls, or (k, 1) columns per
+# sample or node against (k, G) shifted states or controls. Outside an RK4
+# batch the time is then a column too, and so is each time-table parameter.
+# The parameter argument is the tuple of the model's PARAMS values, as
 # ParameterSet.values returns it.
 Vec = Sequence[float]
 Params = tuple[float, ...]
@@ -142,16 +143,17 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
 
 
 def live_population(x: Vec) -> float:
-    """N, the sum of x's entries, which are floats or the (B,) columns of an RK4 batch.
+    """N, the sum of x's entries, which are floats or numpy columns of any one shape.
 
-    N <= 0 is refused; for a batch, the message names the lowest member's N.
+    N <= 0 is refused; for columns, the message names the lowest N.
     """
     # left to right, as np.sum adds so few terms; builtin sum() is compensated from Python 3.12
     n = reduce(add, x)
     try:  # costs the float path nothing
         if not n <= 0.0:
             return n
-    except ValueError:  # a (B,) column has no single truth value
-        if not (n <= 0.0).any():
+    except ValueError:  # columns have no single truth value
+        # fmin skips NaN as `<=` does; .any() would page in numpy code (peak RSS)
+        if not np.fmin.reduce(n, axis=None) <= 0.0:
             return n
     raise ValidationError(f"degenerate population: N(t) = {np.min(n)}")

@@ -126,6 +126,21 @@ class TestParameterSet:
         q = pickle.loads(pickle.dumps(p))
         assert q == p and q.values(("k", "beta"), 5.0) == p.values(("k", "beta"), 5.0)
 
+    def test_time_column_matches_per_time_lookups(self):
+        # one lookup over a (k, 1) column of times equals k lookups, bitwise, and keeps its shape
+        tab = TimeTable((0.0, 1.5, 5.0), (0.01, 0.03, 0.02))
+        p = ParameterSet({"beta": 13.0, "mu": tab, "k": TimeTable((2.0,), (0.4,))})
+        names = ("mu", "beta", "k")
+        t = np.random.default_rng(5).uniform(-1.0, 6.0, size=(500, 1))
+        t[:4, 0] = (0.0, 1.5, 5.0, 2.0)  # the knots themselves
+        mu, beta, k = p.values(names, t)
+        assert mu.shape == k.shape == (500, 1) and type(beta) is float
+        for i, ti in enumerate(t[:, 0].tolist()):
+            want = p.values(names, ti)
+            assert (mu[i, 0].tobytes(), beta, k[i, 0].tobytes()) == (
+                np.float64(want[0]).tobytes(), want[1], np.float64(want[2]).tobytes())
+            assert type(want[0]) is float and tab(ti) == want[0]
+
     def test_with_updates_leaves_original(self):
         p = ParameterSet({"beta": 13.0})
         q = p.with_updates({"beta": 15.0, "mu": 0.01})

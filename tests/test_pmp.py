@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from tbctrl import (CostWeights, ModelId, dynamics, hamiltonian, running_cost,
-                    verify_adjoint_consistency, verify_control_stationarity)
+from tbctrl import (CostWeights, ModelId, adjoint_rhs, control_characterization, dynamics,
+                    hamiltonian, running_cost, verify_adjoint_consistency,
+                    verify_control_stationarity)
 from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
-from tbctrl.pmp import _hamiltonian
+from tbctrl.pmp import DEFAULT_SEED, _draws, _hamiltonian
 from tbctrl.cli import main
 
 
@@ -134,6 +135,20 @@ class TestAdjointConsistency:
         with pytest.raises(ValidationError):
             verify_adjoint_consistency(ModelId.SEIRS, samples=0)
 
+    def test_batches_no_wider_than_one_tensor_grid(self, monkeypatch):
+        # two-strain differences 12 states per sample, so 851 samples take batches of 850 and 1
+        defn = models_pkg.model_definition(ModelId.TWO_STRAIN)
+        widths = []
+
+        def rhs(t, x, u, p):
+            widths.append(max(np.size(v) for v in (*x, *u)))
+            return defn.rhs(t, x, u, p)
+
+        monkeypatch.setitem(models_pkg.MODELS, ModelId.TWO_STRAIN, replace(defn, rhs=rhs))
+        r = verify_adjoint_consistency(ModelId.TWO_STRAIN, samples=851)
+        assert r.max_adjoint_residual < 1e-6
+        assert widths == [850 * 12, 12] and max(widths) <= 1 + 101 ** 2
+
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_default_step_passes_cli_threshold_for_every_seed(self, mid):
         # central-difference roundoff must stay under `tbctrl verify`'s 1e-6 bar
@@ -168,6 +183,12 @@ class TestControlStationarity:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValidationError):
             verify_control_stationarity(ModelId.SEIRS, samples=0)
+
+    @pytest.mark.parametrize("grid_points", [1, 0, -1])
+    def test_too_few_grid_points_rejected(self, grid_points):
+        # without both bounds on the grid, u* alone (0) or nothing sensible (< 0) is searched
+        with pytest.raises(ValidationError, match="grid_points must be >= 2"):
+            verify_control_stationarity(ModelId.SEIRS, samples=5, grid_points=grid_points)
 
     def test_mutated_law_detected(self, monkeypatch):
         defn = models_pkg.model_definition(ModelId.SEIRS)
@@ -217,18 +238,71 @@ class TestNonFiniteResiduals:
 
     def test_nan_sample_ranks_first(self, monkeypatch):
         defn = models_pkg.model_definition(ModelId.SEIRS)
-        calls = itertools.count()
 
-        def nan_on_third_call(*args):
+        def nan_at_sample_2(*args):
             out = defn.adjoint(*args)
-            if next(calls) == 2:
-                out[0] = math.nan
+            out[0][2] = math.nan  # entry 2 of the output column is sample 2
             return out
 
         monkeypatch.setitem(models_pkg.MODELS, ModelId.SEIRS,
-                            replace(defn, adjoint=nan_on_third_call))
+                            replace(defn, adjoint=nan_at_sample_2))
         r = verify_adjoint_consistency(ModelId.SEIRS, samples=10)
         assert math.isnan(r.max_adjoint_residual)
         first, second, _ = r.worst_offenders
         assert first["sample"] == 2 and math.isnan(first["residual"])
         assert second["residual"] < 1e-6
+
+
+class TestTimeTables:
+    """Both verifiers on korea with time tables, worst records redone point by point.
+
+    mu enters the dynamics only, and r also the u3 law. Grid-search residuals
+    tie at 0.0 over many samples, so that check runs one sample per seed, with
+    effort weights that keep u3 off its bounds for some: a parameter resolved
+    at the wrong time then changes a record.
+    """
+
+    P = models_pkg.default_params(ModelId.KOREA).with_updates(
+        {"mu": TimeTable((0.0, 2.0, 5.0), (0.01, 0.03, 0.02)),
+         "r": TimeTable((0.0, 2.5, 5.0), (1.0, 3.0, 2.0))})
+    W = CostWeights(a1=1.0, a2=1.0, b=(1e6, 1e6, 1e6))
+
+    def draws(self, samples, seed):
+        return list(_draws(models_pkg.model_definition(ModelId.KOREA), self.W, samples, seed))
+
+    def test_adjoint_records_match_point_wrappers(self):
+        k, p, w = ModelId.KOREA, self.P, self.W
+        r = verify_adjoint_consistency(k, p, w)
+        draws = self.draws(100, DEFAULT_SEED)
+        for rec in r.worst_offenders:
+            t, x, lam, u = draws[rec["sample"]]
+            assert rec["t"] == t and rec["x"] == x.tolist()
+            grad = np.empty(x.size)
+            for i in range(x.size):
+                h = 1e-4 * max(1.0, abs(x[i]))
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                grad[i] = (hamiltonian(k, t, xp, lam, u, p, w)
+                           - hamiltonian(k, t, xm, lam, u, p, w)) / (2.0 * h)
+            diff = np.abs(adjoint_rhs(k, t, x, lam, u, p, w) + grad)
+            assert rec["component"] == int(np.argmax(diff))
+            assert rec["residual"] == float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
+
+    def test_stationarity_records_match_point_wrappers(self):
+        k, p, w = ModelId.KOREA, self.P, self.W
+        interior = 0
+        for seed in range(10):
+            (rec,) = verify_control_stationarity(k, p, w, samples=1, grid_points=21,
+                                                 seed=seed).worst_offenders
+            ((t, x, lam, _),) = self.draws(1, seed)
+            u_star = control_characterization(k, t, x, lam, p, w)
+            assert rec["t"] == t and rec["u_star"] == u_star.tolist()
+            interior += 0.0 < u_star[2] < 1.0
+            h_star = h_min = hamiltonian(k, t, x, lam, u_star, p, w)
+            for i, v in itertools.product(range(u_star.size), np.linspace(0.0, 1.0, 21)):
+                u = u_star.copy()
+                u[i] = v
+                h_min = min(h_min, hamiltonian(k, t, x, lam, u, p, w))
+            assert rec["residual"] == (h_star - h_min) / max(1.0, abs(h_star))
+        assert interior >= 3
