@@ -106,15 +106,24 @@ def _parse_control_mode(mode: str, config: ScenarioConfig) -> np.ndarray:
     path = Path(mode)
     if path.exists():
         # control file: columns t, u1[, u2, ...]; linear interpolation onto the grid
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        except (ValueError, IndexError) as exc:  # a row longer than the header; an empty file
+            raise ValidationError(f"control file {path} is not a CSV table: {exc}") from None
         names = list(data.dtype.names)
         if names[0] != "t" or len(names) != d.control_dim + 1:
             raise ValidationError(
                 f"control file must have columns t,{','.join(d.control_labels)}")
-        t = np.asarray(data["t"], dtype=float)
+        t, *columns = (np.asarray(data[name], dtype=float) for name in names)
+        if t.size == 0:
+            raise ValidationError(f"control file {path} has no data rows")
+        if not all(np.isfinite(c).all() for c in (t, *columns)):
+            raise ValidationError(f"control file {path} holds a missing or non-finite value")
+        if np.any(t[1:] <= t[:-1]):
+            raise ValidationError(f"control file {path}: t must be strictly increasing")
         out = np.empty((n_nodes, d.control_dim))
-        for k, name in enumerate(names[1:]):
-            out[:, k] = np.interp(config.grid.nodes, t, np.asarray(data[name], dtype=float))
+        for k, c in enumerate(columns):
+            out[:, k] = np.interp(config.grid.nodes, t, c)
         return np.clip(out, config.weights.lower, config.weights.upper)
     try:
         values = [float(v) for v in mode.split(",")]

@@ -93,13 +93,19 @@ def _resolve(model, p, w, samples):
 
 def _draws(d, w: CostWeights, samples: int, seed: int):
     """The seeded random points (t, x, lam, u): t a float, the others fresh arrays."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        # Log-uniform compartment sizes spread the check across population scales.
-        x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
-        lam = rng.uniform(-100.0, 100.0, size=d.state_dim)
-        u = rng.uniform(w.lower, w.upper, size=d.control_dim)
-        yield rng.uniform(0.0, 5.0), x, lam, u
+    # One rng call draws every sample's row of 2n + m + 1 uniforms, each column
+    # mapped as lo + (hi - lo) r, as rng.uniform maps its draws: bitwise the
+    # points of drawing x, lam, u and t in turn for each sample. uniform(0.0,
+    # 1.0) draws bitwise what random() draws; random() left about 80 KiB more
+    # of numpy's code pages resident in `tbctrl verify all`.
+    n, m = d.state_dim, d.control_dim
+    r = np.random.default_rng(seed).uniform(0.0, 1.0, (samples, 2 * n + m + 1))
+    # Log-uniform compartment sizes spread the check across population scales.
+    x = 10.0 ** (4.0 * r[:, :n])  # on [0, 4); 0.0 + 4.0 r is 4.0 r exactly
+    lam = -100.0 + 200.0 * r[:, n:2 * n]
+    u = w.lower + (w.upper - w.lower) * r[:, 2 * n:2 * n + m]
+    t = (5.0 * r[:, -1]).tolist()
+    return zip(t, x, lam, u)
 
 
 def _worst(scored: list[tuple[float, dict]]) -> tuple[float, list[dict]]:

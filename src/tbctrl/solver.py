@@ -27,20 +27,26 @@ level starts from ``initial_control``. The report counts only the sweeps on
 the requested grid; each level is capped at ``max_iterations`` sweeps.
 
 The state pass and the direct oracle's simulations share one RK4 kernel,
-``_rk4``. It takes float lists or numpy columns: one run works on Python
-floats rather than small arrays, and the oracle's batches on a (B,) column
-per compartment, one member per entry. It hands the model its parameters as
-a tuple resolved once per pass (at each evaluation time only when the set
-holds a time table), and checks finiteness once per pass rather than after
-every step. The costate pass is the same RK4 rule applied to the costate,
-which is linear in lam: each step is an exact affine map, built from the
-costate's coefficients with stacked matrix products and composed by a
-blocked doubling scan (``_costate_pass``). The sweep checks the problem once, before
-the first iteration, and prices each iterate with the bare cost quadrature.
+``_rk4``. It takes floats or numpy columns: one run works on Python floats
+rather than small arrays, and the oracle's batches on a (B,) column per
+compartment, one member per entry. Its step is straight-line code, one local
+name per component and stage, compiled from a template once per state width
+and driver widths, so a step spends its time in the model rather than in
+building lists. It hands the model its parameters as a tuple resolved once
+per pass (at each evaluation time only when the set holds a time table), and
+checks finiteness once per pass rather than after every step. The costate
+pass is the same RK4 rule applied to the costate, which is linear in lam:
+each step is an exact affine map, built from the costate's coefficients with
+stacked matrix products (each one broadcast product summed over its inner
+index) and composed by a blocked doubling scan (``_costate_pass``). The sweep
+checks the problem once, before the first iteration, and prices each iterate
+with the bare cost quadrature.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import numbers
 from array import array
@@ -136,13 +142,81 @@ def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool
         raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 
 
+# One RK4 pass written out for a state of n components and drivers of the
+# given widths: the loop of ``_rk4`` with every stage as straight-line
+# arithmetic on local names. ``_rk4_steps`` fills in the names: y_i the state;
+# a_i, b_i, c_i and e_i the four stages; uk_i and vk_i entry i of driver k's
+# rows at the step's start and end.
+_RK4_TEMPLATE = """\
+def steps(f, y, t, d0, runs, store, values, names, timed, q0):
+    qm = qe = q0
+    for t1, d1 in runs:
+        {y}, = y
+        {u}, = d0
+        {v}, = d1
+        h = t1 - t
+        tm, te = t + 0.5 * h, t + h
+        dm = {dm},
+        if timed:
+            q0, qm, qe = values(names, t), values(names, tm), values(names, te)
+        {a}, = f(t, y, *d0, q0)
+        hh = 0.5 * h
+        {b}, = f(tm, [{k2}], *dm, qm)
+        {c}, = f(tm, [{k3}], *dm, qm)
+        {e}, = f(te, [{k4}], *d1, qe)
+        h6 = h / 6.0
+        y = [{y1}]
+        store(y)
+        t, d0 = t1, d1
+"""
+
+
+@functools.cache
+def _rk4_steps(n: int, widths: tuple[int, ...]):
+    """The RK4 loop for n state components and drivers of these widths, from ``_RK4_TEMPLATE``.
+
+    It is compiled under a file name that states n and the widths, and its
+    source is put in ``linecache``, so tracebacks that the ``traceback``
+    module prints (pytest's and logging's among them) show its lines.
+    """
+    def state(form):  # form, for each component i
+        return ", ".join(form.format(i=i) for i in range(n))
+
+    def drivers(form, wrap="({},)"):  # form, for each entry i of each driver k, wrapped per k
+        return ", ".join(wrap.format(", ".join(form.format(k=k, i=i) for i in range(m)))
+                         for k, m in enumerate(widths))
+
+    source = _RK4_TEMPLATE.format(
+        y=state("y{i}"), a=state("a{i}"), b=state("b{i}"), c=state("c{i}"), e=state("e{i}"),
+        u=drivers("u{k}_{i}"), v=drivers("v{k}_{i}"),
+        dm=drivers("0.5 * (u{k}_{i} + v{k}_{i})", "[{}]"),
+        k2=state("y{i} + hh * a{i}"), k3=state("y{i} + hh * b{i}"), k4=state("y{i} + h * c{i}"),
+        y1=state("y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})"))
+    filename = f"<tbctrl RK4 step, n={n}, drivers={widths}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope: dict = {}
+    exec(compile(source, filename, "exec"), scope)
+    return scope["steps"]
+
+
+def _refuses(f, *args) -> bool:
+    """Whether f(*args) raises a ValidationError."""
+    try:
+        f(*args)
+    except ValidationError:
+        return True
+    return False
+
+
 def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterSet,
          names: tuple[str, ...], keep=None) -> np.ndarray:
     """Classical RK4 of y' = f(t, y, *d, q) forward along ``nodes``.
 
-    The pass runs on Python floats: y and every stage are lists, ``drivers``
-    are node-indexed arrays (one per part of d) read a row at a time, and a
-    half-step takes the mean of the two end rows. q is the tuple of the
+    The pass runs on Python floats: y is a list, ``drivers`` are node-indexed
+    arrays (one per part of d) read a row at a time, and a half-step takes the
+    mean of the two end rows. Each step is straight-line arithmetic on one
+    local name per component, stage and driver entry, in a loop compiled once
+    per state width and driver widths (``_rk4_steps``). q is the tuple of the
     parameters ``names`` in ``p``, resolved once per pass, or at each
     evaluation time if ``p`` holds a time table.
 
@@ -175,58 +249,45 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
     width = np.shape(y0)[-1]  # w floats a row, or B kept values
     rows = lambda: np.frombuffer(flat, dtype=float).reshape(-1, width)
     values, timed = p.values, p._timed
-    q0 = qm = qe = values(names)
     t = float(nodes[0])
     d0 = next(runs)
-    k1 = None  # set once the pass's first evaluation returns
+    q0 = values(names, t)
+    steps = _rk4_steps(len(y), tuple(map(len, d0)))
     try:
-        for j, (t1, d1) in enumerate(zip(map(float, nodes[1:]), runs), 1):
-            h = t1 - t
-            tm, te = t + 0.5 * h, t + h
-            dm = [[0.5 * (a + b) for a, b in zip(r0, r1)] for r0, r1 in zip(d0, d1)]
-            if timed:
-                q0, qm, qe = values(names, t), values(names, tm), values(names, te)
-            k1 = f(t, y, *d0, q0)
-            hh = 0.5 * h
-            k2 = f(tm, [yi + hh * ki for yi, ki in zip(y, k1)], *dm, qm)
-            k3 = f(tm, [yi + hh * ki for yi, ki in zip(y, k2)], *dm, qm)
-            k4 = f(te, [yi + h * ki for yi, ki in zip(y, k3)], *d1, qe)
-            h6 = h / 6.0
-            y = [yi + h6 * (a + 2.0 * b + 2.0 * c + e)
-                 for yi, a, b, c, e in zip(y, k1, k2, k3, k4)]
-            store(y)
-            t, d0 = t1, d1
+        steps(f, y, t, d0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(y, rows, nodes, what)
+        _raise_first_nonfinite(rows()[-1], rows, nodes, what)
         raise
     except ValidationError as exc:
-        if k1 is None:
+        j = len(rows())  # the node the failing step integrates to
+        if j == 1 and _refuses(f, t, y, *d0, q0):  # f is pure: the first evaluation refused
             raise
-        _raise_first_nonfinite(y, rows, nodes, what)
+        _raise_first_nonfinite(rows()[-1], rows, nodes, what)
         raise _located(f"{what} left the model's domain ({exc})", nodes, j) from exc
-    _raise_first_nonfinite(y, rows, nodes, what)
+    _raise_first_nonfinite(rows()[-1], rows, nodes, what)
     return rows()
 
 
 # Steps per block of the costate scan. It bounds the pass's working arrays, six
-# (n+1, n+1, block) stacks at the peak: about 80 KiB for four compartments,
-# which fits under what the sweep already holds. Longer blocks make fewer numpy
-# calls but hold more at once: with 128-step blocks the flagship benchmark's
-# peak RSS rose by up to 0.2 MiB, with 64-step blocks it does not rise.
+# (n+1, n+1, block) stacks and one (n+1, n+1, n+1, block) product at the peak:
+# about 140 KiB for four compartments and 320 KiB for six, which fits under
+# what the sweep already holds. Longer blocks make fewer numpy calls but hold
+# more at once: with 128-step blocks the flagship benchmark's peak RSS rose by
+# up to 0.2 MiB, with 64-step blocks it does not rise.
 _BLOCK = 64
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of small square matrices laid out (r, r, L), one per last index.
 
-    Broadcast products over the L-long rows rather than np.matmul: BLAS's
-    matrix-matrix code, paged in on first use, adds about 0.25 MiB to the
-    resident set of a process that has no other use for it.
+    One broadcast product a[i, j] * b[j, k], (r, r, r, L), summed over j by
+    np.add.reduce along its leading axis, which adds the j terms in order. It
+    calls neither numpy's matmul, whose BLAS matrix-matrix code, paged in on
+    first use, adds about 0.25 MiB to the resident set of a process that has
+    no other use for it, nor einsum, which raised the flagship benchmark's
+    peak RSS.
     """
-    out = a[:, :1] * b[:1]
-    for j in range(1, len(b)):
-        out += a[:, j:j + 1] * b[j:j + 1]
-    return out
+    return np.add.reduce(a.transpose(1, 0, 2)[:, :, None] * b[:, None], axis=0)
 
 
 def _affine_steps(coef: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -129,6 +129,35 @@ class TestSimulate:
         assert ((out_file / "trajectory.csv").read_text()
                 == (out_const / "trajectory.csv").read_text())
 
+    def test_control_file_single_row_held(self, small_scenario_file, tmp_path):
+        ctrl = tmp_path / "control.csv"
+        ctrl.write_text("t,u\n2.0,0.5\n")  # one row: held over the whole horizon
+        out_file, out_const = tmp_path / "from-file", tmp_path / "from-const"
+        assert main(["simulate", str(small_scenario_file), "-o", str(out_file),
+                     "--control", str(ctrl)]) == 0
+        assert main(["simulate", str(small_scenario_file), "-o", str(out_const),
+                     "--control", "0.5"]) == 0
+        assert ((out_file / "trajectory.csv").read_text()
+                == (out_const / "trajectory.csv").read_text())
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,u\n0.0,0.5\n5.0,0.2\n2.5,0.4\n", "t must be strictly increasing"),
+        ("t,u\n0.0,0.5\n0.0,0.2\n5.0,0.4\n", "t must be strictly increasing"),
+        ("t,u\n0.0,0.5\n2.5,nan\n5.0,0.4\n", "missing or non-finite value"),
+        ("t,u\n0.0,0.5\n2.5,\n5.0,0.4\n", "missing or non-finite value"),
+        ("t,u\n", "no data rows"),
+        ("t,u\n0.0,0.5\n5.0,0.2,0.4\n", "got 3 columns instead of 2"),
+        ("", "is not a CSV table"),
+    ], ids=["unordered-t", "repeated-t", "nan", "missing", "header-only", "long-row", "empty"])
+    @pytest.mark.filterwarnings("ignore:genfromtxt. Empty input file")
+    def test_bad_control_file_is_validation_error(self, small_scenario_file, tmp_path, capsys,
+                                                  text, message):
+        ctrl = tmp_path / "control.csv"
+        ctrl.write_text(text)
+        assert main(["simulate", str(small_scenario_file), "-o", str(tmp_path / "x"),
+                     "--control", str(ctrl)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_flagship_small(self, small_scenario_file, tmp_path):

@@ -88,6 +88,29 @@ class TestHamiltonian:
                         flagship_params(), CostWeights(a1=1.0, b=(1.0,)))
 
 
+def reference_draws(d, w, samples, seed):
+    """Four rng calls per sample, x, lam, u and t in turn: the loop ``_draws`` replaced."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
+        lam = rng.uniform(-100.0, 100.0, size=d.state_dim)
+        u = rng.uniform(w.lower, w.upper, size=d.control_dim)
+        yield rng.uniform(0.0, 5.0), x, lam, u
+
+
+class TestDraws:
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_match_four_calls_per_sample(self, mid):
+        d = models_pkg.model_definition(mid)
+        w = CostWeights(a1=1.0, b=(1.0,) * d.control_dim, lower=0.05, upper=0.9)
+        for seed in (1, 7, DEFAULT_SEED):
+            for got, ref in zip(_draws(d, w, 60, seed), reference_draws(d, w, 60, seed),
+                                strict=True):
+                assert type(got[0]) is float and got[0] == ref[0]
+                for a, b in zip(got[1:], ref[1:]):
+                    assert a.tobytes() == b.tobytes()
+
+
 class TestAdjointConsistency:
     def test_seirs_within_tolerance(self):
         r = verify_adjoint_consistency(ModelId.SEIRS, samples=100)

@@ -15,7 +15,7 @@ from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.solver import (_BLOCK, FbsSettings, _costate_pass, _expand_initial_control,
-                           _least_squares, _rk4, _sweep)
+                           _least_squares, _matmul, _rk4, _sweep)
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -113,6 +113,94 @@ class TestReferenceKernel:
             ref = reference_rk4(lambda t, x, v: dynamics(cfg.model, t, x, v, cfg.params),
                                 cfg.initial_state(), g.nodes, (fine[:, :, b],))
             assert np.array_equal(kept[:, b], sim.state_cost(ref.T))
+
+
+def reference_matmul(a, b):
+    """Stacked products a @ b, one row of b at a time: the loop ``_matmul`` replaced."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, len(b)):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("steps", [1, 7, _BLOCK - 1, _BLOCK])
+    @pytest.mark.parametrize("r", [5, 6, 7])
+    def test_matches_row_loop(self, r, steps):
+        # entries over many scales, and the strided slices that the scan multiplies
+        rng = np.random.default_rng(r * steps)
+        a, b = (rng.standard_normal((r, r, steps + 3)) * 10.0 ** rng.integers(-8, 9, (r, r, steps + 3))
+                for _ in range(2))
+        for x, y in [(a[..., :steps], b[..., :steps]), (a[..., 3:], b[..., :-3])]:
+            got = _matmul(x, y)
+            assert got.shape == (r, r, steps)
+            assert got.tobytes() == reference_matmul(x, y).tobytes()
+
+
+def toy_rhs(n, refuse_from=math.inf):
+    """y_i' = -a y_i + b u_(i mod 2) y_(i-1) + (1 + t/4) v_0: n states and drivers of widths 2 and 1.
+
+    It takes floats or (B,) columns, and for floats refuses t >= refuse_from
+    or y_0 < 0 as a model refuses a point outside its domain.
+    """
+
+    def f(t, y, u, v, q):
+        if isinstance(y[0], float) and (t >= refuse_from or y[0] < 0.0):
+            raise ValidationError(f"toy refuses t={t}")
+        a, b = q
+        return [-a * y[i] + b * u[i % 2] * y[i - 1] + (1.0 + 0.25 * t) * v[0] for i in range(n)]
+
+    return f
+
+
+class TestToyKernel:
+    """``_rk4`` on state widths no model has, against ``reference_rk4``."""
+
+    P = ParameterSet({"a": 0.7, "b": TimeTable((0.0, 1.0, 2.0), (1.3, 0.4, 0.9))})
+    NAMES = ("a", "b")
+
+    def reference(self, f, y0, nodes, u, v):
+        q = lambda t: self.P.values(self.NAMES, t)
+        return reference_rk4(lambda t, y, ui, vi: np.array(f(t, list(y), ui, vi, q(t))),
+                             y0, nodes, (u, v))
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_floats_and_batch_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        nodes = np.linspace(0.0, 2.0, 41)
+        y0 = rng.uniform(0.5, 2.0, (n, 3))
+        u = rng.uniform(0.0, 1.0, (len(nodes), 2, 3))
+        v = rng.uniform(-1.0, 1.0, (len(nodes), 1, 3))
+        f = toy_rhs(n)
+        kept = _rk4(f, y0, nodes, (list(u), list(v)), "state", self.P, self.NAMES,
+                    keep=lambda y: reduce(add, y))
+        for b in range(3):
+            ref = self.reference(f, y0[:, b], nodes, u[..., b], v[..., b])
+            rows = _rk4(f, y0[:, b], nodes, (u[..., b], v[..., b]), "state", self.P, self.NAMES)
+            assert rows.tobytes() == ref.tobytes()
+            assert kept[:, b].tobytes() == reduce(add, ref.T).tobytes()
+
+    NODES = np.linspace(0.0, 1.0, 11)
+
+    def run(self, f, y0):
+        u, v = np.full((11, 2), 0.5), np.full((11, 1), 0.25)
+        return _rk4(f, np.array(y0), self.NODES, (u, v), "state", self.P, self.NAMES)
+
+    def test_refusal_at_first_evaluation_passes_through(self):
+        with pytest.raises(ValidationError, match="^toy refuses t=0.0$") as err:
+            self.run(toy_rhs(3), [-1.0, 1.0, 1.0])
+        assert err.value.__cause__ is None and err.value.__context__ is None
+
+    @pytest.mark.parametrize("refuse_from, step", [(0.01, 1), (0.37, 4)],
+                             ids=["first-step-midpoint", "mid-pass"])
+    def test_later_refusal_located_at_its_node(self, refuse_from, step):
+        # the first stage time past refuse_from is the midpoint of step 1, or the end of step 4
+        with pytest.raises(NonFiniteError) as err:
+            self.run(toy_rhs(7, refuse_from), [1.0] * 7)
+        assert (err.value.step, err.value.time) == (step, self.NODES[step])
+        assert isinstance(err.value.__cause__, ValidationError)
+        assert str(err.value).startswith("state left the model's domain (toy refuses t=")
+        assert str(err.value).endswith(f") at step {step} (t={self.NODES[step]:.6g})")
 
 
 class TestForwardIntegration:
