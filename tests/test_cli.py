@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tbctrl import get_scenario, make_time_grid, save_scenario
-from tbctrl.cli import _write_csv, main
+import tbctrl
+from tbctrl import get_scenario, make_time_grid, models, save_scenario
+from tbctrl.cli import _reduction_residual, _write_csv, main
+from tbctrl.models import ModelId
 
 
 @pytest.fixture()
@@ -148,8 +154,10 @@ class TestSimulate:
         ("t,u\n", "no data rows"),
         ("t,u\n0.0,0.5\n5.0,0.2,0.4\n", "got 3 columns instead of 2"),
         ("", "is not a CSV table"),
-    ], ids=["unordered-t", "repeated-t", "nan", "missing", "header-only", "long-row", "empty"])
-    @pytest.mark.filterwarnings("ignore:genfromtxt. Empty input file")
+        (" \n\n", "is not a CSV table"),
+    ], ids=["unordered-t", "repeated-t", "nan", "missing", "header-only", "long-row", "empty",
+            "blank"])
+    @pytest.mark.filterwarnings("error")  # refused before numpy reads, which warns on an empty file
     def test_bad_control_file_is_validation_error(self, small_scenario_file, tmp_path, capsys,
                                                   text, message):
         ctrl = tmp_path / "control.csv"
@@ -291,6 +299,65 @@ class TestVerify:
                             replace(defn, adjoint=broken))
         assert main(["verify", "seirs", "--samples", "10"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestReduction:
+    """The baseline-reduction check of `tbctrl verify` (criterion 7)."""
+
+    @staticmethod
+    def reference_residual(mid, seed):
+        """The check point by point, through the validating wrappers."""
+        rng = np.random.default_rng(seed)
+        p = models.default_params(mid)
+        u0 = models.neutral_control(mid)
+        n = models.model_definition(mid).state_dim
+        worst = 0.0
+        for _ in range(200):
+            x = rng.uniform(1.0, 1e4, size=n)
+            a = models.dynamics(mid, 0.3, x, u0, p)
+            b = models.uncontrolled_rhs(mid, 0.3, x, p)
+            worst = float(np.maximum(worst, np.max(np.abs(a - b))))
+        return worst
+
+    @pytest.mark.parametrize("seed", [1, 2, 1234])
+    def test_columns_match_points(self, monkeypatch, seed):
+        baselines = [mid for mid in ModelId if models.has_baseline(mid)]
+        assert len(baselines) == 5
+        for mid in baselines:
+            assert _reduction_residual(mid, seed) == self.reference_residual(mid, seed) == 0.0
+        # A baseline off by a relative 1e-12 * x, in either layout, so that
+        # the worst difference depends on every point's values.
+        orig = models.uncontrolled_rhs
+        monkeypatch.setattr(models, "uncontrolled_rhs",
+                            lambda mid, t, x, p: orig(mid, t, x, p) * (1.0 + 1e-12 * x))
+        for mid in baselines:
+            worst = _reduction_residual(mid, seed)
+            assert worst > 0.0 and worst == self.reference_residual(mid, seed)
+
+    @pytest.mark.parametrize("change, printed", [(1.0, "MISMATCH (1)"),
+                                                 (math.nan, "MISMATCH (nan)")])
+    def test_one_differing_entry_fails(self, monkeypatch, capsys, change, printed):
+        orig = models.uncontrolled_rhs
+
+        def off_at_one_point(mid, t, x, p):
+            out = orig(mid, t, x, p)
+            out[2, 17] += change  # component 2 of point 17
+            return out
+
+        monkeypatch.setattr(models, "uncontrolled_rhs", off_at_one_point)
+        assert main(["verify", "seirs", "--samples", "5"]) == 2
+        line = capsys.readouterr().out
+        assert f"reduction={printed}" in line and line.rstrip().endswith("[FAIL]")
+
+
+def test_cli_import_starts_no_pool_machinery():
+    src = str(Path(tbctrl.__file__).parents[1])
+    code = ("import sys, tbctrl.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 class TestScenarioDirEnv:

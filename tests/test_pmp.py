@@ -277,12 +277,14 @@ class TestNonFiniteResiduals:
 
 
 class TestTimeTables:
-    """Both verifiers on korea with time tables, worst records redone point by point.
+    """Worst records redone point by point: both verifiers on korea with time tables,
+    and the grid search on every model.
 
-    mu enters the dynamics only, and r also the u3 law. Grid-search residuals
-    tie at 0.0 over many samples, so that check runs one sample per seed, with
-    effort weights that keep u3 off its bounds for some: a parameter resolved
-    at the wrong time then changes a record.
+    mu enters korea's dynamics only, and r also its u3 law. Grid-search
+    residuals tie at 0.0 over many samples, so that check runs one sample per
+    seed, with effort weights that keep the last control (korea's u3) off its
+    bounds for some seeds: a parameter resolved at the wrong time, or a
+    candidate scored at the wrong control, then changes a record.
     """
 
     P = models_pkg.default_params(ModelId.KOREA).with_updates(
@@ -312,20 +314,33 @@ class TestTimeTables:
             assert rec["component"] == int(np.argmax(diff))
             assert rec["residual"] == float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
 
-    def test_stationarity_records_match_point_wrappers(self):
-        k, p, w = ModelId.KOREA, self.P, self.W
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_stationarity_records_match_point_wrappers(self, mid):
+        d = models_pkg.model_definition(mid)
+        if mid is ModelId.KOREA:
+            p, w = self.P, self.W
+        else:
+            p = models_pkg.default_params(mid)
+            w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
+                            b=(1e7,) * d.control_dim)
+        axis = np.linspace(w.lower, w.upper, 21)
         interior = 0
         for seed in range(10):
-            (rec,) = verify_control_stationarity(k, p, w, samples=1, grid_points=21,
+            (rec,) = verify_control_stationarity(mid, p, w, samples=1, grid_points=21,
                                                  seed=seed).worst_offenders
-            ((t, x, lam, _),) = self.draws(1, seed)
-            u_star = control_characterization(k, t, x, lam, p, w)
+            ((t, x, lam, _),) = _draws(d, w, 1, seed)
+            u_star = control_characterization(mid, t, x, lam, p, w)
             assert rec["t"] == t and rec["u_star"] == u_star.tolist()
-            interior += 0.0 < u_star[2] < 1.0
-            h_star = h_min = hamiltonian(k, t, x, lam, u_star, p, w)
-            for i, v in itertools.product(range(u_star.size), np.linspace(0.0, 1.0, 21)):
-                u = u_star.copy()
-                u[i] = v
-                h_min = min(h_min, hamiltonian(k, t, x, lam, u, p, w))
+            interior += 0.0 < u_star[-1] < 1.0
+            h_star = h_min = hamiltonian(mid, t, x, lam, u_star, p, w)
+            if d.separable_controls:  # a sweep per control, the others held at u*
+                candidates = []
+                for i, v in itertools.product(range(u_star.size), axis):
+                    candidates.append(u_star.copy())
+                    candidates[-1][i] = v
+            else:  # the tensor grid
+                candidates = [np.array(u) for u in itertools.product(axis, repeat=u_star.size)]
+            for u in candidates:
+                h_min = min(h_min, hamiltonian(mid, t, x, lam, u, p, w))
             assert rec["residual"] == (h_star - h_min) / max(1.0, abs(h_star))
         assert interior >= 3
