@@ -38,6 +38,26 @@ class NonFiniteError(RuntimeError):
         self.time = time
 
 
+def _located(message: str, ts: np.ndarray, j: int, backward: bool = False) -> NonFiniteError:
+    """NonFiniteError naming the node of the j-th row in integration order."""
+    step = len(ts) - 1 - j if backward else j
+    return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
+
+
+def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool = False):
+    """Raise NonFiniteError at the first non-finite row past the start, in integration order.
+
+    A non-finite entry stays non-finite in every later row, so ``rows()``
+    (the rows, or the kept values, so far) is searched only when ``last``,
+    the pass's latest row, has one.
+    """
+    if np.isfinite(last).all():
+        return
+    bad = ~np.isfinite(rows()[1:]).all(axis=1)
+    if bad.any():
+        raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
+
+
 class CostKind(str, Enum):
     """Shape of the objective integrand.
 

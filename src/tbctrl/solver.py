@@ -35,12 +35,10 @@ and driver widths, so a step spends its time in the model rather than in
 building lists. It hands the model its parameters as a tuple resolved once
 per pass (at each evaluation time only when the set holds a time table), and
 checks finiteness once per pass rather than after every step. The costate
-pass is the same RK4 rule applied to the costate, which is linear in lam:
-each step is an exact affine map, built from the costate's coefficients with
-stacked matrix products (each one broadcast product summed over its inner
-index) and composed by a blocked doubling scan (``_costate_pass``). The sweep
-checks the problem once, before the first iteration, and prices each iterate
-with the bare cost quadrature.
+pass is the same RK4 rule applied to the costate, which is linear in lam, run
+as an affine scan (``costate._costate_pass``). The sweep checks the problem
+once, before the first iteration, and prices each iterate with the bare cost
+quadrature.
 """
 
 from __future__ import annotations
@@ -56,8 +54,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid,
-                   Trajectory, ValidationError)
+                   Trajectory, ValidationError, _located, _raise_first_nonfinite)
 from . import models
+from .costate import _costate_pass
 from .costs import _quadrature, total_cost
 from .models import ModelId
 from .pmp import _hamiltonian
@@ -100,6 +99,8 @@ class FbsSettings:
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not np.isfinite(self.initial_control).all():
+            raise ValidationError(f"initial_control must be finite, got {self.initial_control}")
 
 
 @dataclass
@@ -120,26 +121,6 @@ class Solution:
     trajectory: Trajectory
     cost: float
     report: SolveReport
-
-
-def _located(message: str, ts: np.ndarray, j: int, backward: bool = False) -> NonFiniteError:
-    """NonFiniteError naming the node of the j-th row in integration order."""
-    step = len(ts) - 1 - j if backward else j
-    return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
-
-
-def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool = False):
-    """Raise NonFiniteError at the first non-finite row past the start, in integration order.
-
-    A non-finite entry stays non-finite in every later row, so ``rows()``
-    (the rows, or the kept values, so far) is searched only when ``last``,
-    the pass's latest row, has one.
-    """
-    if np.isfinite(last).all():
-        return
-    bad = ~np.isfinite(rows()[1:]).all(axis=1)
-    if bad.any():
-        raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 
 
 # One RK4 pass written out for a state of n components and drivers of the
@@ -266,155 +247,6 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
         raise _located(f"{what} left the model's domain ({exc})", nodes, j) from exc
     _raise_first_nonfinite(rows()[-1], rows, nodes, what)
     return rows()
-
-
-# Steps per block of the costate scan. It bounds the pass's working arrays, six
-# (n+1, n+1, block) stacks and one (n+1, n+1, n+1, block) product at the peak:
-# about 140 KiB for four compartments and 320 KiB for six, which fits under
-# what the sweep already holds. Longer blocks make fewer numpy calls but hold
-# more at once: with 128-step blocks the flagship benchmark's peak RSS rose by
-# up to 0.2 MiB, with 64-step blocks it does not rise.
-_BLOCK = 64
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of small square matrices laid out (r, r, L), one per last index.
-
-    One broadcast product a[i, j] * b[j, k], (r, r, r, L), summed over j by
-    np.add.reduce along its leading axis, which adds the j terms in order. It
-    calls neither numpy's matmul, whose BLAS matrix-matrix code, paged in on
-    first use, adds about 0.25 MiB to the resident set of a process that has
-    no other use for it, nor einsum, which raised the flagship benchmark's
-    peak RSS.
-    """
-    return np.add.reduce(a.transpose(1, 0, 2)[:, :, None] * b[:, None], axis=0)
-
-
-def _affine_steps(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Each step's RK4 map of lam' = A lam + b, as augmented matrices [[M, c], [0, 1]].
-
-    ``coef`` holds the augmented [[A, b], [0, 0]] of L steps, laid out
-    (n+1, n+1, 2L+1): at the L+1 nodes in integration order, then at the L
-    midpoints. ``h`` holds the L signed step sizes. RK4 on a linear system is
-    the exact affine map lam -> M lam + c, and each stage acts on the
-    augmented [lam; 1], so each is one stacked product. The result is laid out
-    (n+1, n+1, L).
-    """
-    steps = len(h)
-    a0, a1, am = coef[..., :steps], coef[..., 1:steps + 1], coef[..., steps + 1:]
-    hh = 0.5 * h
-    k = _matmul(am, a0)  # in place from here: few arrays live at once
-    k *= hh
-    k += am  # k2 = am (1 + hh k1), k1 = a0
-    m = 2.0 * k
-    m += a0
-    k = _matmul(am, k)
-    k *= hh
-    k += am  # k3
-    m += 2.0 * k
-    k = _matmul(a1, k)
-    k *= h
-    k += a1  # k4
-    m += k
-    m *= h / 6.0
-    for i in range(len(m)):
-        m[i, i] += 1.0
-    return m
-
-
-def _compose(m: np.ndarray) -> np.ndarray:
-    """Inclusive doubling scan over the last axis, in place: map j becomes map j after ... after map 0."""
-    s = 1
-    while s < m.shape[-1]:
-        m[..., s:] = _matmul(m[..., s:], m[..., :-s])
-        s *= 2
-    return m
-
-
-def _first_refusal(d, w: CostWeights, p: ParameterSet, t, x, u):
-    """The first step of a block whose stage point the pointwise costate refuses, and the error.
-
-    t, x and u are the block's stage points, as ``_costate_pass`` lays them
-    out; steps count from 1, and the points are tried in integration order.
-    """
-    names, zero = d.required_params, [0.0] * d.state_dim
-    steps = len(t) // 2
-    for j, i in [(1, 0)] + [(j, i) for j in range(1, steps + 1) for i in (steps + j, j)]:
-        ti = float(t[i])
-        try:
-            d.adjoint(ti, x[i].tolist(), zero, u[i].tolist(), p.values(names, ti), w)
-        except ValidationError as exc:
-            return j, exc
-    return None
-
-
-def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
-                  control: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Classical RK4 of the linear costate lam' = A lam + b backward from lam(tf) = 0.
-
-    A and b are fixed by the state and control rows, so each RK4 step is an
-    exact affine map of lam. The pass runs in blocks of ``_BLOCK`` steps, in
-    integration order. For each block it reads A and b off the model's costate
-    (``models.costate_coefficients``) at the block's distinct stage times (the
-    nodes, and the midpoints with the mean of the two end rows as drivers),
-    forms each step's map, composes the maps by a doubling scan and applies the
-    composites to the block's boundary value. The scan associates the sums
-    differently from a stage-by-stage pass, so the rows agree with one to
-    roundoff, not bitwise; lam(tf) is exactly 0.
-
-    Finiteness is checked once per pass, and the first non-finite row in
-    integration order is reported. A ValidationError from the costate is
-    located at the node of the first step to meet a failing stage time (the
-    latest such time), once the rows before it are integrated and checked.
-    """
-    n = d.state_dim
-    ts = nodes[::-1]  # integration order
-    lam = np.empty((len(nodes), n))  # allocated whole: a growing buffer is copied past the block arrays
-    lam[-1] = 0.0
-    rows = lambda: lam[done:][::-1]  # the rows so far, in integration order
-    y = [0.0] * n  # the latest row
-    done = len(nodes) - 1  # its node
-
-    def points(lo):
-        """Stage points from node done down to node lo: the nodes, then the midpoints."""
-        t, x, u = nodes[lo:done + 1][::-1], state[lo:done + 1][::-1], control[lo:done + 1][::-1]
-        return (np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])]),
-                np.concatenate([x, 0.5 * (x[:-1] + x[1:])]),
-                np.concatenate([u, 0.5 * (u[:-1] + u[1:])]))
-
-    def advance(lo):
-        """Integrate from node done down to node lo."""
-        nonlocal done, y
-        t, x, u = points(lo)
-        steps = done - lo
-        m = _compose(_affine_steps(models.costate_coefficients(d, w, p, t, x, u),
-                                   t[1:steps + 1] - t[:steps]))
-        block = m[:n, n] + m[:n, 0] * y[0]  # composite j applied to [y; 1], as (n, steps)
-        for k in range(1, n):
-            block += m[:n, k] * y[k]
-        lam[lo:done] = block.T[::-1]
-        y, done = lam[lo].tolist(), lo
-
-    try:
-        while done > 0:
-            lo = max(done - _BLOCK, 0)
-            try:
-                advance(lo)
-            except ValidationError:
-                refusal = _first_refusal(d, w, p, *points(lo))
-                if refusal is None:
-                    raise
-                j, exc = refusal
-                if j > 1:
-                    advance(done - j + 1)
-                _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
-                raise _located(f"adjoint left the model's domain ({exc})", ts,
-                               len(nodes) - done, backward=True) from exc
-    except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
-        raise
-    _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
-    return lam
 
 
 def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
@@ -548,7 +380,7 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
 
     history: list[float] = []
     best_cost = np.inf
-    best_u = u.copy()
+    best_u = u  # no iterate is changed in place once made
     converged = False
     rel_residual = np.inf
     d_res: list[np.ndarray] = []  # the last residual differences, flat
@@ -572,7 +404,7 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
         history.append(cost)
         if cost < best_cost:
             best_cost = cost
-            best_u = u.copy()
+            best_u = u  # no iterate is changed in place once made
         res = (u_hat - u).ravel()
         norm = float(np.sum(np.abs(res)))
         rel_residual = norm / max(float(np.sum(np.abs(u_hat))), 1e-12)

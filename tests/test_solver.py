@@ -14,8 +14,8 @@ from tbctrl import models, solver
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
-from tbctrl.solver import (_BLOCK, FbsSettings, _costate_pass, _expand_initial_control,
-                           _least_squares, _matmul, _rk4, _sweep)
+from tbctrl.costate import _BLOCK, _SUB_BLOCK, _costate_pass, _matmul
+from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares, _rk4, _sweep
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -116,7 +116,7 @@ class TestReferenceKernel:
 
 
 def reference_matmul(a, b):
-    """Stacked products a @ b, one row of b at a time: the loop ``_matmul`` replaced."""
+    """Stacked products a @ b, one row of b at a time, for any trailing shape."""
     out = a[:, :1] * b[:1]
     for j in range(1, len(b)):
         out += a[:, j:j + 1] * b[j:j + 1]
@@ -134,6 +134,20 @@ class TestMatmul:
         for x, y in [(a[..., :steps], b[..., :steps]), (a[..., 3:], b[..., :-3])]:
             got = _matmul(x, y)
             assert got.shape == (r, r, steps)
+            assert got.tobytes() == reference_matmul(x, y).tobytes()
+
+    @pytest.mark.parametrize("shape", [(_SUB_BLOCK, _BLOCK // _SUB_BLOCK), (3, 5)],
+                             ids=["chunk", "partial"])
+    @pytest.mark.parametrize("r", [5, 7])
+    def test_sub_block_layout_matches_row_loop(self, r, shape):
+        # (r, r, S, nb) stacks, and the slices along axis 2 that the scan within sub-blocks multiplies
+        rng = np.random.default_rng(r)
+        a, b = (rng.standard_normal((r, r) + shape) * 10.0 ** rng.integers(-8, 9, (r, r) + shape)
+                for _ in range(2))
+        for s in range(shape[0]):
+            x, y = a[:, :, s:], b[:, :, :shape[0] - s]
+            got = _matmul(x, y)
+            assert got.shape == x.shape
             assert got.tobytes() == reference_matmul(x, y).tobytes()
 
 
@@ -438,7 +452,8 @@ class TestCostateScan:
                             np.zeros(d.state_dim), nodes, (state, u), backward=True)
         return _costate_pass(d, w, p, state, u, nodes), ref
 
-    @pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("n_steps", [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, _BLOCK - 1,
+                                         _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_block_edges_match_reference(self, mid, n_steps):
         lam, ref = self.problem(mid, n_steps)
@@ -531,12 +546,15 @@ class TestCostateScan:
                 _costate_pass(d, w, p, state, u, nodes)
         assert str(err.value) == f"adjoint {located}"
 
+    # n - bad = _BLOCK + 3 * _SUB_BLOCK + 5: step 5 of the fourth sub-block of the second chunk
+    EDGE_STEPS = 2 * _BLOCK + 3
+    EDGE_BAD = _BLOCK - 3 * _SUB_BLOCK - 2
+
     def test_refusal_located_past_a_block_edge(self, monkeypatch):
         d = self.checked_seirs(monkeypatch)
-        n = 2 * _BLOCK + 3
+        n, bad = self.EDGE_STEPS, self.EDGE_BAD
         nodes = np.linspace(0.0, 5.0, n + 1)
         state = np.ones((n + 1, 4))
-        bad = n - _BLOCK - 7  # inside the second block
         state[[bad, bad - 40]] = 0.0
         u = np.zeros((n + 1, 1))
         with pytest.raises(NonFiniteError) as err:
@@ -544,6 +562,25 @@ class TestCostateScan:
                           state, u, nodes)
         assert (err.value.step, err.value.time) == (bad, nodes[bad])
         assert isinstance(err.value.__cause__, ValidationError)
+
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_nonfinite_row_located_past_a_block_edge(self, mid):
+        # an inf state row first meets the step that integrates node bad + 1 to node bad
+        d = model_definition(mid)
+        n, bad = self.EDGE_STEPS, self.EDGE_BAD
+        nodes = np.linspace(0.0, 5.0, n + 1)
+        state = np.ones((n + 1, d.state_dim))
+        state[[bad, bad - 40]] = np.inf
+        u = np.zeros((n + 1, d.control_dim))
+        p, w = default_params(mid), CostWeights(a1=1.0, b=(1.0,) * d.control_dim)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            ref = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
+                                np.zeros(d.state_dim), nodes, (state, u), backward=True)
+            with pytest.raises(NonFiniteError) as err:
+                _costate_pass(d, w, p, state, u, nodes)
+        assert np.isfinite(ref[bad + 1:]).all() and not np.isfinite(ref[bad]).all()
+        assert (err.value.step, err.value.time) == (bad, nodes[bad])
+        assert str(err.value) == f"adjoint became non-finite at step {bad} (t={nodes[bad]:.6g})"
 
 
 class TestSolveFbs:
@@ -731,6 +768,13 @@ class TestInitialControlExpansion:
             FbsSettings(tolerance=math.inf)  # would stop after one sweep, reported converged
         with pytest.raises(ValidationError):
             FbsSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("initial, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), ((0.1, math.nan), r"\(0.1, nan\)")])
+    def test_nonfinite_initial_control_refused(self, initial, shown):
+        # nan would run every nested level into a non-finite state; inf would be clipped silently
+        with pytest.raises(ValidationError, match=f"initial_control must be finite, got {shown}"):
+            FbsSettings(initial_control=initial)
 
 
 class TestLeastSquares:
