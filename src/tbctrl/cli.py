@@ -139,16 +139,15 @@ def _parse_control_mode(mode: str, config: ScenarioConfig) -> np.ndarray:
 
 
 def _apply_cli_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "n_steps", None) is not None:
-        config = replace(config, grid=type(config.grid)(config.grid.t0, config.grid.tf,
-                                                        int(args.n_steps)))
+    if args.n_steps is not None:
+        config = replace(config, grid=type(config.grid)(config.grid.t0, config.grid.tf, args.n_steps))
     fbs = config.fbs
-    if getattr(args, "tolerance", None) is not None:
-        fbs = replace(fbs, tolerance=float(args.tolerance))
-    if getattr(args, "max_iterations", None) is not None:
-        fbs = replace(fbs, max_iterations=int(args.max_iterations))
-    if getattr(args, "relaxation", None) is not None:
-        fbs = replace(fbs, relaxation=float(args.relaxation))
+    if args.tolerance is not None:
+        fbs = replace(fbs, tolerance=args.tolerance)
+    if args.max_iterations is not None:
+        fbs = replace(fbs, max_iterations=args.max_iterations)
+    if args.relaxation is not None:
+        fbs = replace(fbs, relaxation=args.relaxation)
     return replace(config, fbs=fbs)
 
 
@@ -232,12 +231,12 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     points = sweep_points(config)
     tasks = [(label, sub, out / f"value-{i:02d}") for i, (label, sub) in enumerate(points)]
-    results = []
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(tasks))  # the pool forks every worker at its first task
+    if jobs > 1:
         # imported here: the pool's modules add about 1.2 MiB of resident
         # memory and 10-15 ms to every command that starts no pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -367,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

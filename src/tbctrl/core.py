@@ -152,7 +152,7 @@ class Trajectory:
 def interpolate_state(traj: Trajectory, t: float) -> np.ndarray:
     """Linearly interpolate the stored state at time t; exact at grid nodes."""
     g = traj.grid
-    if t < g.t0 or t > g.tf:
+    if not g.t0 <= t <= g.tf:  # NaN too
         raise ValidationError(f"t={t} outside grid [{g.t0}, {g.tf}]")
     pos = (t - g.t0) / g.h
     nearest = int(round(pos))

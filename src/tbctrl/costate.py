@@ -1,9 +1,9 @@
 """The costate pass: classical RK4 of the linear costate, backward from lam(tf) = 0.
 
 The costate is linear in lam, so each RK4 step is an exact affine map, built
-from the costate's coefficients with stacked matrix products and composed by a
-two-level doubling scan, in chunks that pay the pass's fixed cost once per few
-hundred steps. ``solver.integrate_adjoint_backward`` runs it.
+from the coefficients that ``_coefficients`` reads off the model's adjoint and
+composed by a two-level doubling scan, in chunks that pay the pass's fixed cost
+once per few hundred steps. ``solver.integrate_adjoint_backward`` runs it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,22 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[:, 0, None] * b[0]
     for j in range(1, len(b)):
         out += a[:, j, None] * b[j]
+    return out
+
+
+# The costate lam' = A lam + b at the points t (P,), x (P, n), u (P, m), as augmented
+# [[A, b], [0, 0]] laid out (n+1, n+1, P): the model's adjoint on (P,) columns gives b
+# at lam = 0 and A's column k plus b at lam = e_k. Where the state holds an inf,
+# 0 * inf makes b NaN, as in the pointwise costate. The model's errors pass on.
+def _coefficients(d, w: CostWeights, p: ParameterSet, t, x, u) -> np.ndarray:
+    n = d.state_dim
+    q = p.values(d.required_params, t)
+    xc, uc = list(x.T.copy()), list(u.T.copy())
+    out = np.zeros((n + 1, n + 1, len(t)))
+    for k in range(n + 1):
+        for i, v in enumerate(d.adjoint(t, xc, [float(j == k) for j in range(n)], uc, q, w)):
+            out[i, k] = v
+    out[:n, :n] -= out[:n, n:]
     return out
 
 
@@ -120,10 +136,10 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
 
     A and b are fixed by the state and control rows, so each RK4 step is an
     exact affine map of lam. The pass runs in chunks of ``_BLOCK`` steps, in
-    integration order. For each chunk it reads A and b off the model's costate
-    (``models.costate_coefficients``) at the chunk's distinct stage times (the
-    nodes, and the midpoints with the mean of the two end rows as drivers),
-    forms each step's map and composes the maps in two levels (see ``advance``).
+    integration order. For each chunk it reads A and b (``_coefficients``) at
+    the chunk's distinct stage times (the nodes, and the midpoints with the
+    mean of the two end rows as drivers), forms each step's map and composes
+    the maps in two levels (see ``advance``).
     The scan associates the sums differently from a stage-by-stage pass, so
     the rows agree with one to roundoff, not bitwise; lam(tf) is exactly 0.
 
@@ -132,6 +148,7 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     located at the node of the first step to meet a failing stage time (the
     latest such time), once the rows before it are integrated and checked.
     """
+    models._cost_vec(d.id, w)  # the weights must fit the model; no adjoint reads b
     n = d.state_dim
     ts = nodes[::-1]  # integration order
     lam = np.empty((len(nodes), n))  # allocated whole: a growing buffer is copied past the chunk arrays
@@ -152,7 +169,7 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
         nonlocal done, y
         steps = done - lo
         t = nodes[lo:done + 1][::-1]
-        m = _affine_steps(models.costate_coefficients(d, w, p, *points(lo)), t[1:] - t[:-1])
+        m = _affine_steps(_coefficients(d, w, p, *points(lo)), t[1:] - t[:-1])
         # Two levels: a doubling scan within every sub-block of _SUB_BLOCK steps at
         # once, then one over the sub-blocks' ends, which carries [y; 1] to the
         # start of each sub-block. Zero maps pad the last sub-block past the last

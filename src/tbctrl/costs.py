@@ -23,12 +23,10 @@ def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights)
         raise ValidationError(f"{d.id.value}: control dimension mismatch in trajectory")
     if traj.state.shape[1] != d.state_dim:
         raise ValidationError(f"{d.id.value}: state dimension mismatch in trajectory")
-    return _quadrature(traj.state, traj.control, models.cost_state_vector(model, w), w.b_array,
-                       traj.grid.h)
+    return _quadrature(d.id, w, traj.state, traj.control, traj.grid.h)
 
 
-def _quadrature(state: np.ndarray, control: np.ndarray, vec: np.ndarray, b: np.ndarray,
+def _quadrature(model: ModelId, w: CostWeights, state: np.ndarray, control: np.ndarray,
                 h: float) -> float:
-    """Trapezoid of g.x + 0.5 sum_i b_i u_i^2 along the rows; checks nothing."""
-    integrand = state @ vec + 0.5 * (np.square(control) @ b)
-    return float(_trapezoid(integrand, dx=h))
+    """Trapezoid of the running cost along the rows; checks only w's fit."""
+    return float(_trapezoid(models._running_cost(model, w, state.T, control.T), dx=h))

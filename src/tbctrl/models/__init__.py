@@ -8,7 +8,8 @@ the linear state cost assembled from :class:`~tbctrl.core.CostWeights`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -65,33 +66,19 @@ def _cost_vec(model: ModelId, w: CostWeights) -> np.ndarray:
     return vec
 
 
+def _running_cost(model: ModelId, w: CostWeights, x, u):
+    """g.x + 0.5 sum_i b_i u_i^2, each sum added left to right; checks only w's fit.
+
+    x and u hold one entry per state and control: floats, or numpy arrays that
+    broadcast together, and the result comes back in their broadcast shape.
+    """
+    return (reduce(add, map(mul, _cost_vec(model, w), x))
+            + 0.5 * reduce(add, map(mul, w.b, map(mul, u, u))))
+
+
 def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     """Vector g with state-cost g.x (the integrand minus control effort)."""
     return _cost_vec(ModelId(model), w).copy()
-
-
-def costate_coefficients(d: ModelDefinition, w: CostWeights, p: ParameterSet,
-                         t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The costate lam' = A lam + b at P points, as augmented matrices [[A, b], [0, 0]].
-
-    t is (P,), x (P, n) and u (P, m), one row per point; the result is laid
-    out (n+1, n+1, P), one matrix per last index. The model's ``adjoint`` is
-    evaluated on (P,) columns (a time-table parameter is a column too),
-    once at lam = 0 for b and once at each lam = e_k for A's column k,
-    less b; b is the costate at lam = 0, so where the state holds an inf,
-    0 * inf makes it NaN as it makes the pointwise costate. A ValidationError
-    from the model is passed on, as is one for weights that do not fit it.
-    """
-    _cost_vec(d.id, w)  # the weights must fit the model
-    n = d.state_dim
-    q = p.values(d.required_params, t)
-    xc, uc = list(x.T.copy()), list(u.T.copy())
-    out = np.zeros((n + 1, n + 1, len(t)))
-    for k in range(n + 1):  # lam = e_k for column k < n, lam = 0 for b in column n
-        for i, v in enumerate(d.adjoint(t, xc, [float(j == k) for j in range(n)], uc, q, w)):
-            out[i, k] = v
-    out[:n, :n] -= out[:n, n:]
-    return out
 
 
 def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights,
@@ -152,7 +139,7 @@ def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.nd
 def running_cost(model: ModelId, x: np.ndarray, u: np.ndarray, w: CostWeights) -> float:
     """Objective integrand: linear state burden plus quadratic control effort."""
     d, x, u = _point(model, state=x, control=u)
-    return float(_cost_vec(d.id, w) @ x + 0.5 * np.dot(w.b_array, np.square(u)))
+    return float(_running_cost(d.id, w, x, u))
 
 
 def validate_params(model: ModelId, p: ParameterSet) -> list[str]:

@@ -101,10 +101,6 @@ class _Simulator:
                      self.p, self.d.required_params)
         return state, self.state_cost(state.T) + self.effort(fine.T)
 
-    def cost(self, u_coarse: np.ndarray) -> float:
-        """The trapezoid integral of the running cost."""
-        return _trapezoid(self.run(u_coarse)[1], 0.0, self.grid.h)
-
     def costs(self, coarse: np.ndarray, starts: np.ndarray, prefix: np.ndarray) -> np.ndarray:
         """The costs of B piecewise-constant controls, run as batches through the kernel.
 
@@ -153,15 +149,19 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     model, p, w = scenario.model, scenario.params, scenario.weights
-    d = models.validate_problem(model, p, w, scenario.cost_kind)
-    sim = _Simulator(model, p, w, scenario.grid, scenario.initial_state())
+    models.validate_problem(model, p, w, scenario.cost_kind)
+    return _best_constant(_Simulator(model, p, w, scenario.grid, scenario.initial_state()), w,
+                          grid_points)
+
+
+def _best_constant(sim: _Simulator, w, grid_points: int) -> tuple[np.ndarray, float]:
+    """``best_constant_control`` for a checked problem, on its simulator."""
     axis = np.linspace(w.lower, w.upper, grid_points)
-    mesh = np.meshgrid(*([axis] * d.control_dim), indexing="ij")
+    mesh = np.meshgrid(*([axis] * sim.d.control_dim), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     # the lattice as batch members on a single coarse interval, each run from node 0
     costs = sim.costs(points.T[None], np.zeros(len(points), dtype=int), np.zeros(1))
-    best_u = None
-    best_cost = np.inf
+    best_u, best_cost = None, np.inf
     for const, cost in zip(points, costs.tolist()):
         if cost < best_cost:
             best_cost = cost
@@ -218,7 +218,7 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     lo, hi = w.lower, w.upper
     nu = d.control_dim
 
-    const, cost = best_constant_control(scenario, _INIT_LATTICE_POINTS.get(nu, 5))
+    const, cost = _best_constant(sim, w, _INIT_LATTICE_POINTS.get(nu, 5))
     u = np.tile(const, (coarse_steps, 1))
     best_cost = cost
     best_u = u.copy()

@@ -3,26 +3,24 @@
 The verifiers here are deliberately dumb: central differences of the
 Hamiltonian in the state cross-check the analytic adjoints, and a dense grid
 search over admissible controls cross-checks the closed-form control laws.
-H has one implementation, the private kernel ``_hamiltonian``. The public
-``hamiltonian`` validates its arguments and calls it at one point; the
-verifiers check the problem once and call it directly on numpy columns: the
-adjoint check on a batch of samples at once, the grid search on one sample's
-candidate controls, with that sample's state and costate as floats.
+H has one implementation, ``_hamiltonian``: lam.f plus the running cost of
+``models._running_cost``, which the cost quadrature and ``running_cost`` share.
+``hamiltonian`` validates its arguments and calls it at one point; the verifiers
+check the problem once and call it on numpy columns: the adjoint check on a batch
+of samples, the grid search on one sample's candidate controls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import islice
-from operator import add, mul
 
 import numpy as np
 
 from .core import CostWeights, ParameterSet, ValidationError
 from . import models
-from .models import ModelId, _cost_vec
+from .models import ModelId, _running_cost
 
 __all__ = [
     "DEFAULT_SEED",
@@ -50,8 +48,7 @@ def _hamiltonian(d, t, x, lam, u, q: tuple, w: CostWeights):
     broadcast together, and H comes back in their broadcast shape.
     """
     f = d.rhs(t, x, u, q)
-    h = reduce(add, map(mul, _cost_vec(d.id, w), x)) + 0.5 * sum(b * (ui * ui) for b, ui in zip(w.b, u))
-    return h + sum(li * fi for li, fi in zip(lam, f))
+    return _running_cost(d.id, w, x, u) + sum(li * fi for li, fi in zip(lam, f))
 
 
 def hamiltonian(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,

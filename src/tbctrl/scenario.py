@@ -249,10 +249,7 @@ def _parse_fbs(obj, d, path: str) -> FbsSettings:
     if "tolerance" in obj:
         kwargs["tolerance"] = _finite(obj["tolerance"], f"{path}.tolerance")
     if "max_iterations" in obj:
-        v = obj["max_iterations"]
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValidationError(f"{path}.max_iterations: expected an integer, got {v!r}")
-        kwargs["max_iterations"] = int(v)
+        kwargs["max_iterations"] = obj["max_iterations"]  # FbsSettings checks it is an integer
     if "initial_control" in obj:
         v = obj["initial_control"]
         if isinstance(v, (list, tuple)):

@@ -97,8 +97,11 @@ class FbsSettings:
             raise ValidationError(f"relaxation must lie in [0, 1), got {self.relaxation}")
         if not 0.0 < self.tolerance < math.inf:  # an infinite tolerance stops after one sweep
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # range() needs an int
+            raise ValidationError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
+            raise ValidationError(f"max_iterations must be >= 1, got {n}")
         if not np.isfinite(self.initial_control).all():
             raise ValidationError(f"initial_control must be finite, got {self.initial_control}")
 
@@ -376,7 +379,6 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
     char = d.characterize
     names = d.required_params
     q = p.values(names)  # the control law's parameters, unless p holds a time table
-    vec, b = models.cost_state_vector(model, w), w.b_array
 
     history: list[float] = []
     best_cost = np.inf
@@ -399,7 +401,7 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
         for t, x, lam in zip(grid.nodes, map(np.ndarray.tolist, state), map(np.ndarray.tolist, adjoint)):
             laws.extend(char(t, x, lam, p.values(names, t) if p._timed else q, w))
         u_hat = np.frombuffer(laws, dtype=float).reshape(u.shape)
-        cost = _quadrature(state, u, vec, b, grid.h)
+        cost = _quadrature(d.id, w, state, u, grid.h)
         del state, adjoint  # so that the next sweep's passes do not hold them too
         history.append(cost)
         if cost < best_cost:

@@ -241,6 +241,35 @@ class TestSweep:
         assert main(["sweep", str(small_sweep_file), "-o", str(out2), "--jobs", "2"]) == 0
         assert (out1 / "sweep_summary.csv").read_text() == (out2 / "sweep_summary.csv").read_text()
 
+    @pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
+    def test_pool_capped_at_sweep_points(self, small_sweep_file, tmp_path, monkeypatch,
+                                         jobs, workers):
+        # the pool forks all of its workers at the first task, so --jobs 8 on two points
+        # starts two; the stand-in pool records its size and maps in this process
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["sweep", str(small_sweep_file), "-o", str(out1)]) == 0
+        assert main(["sweep", str(small_sweep_file), "-o", str(out2), "--jobs", jobs]) == 0
+        assert started == workers
+        assert (out1 / "sweep_summary.csv").read_text() == (out2 / "sweep_summary.csv").read_text()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, small_sweep_file, tmp_path, capsys, jobs):
         out = tmp_path / "sweep"

@@ -64,6 +64,10 @@ class TestInterpolateState:
         with pytest.raises(ValidationError):
             interpolate_state(traj, traj.grid.t0 - 0.1)
 
+    def test_nan_time_rejected(self, traj):
+        with pytest.raises(ValidationError, match="t=nan outside grid"):
+            interpolate_state(traj, float("nan"))
+
     @given(t=st.floats(0.0, 4.0))
     def test_piecewise_linear(self, t):
         g = make_time_grid(0.0, 4.0, 4)

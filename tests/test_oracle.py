@@ -7,7 +7,7 @@ from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
                     make_time_grid, model_definition, oracle, solve_direct)
 from tbctrl.core import CostKind, TimeTable, ValidationError
 from tbctrl.oracle import (_FD_STEP, _coarse_boundaries, _fine_controls, _Simulator,
-                           _spectral_step)
+                           _spectral_step, _trapezoid)
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import FbsSettings, _rk4
 
@@ -161,7 +161,7 @@ class TestBestConstantControl:
         best_u, best_cost = None, np.inf
         for const in np.stack(np.meshgrid(*[axis] * len(cfg.weights.b), indexing="ij"),
                               axis=-1).reshape(-1, len(cfg.weights.b)):
-            cost = sim.cost(const.reshape(1, -1))
+            cost = _trapezoid(sim.run(const.reshape(1, -1))[1], 0.0, cfg.grid.h)
             if cost < best_cost:
                 best_u, best_cost = const, cost
         const, cost = best_constant_control(cfg, grid_points=points)

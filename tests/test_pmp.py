@@ -23,13 +23,20 @@ def flagship_params():
 
 
 class TestHamiltonian:
-    def test_zero_adjoint_gives_running_cost(self):
-        p = flagship_params()
-        w = CostWeights(a1=1.0, b=(100.0,))
-        x = np.array([6000.0, 3000.0, 400.0, 600.0])
-        u = np.array([0.4])
-        got = hamiltonian(ModelId.SEIRS, 0.0, x, np.zeros(4), u, p, w)
-        assert got == running_cost(ModelId.SEIRS, x, u, w)
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_zero_adjoint_gives_running_cost(self, mid):
+        # one running-cost form: bitwise, with every state-cost weight the model has nonzero
+        d = models_pkg.model_definition(mid)
+        p = models_pkg.default_params(mid)
+        w = CostWeights(a1=1.3, a2=0.7, a_isolated=0.9 if d.isolated is not None else 0.0,
+                        b=tuple(50.0 + 10.0 * i for i in range(d.control_dim)))
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            t = rng.uniform(0.0, 5.0)
+            x = 10.0 ** rng.uniform(1.0, 4.0, d.state_dim)
+            u = rng.uniform(0.0, 1.0, d.control_dim)
+            got = hamiltonian(mid, t, x, np.zeros(d.state_dim), u, p, w)
+            assert got == running_cost(mid, x, u, w)
 
     def test_zero_cost_gives_inner_product(self):
         p = flagship_params()

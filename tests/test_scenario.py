@@ -198,6 +198,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=rf"^\$\.{where}: expected a finite number"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_max_iterations_rejected(self, n):
+        doc = flagship_doc()
+        doc["fbs"] = {"max_iterations": n}
+        with pytest.raises(ValidationError, match=r"^\$\.fbs: max_iterations must be an integer"):
+            load_scenario(json.dumps(doc))
+
     def test_integer_beyond_float_range_rejected(self):
         doc = flagship_doc()
         doc["initial_state"] = {"mode": "counts", "values": [1.0, 2.0, 3.0, "HUGE"]}

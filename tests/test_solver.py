@@ -14,7 +14,7 @@ from tbctrl import models, solver
 from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
-from tbctrl.costate import _BLOCK, _SUB_BLOCK, _costate_pass, _matmul
+from tbctrl.costate import _BLOCK, _SUB_BLOCK, _coefficients, _costate_pass, _matmul
 from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares, _rk4, _sweep
 
 
@@ -486,7 +486,7 @@ class TestCostateScan:
         x[2] = np.inf
         u = rng.uniform(0.0, 1.0, (6, d.control_dim))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            coef = models.costate_coefficients(d, w, p, t, x, u)
+            coef = _coefficients(d, w, p, t, x, u)
             at = [[adjoint_rhs(mid, ti, xi, lam, ui, p, w) for lam in np.eye(d.state_dim + 1, d.state_dim)]
                   for ti, xi, ui in zip(t, x, u)]
         zero = np.array([row[-1] for row in at])
@@ -768,6 +768,12 @@ class TestInitialControlExpansion:
             FbsSettings(tolerance=math.inf)  # would stop after one sweep, reported converged
         with pytest.raises(ValidationError):
             FbsSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_non_integer_max_iterations_refused(self, n):
+        # 2.5 would reach range() in the sweep; True would cap it at one sweep
+        with pytest.raises(ValidationError, match="max_iterations must be an integer"):
+            FbsSettings(max_iterations=n)
 
     @pytest.mark.parametrize("initial, shown", [
         (math.nan, "nan"), (math.inf, "inf"), ((0.1, math.nan), r"\(0.1, nan\)")])
