@@ -48,17 +48,16 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # The costate lam' = A lam + b at the points t (P,), x (P, n), u (P, m), as augmented
-# [[A, b], [0, 0]] laid out (n+1, n+1, P): the model's adjoint on (P,) columns gives b
-# at lam = 0 and A's column k plus b at lam = e_k. Where the state holds an inf,
-# 0 * inf makes b NaN, as in the pointwise costate. The model's errors pass on.
+# [[A, b], [0, 0]] laid out (n+1, n+1, P): one adjoint call, on (P,) columns against lam
+# as (n+1, 1) columns, gives A's column k plus b at lam = e_k and b at lam = 0. Where the
+# state holds an inf, 0 * inf makes b NaN, as in the pointwise costate. The model's errors pass on.
 def _coefficients(d, w: CostWeights, p: ParameterSet, t, x, u) -> np.ndarray:
     n = d.state_dim
     q = p.values(d.required_params, t)
-    xc, uc = list(x.T.copy()), list(u.T.copy())
     out = np.zeros((n + 1, n + 1, len(t)))
-    for k in range(n + 1):
-        for i, v in enumerate(d.adjoint(t, xc, [float(j == k) for j in range(n)], uc, q, w)):
-            out[i, k] = v
+    lam = list(np.eye(n, n + 1)[:, :, None])  # lam_j in column k: 1 if j == k, 0 at k = n
+    for i, v in enumerate(d.adjoint(t, list(x.T.copy()), lam, list(u.T.copy()), q, w)):
+        out[i] = v
     out[:n, :n] -= out[:n, n:]
     return out
 

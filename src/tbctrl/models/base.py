@@ -29,9 +29,10 @@ class ModelId(str, Enum):
 # States, costates and controls are sequences of floats (lists in the RK4
 # kernel, arrays through the public wrappers). rhs and adjoint also take numpy
 # arrays that broadcast together: (B,) columns of an RK4 batch, (P,) stage
-# points of the costate pass, (G,) candidate controls, or (k, 1) columns per
-# sample or node against (k, G) shifted states or controls. Outside an RK4
-# batch the time is then a column too, and so is each time-table parameter.
+# points of the costate pass against (n+1, 1) costates, or (k, 1) columns per
+# sample or node against (k, G) shifted states or (G,) candidate controls
+# (bowong's grid: (k, 1, 1) against (R, 1) and (G,)). Outside an RK4 batch
+# the time is then a column too, and so is each time-table parameter.
 # The parameter argument is the tuple of the model's PARAMS values, as
 # ParameterSet.values returns it.
 Vec = Sequence[float]

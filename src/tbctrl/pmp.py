@@ -6,13 +6,14 @@ search over admissible controls cross-checks the closed-form control laws.
 H has one implementation, ``_hamiltonian``: lam.f plus the running cost of
 ``models._running_cost``, which the cost quadrature and ``running_cost`` share.
 ``hamiltonian`` validates its arguments and calls it at one point; the verifiers
-check the problem once and call it on numpy columns: the adjoint check on a batch
-of samples, the grid search on one sample's candidate controls.
+check the problem once and call it on numpy columns, one per sample, against the
+shifted states of the adjoint check or the grid search's candidate axes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -32,11 +33,10 @@ __all__ = [
 
 DEFAULT_SEED = 1234
 
-# Values per entry in a verifier's Hamiltonian call: at most bowong's 101-point
-# tensor grid for one sample in the adjoint check, and 2048 candidate controls
-# in the grid search. Wider calls raise the peak RSS of `tbctrl verify all`.
-_WIDTH = 1 + 101 ** 2
-_CANDIDATES = 2048
+# Values per entry in a Hamiltonian call, the one budget of both verifiers: 51
+# rows of bowong's 101-point tensor grid. Calls twice as wide ran `tbctrl verify
+# all` about 12% faster, but raised its peak RSS by 0.3 MiB.
+_WIDTH = 51 * 101
 
 
 def _hamiltonian(d, t, x, lam, u, q: tuple, w: CostWeights):
@@ -75,7 +75,20 @@ class ConsistencyReport:
                 raise ValidationError("residuals must be nonnegative")
 
 
-def _resolve(model, p, w, samples):
+def _check_count(name: str, v, least: int):
+    """Refuse v unless it is an integer, not a bool, of at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValidationError(f"{name} must be >= {least}, got {v}")
+
+
+def _slices(n: int, step: int) -> list[slice]:
+    """range(n) in slices of ``step`` entries, the last one possibly shorter."""
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _resolve(model, p, w, samples, seed):
     d = models.model_definition(model)
     if p is None:
         p = models.default_params(d.id)
@@ -83,8 +96,8 @@ def _resolve(model, p, w, samples):
         w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                         b=tuple(100.0 for _ in range(d.control_dim)))
     models.validate_problem(d.id, p, w)  # before any sampling
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     return d.id, d, p, w
 
 
@@ -123,7 +136,7 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
     differenced with step 1e-4 * max(1, |x_i|). Each batch of samples takes
     one Hamiltonian and one adjoint call.
     """
-    model, d, p, w = _resolve(model, p, w, samples)
+    model, d, p, w = _resolve(model, p, w, samples, seed)
     n = d.state_dim
     i = np.arange(n)
     draws = _draws(d, w, samples, seed)
@@ -161,37 +174,39 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
     Models whose Hamiltonian is additively separable across controls are
     checked with per-component sweeps around the candidate (which certifies
     the joint minimum); the non-separable model gets the full tensor grid.
-    The grid needs both bounds, so grid_points must be at least 2.
+    The grid needs both bounds, so grid_points must be an integer of at least 2.
     """
-    model, d, p, w = _resolve(model, p, w, samples)
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
-    m = d.control_dim
-    axis = np.linspace(w.lower, w.upper, grid_points)
-    # Candidate controls, one per column; NaN marks an entry held at u*, and
-    # column 0 is u* itself, so h_star and h_min come from the same values.
-    if d.separable_controls:
-        grid = np.full((m, 1 + m * grid_points), np.nan)
-        for i in range(m):
-            grid[i, 1 + i * grid_points:1 + (i + 1) * grid_points] = axis
-    else:
-        grid = np.full((m, 1 + grid_points ** m), np.nan)
-        for i, g in enumerate(np.meshgrid(*[axis] * m, indexing="ij", copy=False)):
-            grid[i, 1:] = g.ravel()
-    held = np.isnan(grid)
-    h = np.empty(grid.shape[1])  # reused and filled by slices, for the same peak RSS
-    scored: list[tuple[float, dict]] = []
-    for si, (t, x, lam, _) in enumerate(_draws(d, w, samples, seed)):
-        # floats: the same values as np.float64 scalars, which the model handles about 5x slower
-        x, lam = x.tolist(), lam.tolist()
-        q = p.values(d.required_params, t)
-        u_star = np.array(d.characterize(t, x, lam, q, w))
-        for j in range(0, h.size, _CANDIDATES):
-            c = slice(j, j + _CANDIDATES)
-            h[c] = _hamiltonian(d, t, x, lam, np.where(held[:, c], u_star[:, None], grid[:, c]), q, w)
-        h_star = float(h[0])
-        res = (h_star - float(h.min())) / max(1.0, abs(h_star))  # NaN if any candidate H is
-        scored.append((res, {"sample": si, "residual": res, "u_star": u_star.tolist(), "t": t}))
-    max_res, worst = _worst(scored)
+    model, d, p, w = _resolve(model, p, w, samples, seed)
+    _check_count("grid_points", grid_points, 2)
+    m, names = d.control_dim, d.required_params
+    # Each call puts the samples on axis 0 and the candidates on the next k axes:
+    # a sweep's one control, the others held at u*, or the tensor grid, u_i on axis i + 1.
+    sweeps = [(i,) for i in range(m)] if d.separable_controls else [tuple(range(m))]
+    k = len(sweeps[0])
+    axes = [np.linspace(w.lower, w.upper, grid_points).reshape((-1,) + (1,) * (k - 1 - j))
+            for j in range(k)]
+    ts, xs, lams, _ = zip(*_draws(d, w, samples, seed))
+    # u* on floats, sample by sample: the laws take no columns
+    u_star = [np.array(d.characterize(t, x.tolist(), lam.tolist(), p.values(names, t), w)).tolist()
+              for t, x, lam in zip(ts, xs, lams)]
+    column = lambda v: np.array(v).T.reshape((-1, samples) + (1,) * k)  # entry, sample, 1, ...
+    (t,), x, lam, us = map(column, ([ts], xs, lams, u_star))
+    h_star = np.concatenate([_hamiltonian(d, t[s], x[:, s], lam[:, s], us[:, s], p.values(names, t[s]),
+                                          w).ravel() for s in _slices(samples, _WIDTH)])
+    h_min = h_star.copy()
+    # Whole grids for as many samples as fit a call, else one sample's grid in rows of axis 1.
+    cells = grid_points ** k
+    rows = min(grid_points, max(1, _WIDTH // (cells // grid_points)))
+    for s in _slices(samples, max(1, _WIDTH // cells)):
+        q = p.values(names, t[s])
+        for on in sweeps:
+            u = [axes[on.index(i)] if i in on else ui for i, ui in enumerate(us[:, s])]
+            for r in _slices(grid_points, rows):
+                u[on[0]] = axes[0][r]
+                h = _hamiltonian(d, t[s], x[:, s], lam[:, s], u, q, w)
+                h_min[s] = np.minimum(h_min[s], h.reshape(len(h), -1).min(axis=1))  # NaN wins
+    res = ((h_star - h_min) / np.maximum(1.0, np.abs(h_star))).tolist()
+    max_res, worst = _worst([(r, {"sample": i, "residual": r, "u_star": u, "t": t})
+                             for i, (r, u, t) in enumerate(zip(res, u_star, ts))])
     return ConsistencyReport(model=model, samples=samples, seed=seed,
                              max_stationarity_residual=max_res, worst_offenders=worst)

@@ -313,6 +313,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "unknown model 'nosuch'" in err and "known models: seirs" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--samples", "0"], "samples must be >= 1, got 0"),
+    ])
+    def test_bad_argument_is_validation_error(self, capsys, argv, message):
+        # exit status 2 and one line, not numpy's traceback
+        assert main(["verify", "seirs", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_mutated_build_detected(self, monkeypatch, capsys):
         from tbctrl import models as models_pkg
         from tbctrl.models import ModelId

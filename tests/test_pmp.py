@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from tbctrl import (CostWeights, ModelId, adjoint_rhs, control_characterization,
                     verify_control_stationarity)
 from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
-from tbctrl.pmp import DEFAULT_SEED, _draws, _hamiltonian
+from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _hamiltonian
 from tbctrl.cli import main
 
 
@@ -165,8 +166,8 @@ class TestAdjointConsistency:
         with pytest.raises(ValidationError):
             verify_adjoint_consistency(ModelId.SEIRS, samples=0)
 
-    def test_batches_no_wider_than_one_tensor_grid(self, monkeypatch):
-        # two-strain differences 12 states per sample, so 851 samples take batches of 850 and 1
+    def test_batches_no_wider_than_budget(self, monkeypatch):
+        # two-strain differences 12 states per sample, so a batch holds _WIDTH // 12 samples
         defn = models_pkg.model_definition(ModelId.TWO_STRAIN)
         widths = []
 
@@ -175,9 +176,9 @@ class TestAdjointConsistency:
             return defn.rhs(t, x, u, p)
 
         monkeypatch.setitem(models_pkg.MODELS, ModelId.TWO_STRAIN, replace(defn, rhs=rhs))
-        r = verify_adjoint_consistency(ModelId.TWO_STRAIN, samples=851)
+        r = verify_adjoint_consistency(ModelId.TWO_STRAIN, samples=_WIDTH // 12 + 1)
         assert r.max_adjoint_residual < 1e-6
-        assert widths == [850 * 12, 12] and max(widths) <= 1 + 101 ** 2
+        assert widths == [_WIDTH // 12 * 12, 12] and max(widths) <= _WIDTH
 
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_default_step_passes_cli_threshold_for_every_seed(self, mid):
@@ -283,6 +284,23 @@ class TestNonFiniteResiduals:
         assert second["residual"] < 1e-6
 
 
+def point_residual(mid, p, w, t, x, lam, grid_points):
+    """u* and the grid-search residual of one sample, by point-wrapper calls at every candidate."""
+    axis = np.linspace(w.lower, w.upper, grid_points)
+    u_star = control_characterization(mid, t, x, lam, p, w)
+    h_star = h_min = hamiltonian(mid, t, x, lam, u_star, p, w)
+    if models_pkg.model_definition(mid).separable_controls:  # a sweep per control, the others held at u*
+        candidates = []
+        for i, v in itertools.product(range(u_star.size), axis):
+            candidates.append(u_star.copy())
+            candidates[-1][i] = v
+    else:  # the tensor grid
+        candidates = [np.array(u) for u in itertools.product(axis, repeat=u_star.size)]
+    for u in candidates:
+        h_min = min(h_min, hamiltonian(mid, t, x, lam, u, p, w))
+    return u_star, (h_star - h_min) / max(1.0, abs(h_star))
+
+
 class TestTimeTables:
     """Worst records redone point by point: both verifiers on korea with time tables,
     and the grid search on every model.
@@ -330,24 +348,96 @@ class TestTimeTables:
             p = models_pkg.default_params(mid)
             w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                             b=(1e7,) * d.control_dim)
-        axis = np.linspace(w.lower, w.upper, 21)
         interior = 0
         for seed in range(10):
             (rec,) = verify_control_stationarity(mid, p, w, samples=1, grid_points=21,
                                                  seed=seed).worst_offenders
             ((t, x, lam, _),) = _draws(d, w, 1, seed)
-            u_star = control_characterization(mid, t, x, lam, p, w)
-            assert rec["t"] == t and rec["u_star"] == u_star.tolist()
+            u_star, res = point_residual(mid, p, w, t, x, lam, 21)
+            assert rec == {"sample": 0, "residual": res, "u_star": u_star.tolist(), "t": t}
             interior += 0.0 < u_star[-1] < 1.0
-            h_star = h_min = hamiltonian(mid, t, x, lam, u_star, p, w)
-            if d.separable_controls:  # a sweep per control, the others held at u*
-                candidates = []
-                for i, v in itertools.product(range(u_star.size), axis):
-                    candidates.append(u_star.copy())
-                    candidates[-1][i] = v
-            else:  # the tensor grid
-                candidates = [np.array(u) for u in itertools.product(axis, repeat=u_star.size)]
-            for u in candidates:
-                h_min = min(h_min, hamiltonian(mid, t, x, lam, u, p, w))
-            assert rec["residual"] == (h_star - h_min) / max(1.0, abs(h_star))
         assert interior >= 3
+
+
+# Sample counts and grids whose search spans several calls, the last one partial.
+SPLIT = _WIDTH // 101 + 9  # separable, 101 points: whole calls of _WIDTH // 101 samples, then 9
+CALL_EDGES = ([(m, None, SPLIT, 101) for m in ModelId if m is not ModelId.BOWONG]
+              + [(ModelId.KOREA, "tables", SPLIT, 101),
+                 (ModelId.BOWONG, None, _WIDTH // 21 ** 2 + 4, 21),  # whole tensor grids a call
+                 (ModelId.BOWONG, None, 2, 75)])  # blocks of whole rows of u1, the last one partial
+
+
+class TestBatchedSearch:
+    """The grid search scores sample columns against broadcast candidate axes, in calls of
+    at most ``_WIDTH`` values; its records are those of a search point by point."""
+
+    @pytest.mark.parametrize("mid, tables, samples, grid_points", CALL_EDGES,
+                             ids=lambda v: getattr(v, "value", str(v)))
+    def test_nudged_records_match_point_wrappers(self, monkeypatch, mid, tables, samples,
+                                                 grid_points):
+        # off the minimum every residual is nonzero and distinct, so the ranking is strict
+        defn = models_pkg.model_definition(mid)
+        law = defn.characterize
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(
+            defn, characterize=lambda *args: [0.5 * v + 0.2537 for v in law(*args)]))
+        if tables:
+            p, w = TestTimeTables.P, TestTimeTables.W
+        else:
+            p = models_pkg.default_params(mid)
+            w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if defn.isolated is not None else 0.0,
+                            b=(100.0,) * defn.control_dim)
+        r = verify_control_stationarity(mid, p, w, samples=samples, grid_points=grid_points)
+        expected = []
+        for i, (t, x, lam, _) in enumerate(_draws(defn, w, samples, DEFAULT_SEED)):
+            u_star, res = point_residual(mid, p, w, t, x, lam, grid_points)
+            expected.append({"sample": i, "residual": res, "u_star": u_star.tolist(), "t": t})
+        residuals = {e["residual"] for e in expected}
+        assert min(residuals) > 0.0 and len(residuals) == samples
+        expected.sort(key=lambda e: -e["residual"])
+        assert r.max_stationarity_residual == expected[0]["residual"]
+        assert r.worst_offenders == expected[:3]
+
+    @pytest.mark.parametrize("mid, samples, grid_points", [
+        (ModelId.SEIRS, 250, 101),
+        (ModelId.BOWONG, 2, 301),
+    ], ids=["seirs", "bowong"])
+    def test_calls_no_wider_than_budget(self, monkeypatch, mid, samples, grid_points):
+        # one call at u*, then calls that cover every candidate once, none wider than _WIDTH
+        defn = models_pkg.model_definition(mid)
+        widths = []
+
+        def rhs(t, x, u, p):
+            widths.append(np.broadcast(t, *x, *u).size)
+            return defn.rhs(t, x, u, p)
+
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, rhs=rhs))
+        verify_control_stationarity(mid, samples=samples, grid_points=grid_points)
+        cells = defn.control_dim * grid_points if defn.separable_controls else grid_points ** 2
+        assert widths[0] == samples and sum(widths[1:]) == samples * cells
+        assert len(widths) > 3 and max(widths) <= _WIDTH
+
+
+class TestArguments:
+    @pytest.mark.parametrize("verify", [verify_adjoint_consistency, verify_control_stationarity])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"samples": True}, "samples must be an integer, got True"),
+    ])
+    def test_bad_seed_or_samples_refused(self, verify, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            verify(ModelId.SEIRS, **kwargs)
+
+    @pytest.mark.parametrize("grid_points", [2.5, 101.0, True])
+    def test_non_integer_grid_points_refused(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points must be an integer"):
+            verify_control_stationarity(ModelId.SEIRS, samples=5, grid_points=grid_points)
+
+    def test_numpy_integers_accepted(self):
+        for verify, kwargs in [(verify_adjoint_consistency, {}),
+                               (verify_control_stationarity, {"grid_points": 11})]:
+            got = verify(ModelId.TWO_STRAIN, samples=np.int64(7), seed=np.int32(3),
+                         **{k: np.int64(v) for k, v in kwargs.items()})
+            assert got == verify(ModelId.TWO_STRAIN, samples=7, seed=3, **kwargs)

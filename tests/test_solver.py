@@ -498,6 +498,35 @@ class TestCostateScan:
             assert np.allclose(coef[:-1, :-1, s], a, rtol=1e-13, atol=1e-13 * np.max(np.abs(a)))
 
     @pytest.mark.parametrize("mid", list(ModelId))
+    def test_coefficients_match_one_adjoint_call_per_column(self, mid):
+        # bitwise, NaN pattern included: the n+1 columns of [[A, b], [0, 0]] read off by
+        # n+1 adjoint calls on (P,) columns, at lam = e_k and at lam = 0
+        d = model_definition(mid)
+        p = default_params(mid)
+        if mid is ModelId.KOREA:  # a parameter column per point
+            p = p.with_updates({"mu": TimeTable((0.0, 2.0, 5.0), (0.01, 0.05, 0.02))})
+        w = CostWeights(a1=1.0, a2=0.5, b=(50.0,) * d.control_dim,
+                        a_isolated=0.7 if d.isolated is not None else 0.0)
+        n, rng = d.state_dim, np.random.default_rng(12)
+        t = rng.uniform(0.0, 5.0, 9)
+        x = 10.0 ** rng.uniform(1.0, 4.0, (9, n))
+        x[4] = np.inf
+        u = rng.uniform(0.0, 1.0, (9, d.control_dim))
+        q = p.values(d.required_params, t)
+        ref = np.zeros((n + 1, n + 1, 9))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for k in range(n + 1):
+                lam = [float(j == k) for j in range(n)]
+                for i, v in enumerate(d.adjoint(t, list(x.T.copy()), lam, list(u.T.copy()), q, w)):
+                    ref[i, k] = v
+            ref[:n, :n] -= ref[:n, n:]
+            coef = _coefficients(d, w, p, t, x, u)
+        nan = np.isnan(ref)
+        assert nan[:, :, 4].any() and not nan[:, :, [0, 1, 2, 3, 5, 6, 7, 8]].any()
+        assert np.array_equal(np.isnan(coef), nan)
+        assert np.where(nan, 0.0, coef).tobytes() == np.where(nan, 0.0, ref).tobytes()
+
+    @pytest.mark.parametrize("mid", list(ModelId))
     def test_nonfinite_stage_located_as_reference(self, mid):
         # an inf state row at node 5 first meets the step that integrates node 6 to node 5
         d = model_definition(mid)
