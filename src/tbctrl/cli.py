@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -221,9 +223,76 @@ def _sweep_worker(item):
         return label, None, str(exc)
 
 
+def _fork_sweep_child(tasks: list, r: int, jobs: int):
+    """Fork a child that solves tasks r, r + jobs, ...; return its pid and its pipe's read end.
+
+    The child sends ("ok", results) or ("raised", exception) pickled over the
+    pipe and leaves by os._exit, so it never flushes stdio buffers inherited
+    from this process or runs its atexit handlers. A message it cannot pickle
+    leaves the pipe empty, and its traceback goes straight to descriptor 2.
+    """
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, os.fdopen(rfd, "rb")
+    try:
+        try:
+            message = ("ok", [_sweep_worker(t) for t in tasks[r::jobs]])
+        except BaseException as exc:  # re-raised by the parent
+            message = ("raised", exc)
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+        os._exit(0)
+    except BaseException:
+        import traceback  # here: see the import of signal in _run_sweep
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(1)
+
+
+def _run_sweep(tasks: list, jobs: int) -> list:
+    """_sweep_worker over tasks, in task order, by this process and jobs - 1 forked children.
+
+    This process solves tasks 0, jobs, 2·jobs, ... and child r tasks r,
+    r + jobs, ...; an exception raised in a child is re-raised here. Every
+    child is waited for before this returns or raises, and is killed first
+    if this process fails, so none outlives the command.
+    """
+    children = []
+    try:
+        for r in range(1, jobs):
+            children.append((r, *_fork_sweep_child(tasks, r, jobs)))
+        results = [None] * len(tasks)
+        results[0::jobs] = [_sweep_worker(t) for t in tasks[0::jobs]]
+        while children:
+            r, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            children.pop(0)  # it closed its end, so it is exiting
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:  # 0 only after the whole message is written
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"sweep child {r} (pid {pid}) {how} "
+                                        "before sending its results")
+            kind, value = pickle.loads(data)
+            if kind == "raised":
+                raise value
+            results[r::jobs] = value
+        return results
+    finally:
+        for _, pid, pipe in children:  # left only if this process failed
+            import signal  # here, as traceback: the two add about 4 ms to every command's import
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise ValidationError("--jobs above 1 needs os.fork, which this platform lacks")
     config = _apply_cli_overrides(find_scenario(args.scenario), args)
     if config.sweep is None:
         raise ValidationError(f"scenario {config.name!r} declares no sweep")
@@ -231,15 +300,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     points = sweep_points(config)
     tasks = [(label, sub, out / f"value-{i:02d}") for i, (label, sub) in enumerate(points)]
-    jobs = min(args.jobs, len(tasks))  # the pool forks every worker at its first task
-    if jobs > 1:
-        # imported here: the pool's modules add about 1.2 MiB of resident
-        # memory and 10-15 ms to every command that starts no pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
+    results = _run_sweep(tasks, min(args.jobs, len(tasks)))
 
     rows = []
     any_error = False
@@ -339,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="optimize across the scenario's sweep values")
     add_common(sp)
-    sp.add_argument("--jobs", "-j", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", "-j", type=int, default=1,
+                    help="processes solving sweep points, this one included")
 
     sp = sub.add_parser("verify", help="adjoint/control-law consistency checks")
     sp.add_argument("model", nargs="?", default="all",

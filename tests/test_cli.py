@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import tbctrl
-from tbctrl import get_scenario, make_time_grid, models, save_scenario
+from tbctrl import cli, get_scenario, make_time_grid, models, save_scenario
 from tbctrl.cli import _reduction_residual, _write_csv, main
 from tbctrl.models import ModelId
 
@@ -25,15 +26,19 @@ def small_scenario_file(tmp_path):
     return path
 
 
-@pytest.fixture()
-def small_sweep_file(tmp_path):
+def _effort_sweep_file(tmp_path, values):
     cfg = get_scenario("fig4-sweep")
     from tbctrl.scenario import SweepSpec
     cfg = replace(cfg, grid=make_time_grid(0.0, 5.0, 250), name="fig4-small",
-                  sweep=SweepSpec(parameter="cost.b1", values=(50.0, 250.0)))
+                  sweep=SweepSpec(parameter="cost.b1", values=values))
     path = tmp_path / "fig4-small.json"
     save_scenario(cfg, path)
     return path
+
+
+@pytest.fixture()
+def small_sweep_file(tmp_path):
+    return _effort_sweep_file(tmp_path, (50.0, 250.0))
 
 
 def read_csv(path):
@@ -221,6 +226,12 @@ class TestOverrides:
 
 
 class TestSweep:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_summary_and_per_value_outputs(self, small_sweep_file, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", str(small_sweep_file), "-o", str(out)]) == 0
@@ -234,41 +245,76 @@ class TestSweep:
         # effort-weight monotonicity visible in the two costs
         assert float(rows[0][1]) <= float(rows[1][1])
 
-    def test_parallel_matches_serial(self, small_sweep_file, tmp_path):
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        assert main(["sweep", str(small_sweep_file), "-o", str(out1)]) == 0
-        assert main(["sweep", str(small_sweep_file), "-o", str(out2), "--jobs", "2"]) == 0
-        assert (out1 / "sweep_summary.csv").read_text() == (out2 / "sweep_summary.csv").read_text()
+    @pytest.mark.parametrize("values", [(50.0, 250.0), (50.0, 150.0, 250.0)])
+    def test_parallel_matches_serial(self, tmp_path, values):
+        path = _effort_sweep_file(tmp_path, values)
+        written = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs-{jobs}"
+            assert main(["sweep", str(path), "-o", str(out), "--jobs", jobs]) == 0
+            written.append({str(f.relative_to(out)): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()})
+        assert len(written[0]) == 1 + 4 * len(values)
+        assert written[1] == written[0] and written[2] == written[0]
 
-    @pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
-    def test_pool_capped_at_sweep_points(self, small_sweep_file, tmp_path, monkeypatch,
-                                         jobs, workers):
-        # the pool forks all of its workers at the first task, so --jobs 8 on two points
-        # starts two; the stand-in pool records its size and maps in this process
-        import concurrent.futures
-
+    @pytest.mark.parametrize("jobs, forks", [("8", 1), ("2", 1), ("1", 0)])
+    def test_one_process_per_point_at_most(self, small_sweep_file, tmp_path, monkeypatch,
+                                           jobs, forks):
+        # this process solves a share, so --jobs 8 on two points forks one child
         started = []
+        real_fork = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def counting_fork():
+            started.append(None)
+            return real_fork()
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(os, "fork", counting_fork)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_sweep_file), "-o", str(out), "--jobs", jobs]) == 0
+        assert len(started) == forks
 
-            def __exit__(self, *exc):
-                return False
+    @pytest.mark.parametrize("blocked", ["value-00", "value-01"])  # this process's, the child's
+    def test_point_io_error_reraised(self, small_sweep_file, tmp_path, capsys, blocked):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / blocked).write_text("")  # so the point's mkdir fails
+        assert main(["sweep", str(small_sweep_file), "-o", str(out), "--jobs", "2"]) == 4
+        assert blocked in capsys.readouterr().err
+        assert not (out / "sweep_summary.csv").exists()
+        if blocked == "value-01":
+            assert (out / "value-00" / "report.json").exists()
 
-            def map(self, fn, items):
-                return map(fn, items)
+    @pytest.mark.parametrize("death, how", [
+        ("kill", "was killed by signal 9"),
+        ("unpicklable", "exited with status 1"),
+    ])
+    def test_child_without_result(self, small_sweep_file, tmp_path, monkeypatch, capfd,
+                                  death, how):
+        parent = os.getpid()
+        real_worker = cli._sweep_worker
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-        assert main(["sweep", str(small_sweep_file), "-o", str(out1)]) == 0
-        assert main(["sweep", str(small_sweep_file), "-o", str(out2), "--jobs", jobs]) == 0
-        assert started == workers
-        assert (out1 / "sweep_summary.csv").read_text() == (out2 / "sweep_summary.csv").read_text()
+        def worker(item):
+            if os.getpid() == parent:
+                return real_worker(item)
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError(lambda: None)  # a lambda does not pickle
+
+        monkeypatch.setattr(cli, "_sweep_worker", worker)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_sweep_file), "-o", str(out), "--jobs", "2"]) == 4
+        err = capfd.readouterr().err
+        assert "sweep child 1 (pid " in err and f"{how} before sending its results" in err
+        assert (out / "value-00" / "report.json").exists()
+        if death == "unpicklable":  # the child's own traceback says why
+            assert "pickle" in err
+
+    def test_jobs_above_one_need_fork(self, small_sweep_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_sweep_file), "-o", str(out), "--jobs", "2"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, small_sweep_file, tmp_path, capsys, jobs):
@@ -389,14 +435,16 @@ class TestReduction:
         assert f"reduction={printed}" in line and line.rstrip().endswith("[FAIL]")
 
 
-def test_cli_import_starts_no_pool_machinery():
+def test_cli_import_starts_no_pool_machinery(small_sweep_file, tmp_path):
+    # nor does a sweep that forks a child
     src = str(Path(tbctrl.__file__).parents[1])
-    code = ("import sys, tbctrl.cli; "
+    argv = ["sweep", str(small_sweep_file), "-o", str(tmp_path / "sweep"), "--jobs", "2"]
+    code = (f"import sys, tbctrl.cli; assert tbctrl.cli.main({argv!r}) == 0; "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestScenarioDirEnv:
