@@ -127,37 +127,43 @@ def _parse_control_mode(mode: str, config: ScenarioConfig) -> np.ndarray:
         out = np.empty((n_nodes, d.control_dim))
         for k, c in enumerate(columns):
             out[:, k] = np.interp(config.grid.nodes, t, c)
-        return np.clip(out, config.weights.lower, config.weights.upper)
-    try:
-        values = [float(v) for v in mode.split(",")]
-    except ValueError:
-        raise ValidationError(
-            f"control mode {mode!r} is neither 'off', a constant, nor a readable file") from None
-    if len(values) == 1 and d.control_dim > 1:
-        values = values * d.control_dim
-    if len(values) != d.control_dim:
-        raise ValidationError(f"expected {d.control_dim} constant control value(s), got {len(values)}")
-    return np.tile(np.array(values), (n_nodes, 1))
+    else:
+        try:
+            values = [float(v) for v in mode.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"control mode {mode!r} is neither 'off', a constant, nor a readable file") from None
+        if not np.isfinite(values).all():
+            raise ValidationError(f"control constant {mode!r} holds a non-finite value")
+        if len(values) == 1 and d.control_dim > 1:
+            values = values * d.control_dim
+        if len(values) != d.control_dim:
+            raise ValidationError(f"expected {d.control_dim} constant control value(s), got {len(values)}")
+        out = np.tile(np.array(values), (n_nodes, 1))
+    return np.clip(out, config.weights.lower, config.weights.upper)
+
+
+def _with_grid(config: ScenarioConfig, args) -> ScenarioConfig:
+    if args.n_steps is None:
+        return config
+    return replace(config, grid=type(config.grid)(config.grid.t0, config.grid.tf, args.n_steps))
 
 
 def _apply_cli_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if args.n_steps is not None:
-        config = replace(config, grid=type(config.grid)(config.grid.t0, config.grid.tf, args.n_steps))
     fbs = config.fbs
     if args.tolerance is not None:
         fbs = replace(fbs, tolerance=args.tolerance)
     if args.max_iterations is not None:
         fbs = replace(fbs, max_iterations=args.max_iterations)
-    if args.relaxation is not None:
-        fbs = replace(fbs, relaxation=args.relaxation)
-    return replace(config, fbs=fbs)
+    return replace(_with_grid(config, args), fbs=fbs)
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_cli_overrides(find_scenario(args.scenario), args)
+    config = _with_grid(find_scenario(args.scenario), args)
+    control = _parse_control_mode(args.control, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = _simulate(config, _parse_control_mode(args.control, config))
+    traj = _simulate(config, control)
     cost = total_cost(config.cost_kind, config.model, traj, config.weights)
     _write_trajectory(out / "trajectory.csv", config, traj)
     d = models.model_definition(config.model)
@@ -386,9 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("scenario", help="scenario file or bundled name")
         sp.add_argument("--out-dir", "-o", required=True, help="output directory")
         sp.add_argument("--n-steps", type=int, help="override grid resolution")
+
+    def add_solver(sp):
+        add_common(sp)
         sp.add_argument("--tolerance", type=float, help="override sweep tolerance")
         sp.add_argument("--max-iterations", type=int, help="override iteration cap")
-        sp.add_argument("--relaxation", type=float, help="damping used when the sweep residual rises")
 
     sp = sub.add_parser("simulate", help="integrate the state under a fixed control")
     add_common(sp)
@@ -396,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'off', constant value(s) 'v' or 'v1,v2', or a CSV file t,u...")
 
     sp = sub.add_parser("optimize", help="solve the optimal control problem")
-    add_common(sp)
+    add_solver(sp)
 
     sp = sub.add_parser("sweep", help="optimize across the scenario's sweep values")
-    add_common(sp)
+    add_solver(sp)
     sp.add_argument("--jobs", "-j", type=int, default=1,
                     help="processes solving sweep points, this one included")
 

@@ -144,10 +144,6 @@ class Trajectory:
                 raise ValidationError(f"{name} must have shape ({n}, dim), got {arr.shape}")
             setattr(self, name, arr)
 
-    @property
-    def state_dim(self) -> int:
-        return self.state.shape[1]
-
 
 def interpolate_state(traj: Trajectory, t: float) -> np.ndarray:
     """Linearly interpolate the stored state at time t; exact at grid nodes."""
@@ -292,7 +288,3 @@ class CostWeights:
             raise ValidationError(f"control bounds must be finite, got [{self.lower}, {self.upper}]")
         if not self.upper > self.lower:
             raise ValidationError(f"control bounds must satisfy upper > lower, got [{self.lower}, {self.upper}]")
-
-    @property
-    def b_array(self) -> np.ndarray:
-        return np.array(self.b, dtype=float)

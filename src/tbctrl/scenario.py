@@ -133,10 +133,20 @@ def _finite(obj, path: str) -> float:
 def _fraction_value(obj, path: str) -> Fraction:
     if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            f = Fraction(obj)
+            float(f)  # raises OverflowError past float range
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"{path}: cannot parse fraction {obj!r}") from None
+        except OverflowError:
+            raise ValidationError(f"{path}: number out of float range") from None
+        return f
     return Fraction(_finite(obj, path))
+
+
+def _list(obj, path: str) -> list | tuple:
+    if not isinstance(obj, (list, tuple)):
+        raise ValidationError(f"{path}: expected a list, got {obj!r}")
+    return obj
 
 
 def _parse_parameters(obj, path: str) -> ParameterSet:
@@ -148,8 +158,8 @@ def _parse_parameters(obj, path: str) -> ParameterSet:
             _reject_unknown(v, {"times", "values"}, sub)
             if "times" not in v or "values" not in v:
                 raise ValidationError(f"{sub}: time table needs 'times' and 'values'")
-            times = [_finite(t, f"{sub}.times") for t in v["times"]]
-            values = [_number(t, f"{sub}.values") for t in v["values"]]
+            times = [_finite(t, f"{sub}.times") for t in _list(v["times"], f"{sub}.times")]
+            values = [_number(t, f"{sub}.values") for t in _list(v["values"], f"{sub}.values")]
             out[name] = TimeTable(tuple(times), tuple(values))
         else:
             out[name] = _number(v, sub)
@@ -164,9 +174,7 @@ def _parse_initial_state(obj, d, path: str):
         raise ValidationError(f"{path}.mode: expected 'fractions' or 'counts', got {mode!r}")
     if "values" not in obj:
         raise ValidationError(f"{path}: missing 'values'")
-    raw = obj["values"]
-    if not isinstance(raw, (list, tuple)):
-        raise ValidationError(f"{path}.values: expected a list")
+    raw = _list(obj["values"], f"{path}.values")
     if len(raw) != d.state_dim:
         raise ValidationError(
             f"{path}.values: {d.id.value} has {d.state_dim} compartments "
@@ -180,9 +188,12 @@ def _parse_initial_state(obj, d, path: str):
         fracs = [_fraction_value(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
         if any(f < 0 for f in fracs):
             raise ValidationError(f"{path}.values: fractions must be nonnegative")
-        s = sum(fracs)
-        if abs(float(s) - 1.0) > 1e-9:
-            raise ValidationError(f"{path}.values: initial fractions must sum to 1, got {float(s)!r}")
+        try:
+            s = float(sum(fracs))
+        except OverflowError:  # each fraction fits a float, but not their sum
+            s = math.inf
+        if abs(s - 1.0) > 1e-9:
+            raise ValidationError(f"{path}.values: initial fractions must sum to 1, got {s!r}")
         values = tuple(float(f) for f in fracs)
     else:
         values = tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
@@ -238,29 +249,16 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
     return kind, weights
 
 
-def _parse_fbs(obj, d, path: str) -> FbsSettings:
+def _parse_fbs(obj, path: str) -> FbsSettings:
     if obj is None:
         return FbsSettings()
     obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"relaxation", "tolerance", "max_iterations", "initial_control"}, path)
+    _reject_unknown(obj, {"tolerance", "max_iterations"}, path)
     kwargs: dict[str, Any] = {}
-    if "relaxation" in obj:
-        kwargs["relaxation"] = _number(obj["relaxation"], f"{path}.relaxation")
     if "tolerance" in obj:
         kwargs["tolerance"] = _finite(obj["tolerance"], f"{path}.tolerance")
     if "max_iterations" in obj:
         kwargs["max_iterations"] = obj["max_iterations"]  # FbsSettings checks it is an integer
-    if "initial_control" in obj:
-        v = obj["initial_control"]
-        if isinstance(v, (list, tuple)):
-            if len(v) != d.control_dim:
-                raise ValidationError(
-                    f"{path}.initial_control: {d.id.value} has {d.control_dim} control(s), "
-                    f"got {len(v)} values")
-            kwargs["initial_control"] = tuple(
-                _finite(x, f"{path}.initial_control[{i}]") for i, x in enumerate(v))
-        else:
-            kwargs["initial_control"] = _finite(v, f"{path}.initial_control")
     try:
         return FbsSettings(**kwargs)
     except ValidationError as exc:
@@ -276,6 +274,8 @@ def _parse_sweep(obj, d, path: str) -> SweepSpec:
     if len(raw_values) == 0:
         raise ValidationError(f"{path}.values: sweep value list is empty")
     parameter = obj.get("parameter")
+    if not isinstance(parameter, (str, type(None))):
+        raise ValidationError(f"{path}.parameter: expected a string, got {parameter!r}")
     values: list[Any] = []
     for i, v in enumerate(raw_values):
         if isinstance(v, Mapping):
@@ -327,14 +327,14 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     nst = gobj["n_steps"]
     if isinstance(nst, bool) or not isinstance(nst, numbers.Integral):
         raise ValidationError(f"$.grid.n_steps: expected an integer, got {nst!r}")
+    t0, tf = _number(gobj["t0"], "$.grid.t0"), _number(gobj["tf"], "$.grid.tf")
     try:
-        grid = make_time_grid(_number(gobj["t0"], "$.grid.t0"),
-                              _number(gobj["tf"], "$.grid.tf"), int(nst))
+        grid = make_time_grid(t0, tf, int(nst))
     except ValidationError as exc:
         raise ValidationError(f"$.grid: {exc}") from None
 
     kind, weights = _parse_cost(doc["cost"], d, "$.cost")
-    fbs = _parse_fbs(doc.get("fbs"), d, "$.fbs")
+    fbs = _parse_fbs(doc.get("fbs"), "$.fbs")
     sweep = _parse_sweep(doc["sweep"], d, "$.sweep") if "sweep" in doc else None
 
     config = ScenarioConfig(
@@ -390,12 +390,8 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
             "bounds": [config.weights.lower, config.weights.upper],
         },
         "fbs": {
-            "relaxation": config.fbs.relaxation,
             "tolerance": config.fbs.tolerance,
             "max_iterations": config.fbs.max_iterations,
-            "initial_control": (list(config.fbs.initial_control)
-                                if isinstance(config.fbs.initial_control, tuple)
-                                else config.fbs.initial_control),
         },
     }
     if config.population is not None:

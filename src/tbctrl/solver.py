@@ -8,23 +8,23 @@ mixing (type II, memory 3, no damping) on the residual r = u_hat - u: the
 last few residual differences fit r by least squares, the matching
 control-law differences are taken off u_hat, and the result is clipped to
 the control bounds. When |r|_1 rises against the previous sweep the memory
-is cleared and the sweep takes the relaxed step c*u + (1-c)*u_hat instead.
-Iteration stops when |u_hat - u|_1 / |u_hat|_1 drops below tolerance; the
-returned control is that u_hat, the pointwise characterization from the
-final sweep (re-integrated once more). A solve that runs out of iterations
-returns its cheapest iterate, flagged.
+is cleared and the sweep takes the damped step c*u + (1-c)*u_hat instead,
+with c = ``_DAMPING`` = 0.5. Iteration stops when |u_hat - u|_1 / |u_hat|_1
+drops below tolerance; the returned control is that u_hat, the pointwise
+characterization from the final sweep (re-integrated once more). A solve
+that runs out of iterations returns its cheapest iterate, flagged.
 
 The sweep's start comes from nested iteration (``_start``). A grid of
 n >= 500 steps first solves the same problem on n // 10 steps, started the
 same way, and interpolates that control (its best iterate, if that level did
 not converge) linearly onto its own nodes; the coarsest level, and any grid
-under 500 steps, starts from the scenario's ``initial_control``. The
+under 500 steps, starts from u = 0 clipped to the control bounds. The
 flagship's 5000 steps thus start from 500, and those from 50. A coarse sweep
 costs a tenth of a fine one, and its control lands the fine sweep within
 about the tolerance, so the fine grid typically takes one or two sweeps. A
 coarse level that meets a non-finite value is dropped, and the next finer
-level starts from ``initial_control``. The report counts only the sweeps on
-the requested grid; each level is capped at ``max_iterations`` sweeps.
+level starts from the clipped zero. The report counts only the sweeps on the
+requested grid; each level is capped at ``max_iterations`` sweeps.
 
 The state pass and the direct oracle's simulations share one RK4 kernel,
 ``_rk4``. It takes floats or numpy columns: one run works on Python floats
@@ -79,22 +79,15 @@ __all__ = [
 class FbsSettings:
     """Sweep iteration knobs.
 
-    ``relaxation`` is the damping c of the fallback step
-    u <- c*u + (1-c)*u_hat, taken when the sweep residual rises instead of
-    the Anderson step. ``tolerance`` bounds the relative fixed-point residual
-    |u_hat - u|_1 / |u_hat|_1 at which the sweep stops. ``initial_control``
-    is a scalar or one value per control, held over the coarsest grid the
-    sweep starts on.
+    ``tolerance`` bounds the relative fixed-point residual
+    |u_hat - u|_1 / |u_hat|_1 at which the sweep stops, and
+    ``max_iterations`` caps the sweeps on each grid level.
     """
 
-    relaxation: float = 0.5
     tolerance: float = 1e-4
     max_iterations: int = 500
-    initial_control: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.relaxation < 1.0):
-            raise ValidationError(f"relaxation must lie in [0, 1), got {self.relaxation}")
         if not 0.0 < self.tolerance < math.inf:  # an infinite tolerance stops after one sweep
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         n = self.max_iterations
@@ -102,8 +95,6 @@ class FbsSettings:
             raise ValidationError(f"max_iterations must be an integer, got {n!r}")
         if n < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {n}")
-        if not np.isfinite(self.initial_control).all():
-            raise ValidationError(f"initial_control must be finite, got {self.initial_control}")
 
 
 @dataclass
@@ -283,21 +274,13 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
     return _costate_pass(d, w, p, state, control, grid.nodes)
 
 
-def _expand_initial_control(initial, n_nodes: int, control_dim: int) -> np.ndarray:
-    if isinstance(initial, numbers.Real):
-        return np.full((n_nodes, control_dim), float(initial))
-    arr = np.asarray(initial, dtype=float)
-    if arr.shape != (control_dim,):
-        raise ValidationError(f"initial control must be scalar or ({control_dim},), got {arr.shape}")
-    return np.tile(arr, (n_nodes, 1))
-
-
 def _positivity(state: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(state))))
     return bool(np.min(state) >= -1e-9 * scale)
 
 
 _MEMORY = 3  # Anderson mixing keeps at most this many residual differences
+_DAMPING = 0.5  # the fallback step's weight on the current control: c*u + (1-c)*u_hat
 
 
 def _least_squares(columns: list[np.ndarray], r: np.ndarray) -> list[float]:
@@ -348,8 +331,8 @@ def _start(d, scenario: "ScenarioConfig", grid: TimeGrid) -> np.ndarray:
     On a grid of at least ``_COARSEN * _COARSEST`` steps it is the control
     of the same problem solved one level coarser (its best iterate if that
     sweep did not converge), interpolated linearly onto the grid's nodes.
-    Otherwise, or if the coarser solve meets a non-finite value, it is the
-    scenario's ``initial_control`` held over the grid, clipped to the bounds.
+    Otherwise, or if the coarser solve meets a non-finite value, it is u = 0
+    clipped to the bounds.
     """
     n = grid.n_steps // _COARSEN
     if n >= _COARSEST:
@@ -362,8 +345,7 @@ def _start(d, scenario: "ScenarioConfig", grid: TimeGrid) -> np.ndarray:
         else:
             return np.column_stack([np.interp(grid.nodes, coarse.nodes, c) for c in u.T])
     w = scenario.weights
-    u = _expand_initial_control(scenario.fbs.initial_control, grid.n_nodes, d.control_dim)
-    return np.clip(u, w.lower, w.upper, out=u)
+    return np.clip(np.zeros((grid.n_nodes, d.control_dim)), w.lower, w.upper)
 
 
 def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
@@ -375,7 +357,6 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
     """
     model, p, w, settings = scenario.model, scenario.params, scenario.weights, scenario.fbs
     x0 = scenario.initial_state()
-    relax = settings.relaxation
     char = d.characterize
     names = d.required_params
     q = p.values(names)  # the control law's parameters, unless p holds a time table
@@ -419,7 +400,7 @@ def _sweep(d, scenario: "ScenarioConfig", grid: TimeGrid, u: np.ndarray):
             # The residual rose: forget the secant history and damp.
             d_res.clear()
             d_law.clear()
-            u_next = relax * u + (1.0 - relax) * u_hat
+            u_next = _DAMPING * u + (1.0 - _DAMPING) * u_hat
         else:
             if prev_res is not None:
                 d_res.append(res - prev_res)

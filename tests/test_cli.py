@@ -151,6 +151,23 @@ class TestSimulate:
         assert ((out_file / "trajectory.csv").read_text()
                 == (out_const / "trajectory.csv").read_text())
 
+    def test_constant_control_clipped_like_a_file(self, small_scenario_file, tmp_path):
+        out_five, out_one = tmp_path / "five", tmp_path / "one"
+        assert main(["simulate", str(small_scenario_file), "-o", str(out_five),
+                     "--control", "5"]) == 0
+        assert main(["simulate", str(small_scenario_file), "-o", str(out_one),
+                     "--control", "1"]) == 0
+        assert ((out_five / "trajectory.csv").read_text()
+                == (out_one / "trajectory.csv").read_text())
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "0.5,inf"])
+    def test_non_finite_constant_is_validation_error(self, small_scenario_file, tmp_path, capsys,
+                                                     value):
+        assert main(["simulate", str(small_scenario_file), "-o", str(tmp_path / "x"),
+                     f"--control={value}"]) == 2
+        assert "non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("t,u\n0.0,0.5\n5.0,0.2\n2.5,0.4\n", "t must be strictly increasing"),
         ("t,u\n0.0,0.5\n0.0,0.2\n5.0,0.4\n", "t must be strictly increasing"),
@@ -170,6 +187,7 @@ class TestSimulate:
         assert main(["simulate", str(small_scenario_file), "-o", str(tmp_path / "x"),
                      "--control", str(ctrl)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestOptimize:
@@ -223,6 +241,21 @@ class TestOverrides:
         out = tmp_path / "out"
         assert main([command, str(small_scenario_file), "-o", str(out), flag, "0"]) == 2
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--tolerance"),
+        ("simulate", "--max-iterations"),
+        ("optimize", "--relaxation"),
+        ("sweep", "--relaxation"),
+    ])
+    def test_option_not_taken_is_refused(self, small_scenario_file, tmp_path, capsys,
+                                         command, flag):
+        # simulate runs no sweep, and the fallback step's damping is fixed
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(small_scenario_file), "-o", str(tmp_path / "x"), flag, "1e-3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -176,26 +176,38 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=r"^\$\.cost: control bounds must be finite"):
             load_scenario(text)
 
-    @pytest.mark.parametrize("edit, where", [
-        ({"initial_state": {"values": [NAN, 0.5, 0.25, 0.25]}}, r"initial_state\.values\[0\]"),
-        ({"initial_state": {"values": [0.5, INF, 0.25, 0.25]}}, r"initial_state\.values\[1\]"),
+    @pytest.mark.parametrize("edit, error", [
+        ({"initial_state": {"values": [NAN, 0.5, 0.25, 0.25]}},
+         r"initial_state\.values\[0\]: expected a finite number"),
+        ({"initial_state": {"values": [0.5, INF, 0.25, 0.25]}},
+         r"initial_state\.values\[1\]: expected a finite number"),
         ({"initial_state": {"mode": "counts", "values": [7000.0, NAN, 400.0, 100.0]}},
-         r"initial_state\.values\[1\]"),
+         r"initial_state\.values\[1\]: expected a finite number"),
         ({"initial_state": {"values": [0.5, 0.25, 0.25, 0.0], "total": INF}},
-         r"initial_state\.total"),
-        ({"fbs": {"initial_control": NAN}}, r"fbs\.initial_control"),
-        ({"fbs": {"initial_control": [INF]}}, r"fbs\.initial_control\[0\]"),
-        ({"fbs": {"tolerance": INF}}, r"fbs\.tolerance"),  # would stop after one sweep
+         r"initial_state\.total: expected a finite number"),
+        ({"fbs": {"tolerance": INF}},  # would stop after one sweep
+         r"fbs\.tolerance: expected a finite number"),
         ({"parameters": {"k1": {"times": [0.0, NAN], "values": [1.0, 1.0]}}},
-         r"parameters\.k1\.times"),
+         r"parameters\.k1\.times: expected a finite number"),
         ({"parameters": {"k1": {"times": [-INF, 0.0], "values": [1.0, 1.0]}}},
-         r"parameters\.k1\.times"),
+         r"parameters\.k1\.times: expected a finite number"),
+        ({"initial_state": {"values": ["1e400", "0", "0", "0"]}},
+         r"initial_state\.values\[0\]: number out of float range"),
+        ({"initial_state": {"values": ["1e308", "1e308", "0", "0"]}},  # the sum overflows
+         r"initial_state\.values: initial fractions must sum to 1, got inf"),
+        ({"parameters": {"k1": {"times": 0.0, "values": [1.0]}}},
+         r"parameters\.k1\.times: expected a list"),
+        ({"parameters": {"k1": {"times": [0.0, 1.0], "values": 1.0}}},
+         r"parameters\.k1\.values: expected a list"),
+        ({"sweep": {"parameter": 3, "values": [1.0]}}, r"sweep\.parameter: expected a string"),
+        ({"grid": {"t0": 0.0, "tf": "5", "n_steps": 100}}, r"grid\.tf: expected a number"),
     ])
-    def test_non_finite_numbers_rejected(self, edit, where):
+    def test_non_finite_numbers_rejected(self, edit, error):
+        # ... and other malformed values, each named by its JSON path
         doc = flagship_doc()
         for key, value in edit.items():
             doc[key] = value
-        with pytest.raises(ValidationError, match=rf"^\$\.{where}: expected a finite number"):
+        with pytest.raises(ValidationError, match=rf"^\$\.{error}"):
             load_scenario(json.dumps(doc))
 
     @pytest.mark.parametrize("n", [2.5, True, "3"])
@@ -211,13 +223,6 @@ class TestLoadScenario:
         text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 400)
         with pytest.raises(ValidationError, match=r"^\$\.initial_state\.values\[3\]: number out"):
             load_scenario(text)
-
-    def test_initial_control_length_checked(self):
-        doc = flagship_doc()
-        doc["fbs"] = {"initial_control": [0.1, 0.2]}
-        with pytest.raises(ValidationError,
-                           match=r"^\$\.fbs\.initial_control: seirs has 1 control\(s\), got 2"):
-            load_scenario(json.dumps(doc))
 
     def test_fraction_mode_needs_population(self):
         doc = flagship_doc()
@@ -271,6 +276,14 @@ class TestPublishedSchema:
         doc = flagship_doc()
         doc["extra"] = 1
         assert not validator.is_valid(doc)
+
+    @pytest.mark.parametrize("key", ["relaxation", "initial_control"])
+    def test_removed_fbs_keys_refused_by_both(self, validator, key):
+        doc = flagship_doc()
+        doc["fbs"] = {key: 0.5}
+        assert not validator.is_valid(doc)
+        with pytest.raises(ValidationError, match=rf"^\$\.fbs: unknown key\(s\) \['{key}'\]"):
+            load_scenario(doc)
 
 
 class TestFindScenario:

@@ -15,7 +15,7 @@ from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.costate import _BLOCK, _SUB_BLOCK, _coefficients, _costate_pass, _matmul
-from tbctrl.solver import FbsSettings, _expand_initial_control, _least_squares, _rk4, _sweep
+from tbctrl.solver import FbsSettings, _least_squares, _rk4, _sweep
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -645,22 +645,6 @@ class TestSolveFbs:
 
         assert sol.cost <= min(const_cost(0.0), const_cost(1.0))
 
-    def test_fixed_point_residual(self, flagship, shrink, solve_cached):
-        cfg = shrink(flagship, 1000)
-        sol = solve_cached.get("flagship-n1000", cfg)
-        u = sol.trajectory.control
-        state = integrate_forward(cfg.model, cfg.params, cfg.initial_state(), u, cfg.grid)
-        lam = integrate_adjoint_backward(cfg.model, cfg.params, cfg.weights,
-                                         state, u, cfg.grid)
-        from tbctrl import control_characterization
-        u_hat = np.empty_like(u)
-        for i in range(cfg.grid.n_nodes):
-            u_hat[i] = control_characterization(cfg.model, cfg.grid.nodes[i],
-                                                state[i], lam[i], cfg.params, cfg.weights)
-        u_new = cfg.fbs.relaxation * u + (1 - cfg.fbs.relaxation) * u_hat
-        rel = np.sum(np.abs(u_new - u)) / max(np.sum(np.abs(u_new)), 1e-12)
-        assert rel < cfg.fbs.tolerance
-
     def test_returned_control_is_a_fixed_point(self, flagship, shrink, solve_cached):
         # The stopping test's own measure, |T(u) - u|_1 / |T(u)|_1, at the returned u.
         cfg = shrink(flagship, 1000)
@@ -711,11 +695,10 @@ class TestSolveFbs:
 
 
 def single_grid(cfg):
-    """The sweep on the scenario's grid alone, from its initial control: (control, history, converged)."""
+    """The sweep on the scenario's grid alone, from u = 0 clipped: (control, history, converged)."""
     d = model_definition(cfg.model)
-    u0 = _expand_initial_control(cfg.fbs.initial_control, cfg.grid.n_nodes, d.control_dim)
-    u, history, converged, _ = _sweep(d, cfg, cfg.grid, np.clip(u0, cfg.weights.lower,
-                                                               cfg.weights.upper))
+    u0 = np.clip(np.zeros((cfg.grid.n_nodes, d.control_dim)), cfg.weights.lower, cfg.weights.upper)
+    u, history, converged, _ = _sweep(d, cfg, cfg.grid, u0)
     return u, history, converged
 
 
@@ -779,18 +762,8 @@ class TestNestedStart:
         assert report.converged or report.iterations == max_iterations
 
 
-class TestInitialControlExpansion:
-    def test_scalar_vector_and_full_array(self):
-        assert _expand_initial_control(0.3, 4, 2).shape == (4, 2)
-        assert np.all(_expand_initial_control((0.1, 0.2), 3, 2) == [0.1, 0.2])
-        with pytest.raises(ValidationError):  # a full (n_nodes, control_dim) array is not accepted
-            _expand_initial_control(np.ones((3, 2)), 3, 2)
-        with pytest.raises(ValidationError):
-            _expand_initial_control(np.ones((2, 2)), 3, 2)
-
+class TestFbsSettings:
     def test_settings_validation(self):
-        with pytest.raises(ValidationError):
-            FbsSettings(relaxation=1.0)
         with pytest.raises(ValidationError):
             FbsSettings(tolerance=0.0)
         with pytest.raises(ValidationError, match="tolerance must be finite"):
@@ -803,13 +776,6 @@ class TestInitialControlExpansion:
         # 2.5 would reach range() in the sweep; True would cap it at one sweep
         with pytest.raises(ValidationError, match="max_iterations must be an integer"):
             FbsSettings(max_iterations=n)
-
-    @pytest.mark.parametrize("initial, shown", [
-        (math.nan, "nan"), (math.inf, "inf"), ((0.1, math.nan), r"\(0.1, nan\)")])
-    def test_nonfinite_initial_control_refused(self, initial, shown):
-        # nan would run every nested level into a non-finite state; inf would be clipped silently
-        with pytest.raises(ValidationError, match=f"initial_control must be finite, got {shown}"):
-            FbsSettings(initial_control=initial)
 
 
 class TestLeastSquares:
