@@ -57,25 +57,14 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _trajectory_rows(traj: Trajectory, with_adjoint: bool) -> np.ndarray:
-    columns = [traj.grid.nodes, traj.state, traj.control, traj.state.sum(axis=1)]
-    if with_adjoint:
-        columns.append(traj.adjoint)
-    return np.column_stack(columns)
-
-
-def _trajectory_header(config: ScenarioConfig, with_adjoint: bool) -> list[str]:
+def _write_trajectory(path: Path, config: ScenarioConfig, traj: Trajectory) -> None:
     d = models.model_definition(config.model)
     header = ["t", *d.state_labels, *d.control_labels, "N"]
-    if with_adjoint:
+    columns = [traj.grid.nodes, traj.state, traj.control, traj.state.sum(axis=1)]
+    if traj.adjoint is not None:
         header.extend(f"lambda_{lbl}" for lbl in d.state_labels)
-    return header
-
-
-def _write_trajectory(path: Path, config: ScenarioConfig, traj: Trajectory) -> None:
-    with_adjoint = traj.adjoint is not None
-    _write_csv(path, _trajectory_header(config, with_adjoint),
-               _trajectory_rows(traj, with_adjoint))
+        columns.append(traj.adjoint)
+    _write_csv(path, header, np.column_stack(columns))
 
 
 def _simulate(config: ScenarioConfig, control: np.ndarray) -> Trajectory:
@@ -300,11 +289,9 @@ def cmd_sweep(args) -> int:
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise ValidationError("--jobs above 1 needs os.fork, which this platform lacks")
     config = _apply_cli_overrides(find_scenario(args.scenario), args)
-    if config.sweep is None:
-        raise ValidationError(f"scenario {config.name!r} declares no sweep")
+    points = sweep_points(config)  # refuses a scenario without a sweep
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = sweep_points(config)
     tasks = [(label, sub, out / f"value-{i:02d}") for i, (label, sub) in enumerate(points)]
     results = _run_sweep(tasks, min(args.jobs, len(tasks)))
 

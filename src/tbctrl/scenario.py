@@ -23,7 +23,6 @@ from .solver import FbsSettings
 __all__ = [
     "SCHEMA_ID",
     "SCENARIO_DIR_ENV",
-    "SweepSpec",
     "ScenarioConfig",
     "load_scenario",
     "load_scenario_file",
@@ -38,36 +37,6 @@ __all__ = [
 
 SCHEMA_ID = "tbctrl-scenario/1"
 SCENARIO_DIR_ENV = "TBCTRL_SCENARIO_DIR"
-
-_BUILTIN_FILES = (
-    "seirs-fig1",
-    "seirs-fig2-sweep",
-    "seirs-fig3-sweep",
-    "seirs-fig4-sweep",
-    "seirs-fig5-sweep",
-    "seirs-fig6-sweep",
-)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept quantity (scalar form) or per-point override mappings."""
-
-    parameter: str | None
-    values: tuple[Any, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        out = []
-        for v in self.values:
-            if isinstance(v, Mapping):
-                out.append(",".join(f"{k}={_fmt(val)}" for k, val in v.items()))
-            else:
-                out.append(f"{self.parameter}={_fmt(v)}")
-        return tuple(out)
-
-
-def _fmt(v) -> str:
-    return f"{v:g}" if isinstance(v, numbers.Real) else str(v)
 
 
 @dataclass(frozen=True)
@@ -84,7 +53,7 @@ class ScenarioConfig:
     weights: CostWeights
     fbs: FbsSettings
     population: float | None = None   # reference N for fraction mode
-    sweep: SweepSpec | None = None
+    sweep: tuple[dict[str, float], ...] | None = None  # one override mapping per point
 
     def reference_population(self) -> float:
         if self.population is not None:
@@ -160,7 +129,10 @@ def _parse_parameters(obj, path: str) -> ParameterSet:
                 raise ValidationError(f"{sub}: time table needs 'times' and 'values'")
             times = [_finite(t, f"{sub}.times") for t in _list(v["times"], f"{sub}.times")]
             values = [_number(t, f"{sub}.values") for t in _list(v["values"], f"{sub}.values")]
-            out[name] = TimeTable(tuple(times), tuple(values))
+            try:
+                out[name] = TimeTable(tuple(times), tuple(values))
+            except ValidationError as exc:
+                raise ValidationError(f"{sub}: {exc}") from None
         else:
             out[name] = _number(v, sub)
     return ParameterSet(out)
@@ -265,7 +237,7 @@ def _parse_fbs(obj, path: str) -> FbsSettings:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_sweep(obj, d, path: str) -> SweepSpec:
+def _parse_sweep(obj, path: str) -> tuple[dict[str, float], ...]:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"parameter", "values"}, path)
     if "values" not in obj or not isinstance(obj["values"], (list, tuple)):
@@ -276,16 +248,15 @@ def _parse_sweep(obj, d, path: str) -> SweepSpec:
     parameter = obj.get("parameter")
     if not isinstance(parameter, (str, type(None))):
         raise ValidationError(f"{path}.parameter: expected a string, got {parameter!r}")
-    values: list[Any] = []
+    points = []
     for i, v in enumerate(raw_values):
         if isinstance(v, Mapping):
-            values.append({k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()})
+            points.append({k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()})
+        elif parameter is None:
+            raise ValidationError(f"{path}: scalar sweep values need a 'parameter' name")
         else:
-            if parameter is None:
-                raise ValidationError(
-                    f"{path}: scalar sweep values need a 'parameter' name")
-            values.append(_number(v, f"{path}.values[{i}]"))
-    return SweepSpec(parameter=parameter, values=tuple(values))
+            points.append({parameter: _number(v, f"{path}.values[{i}]")})
+    return tuple(points)
 
 
 def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
@@ -303,6 +274,9 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     schema = doc.get("schema")
     if schema != SCHEMA_ID:
         raise ValidationError(f"$.schema: expected {SCHEMA_ID!r}, got {schema!r}")
+    name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ValidationError(f"$.name: expected a string, got {name!r}")
     for key in ("model", "parameters", "initial_state", "grid", "cost"):
         if key not in doc:
             raise ValidationError(f"$: missing required key {key!r}")
@@ -335,10 +309,10 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
 
     kind, weights = _parse_cost(doc["cost"], d, "$.cost")
     fbs = _parse_fbs(doc.get("fbs"), "$.fbs")
-    sweep = _parse_sweep(doc["sweep"], d, "$.sweep") if "sweep" in doc else None
+    sweep = _parse_sweep(doc["sweep"], "$.sweep") if "sweep" in doc else None
 
     config = ScenarioConfig(
-        name=str(doc.get("name", "scenario")),
+        name=name,
         model=model,
         params=params,
         initial_mode=mode,
@@ -353,8 +327,7 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     if mode == "fractions":
         config.reference_population()  # fails early with a clear message
     if sweep is not None:
-        for label, _ in sweep_points(config):
-            pass  # applying every sweep point validates the override targets
+        sweep_points(config)  # applying every sweep point validates the override targets
     return config
 
 
@@ -397,11 +370,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     if config.population is not None:
         doc["initial_state"]["total"] = config.population
     if config.sweep is not None:
-        sweep: dict[str, Any] = {"values": [dict(v) if isinstance(v, Mapping) else v
-                                            for v in config.sweep.values]}
-        if config.sweep.parameter is not None:
-            sweep["parameter"] = config.sweep.parameter
-        doc["sweep"] = sweep
+        doc["sweep"] = {"values": [dict(point) for point in config.sweep]}
     return doc
 
 
@@ -425,7 +394,6 @@ def _apply_override(config: ScenarioConfig, key: str, value: float) -> ScenarioC
             w = replace(w, b=tuple(b))
         else:
             raise ValidationError(f"sweep target {key!r}: unknown cost field")
-        check_kind_weights(config.cost_kind, w)
         return replace(config, weights=w)
     d = models.model_definition(config.model)
     if key not in d.required_params:
@@ -435,46 +403,56 @@ def _apply_override(config: ScenarioConfig, key: str, value: float) -> ScenarioC
 
 
 def sweep_points(config: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
-    """Materialize one labelled sub-scenario per sweep value."""
+    """Materialize one labelled sub-scenario per sweep point.
+
+    A point's label joins its overrides as ``key=value`` (``:g`` format).
+    A point that overrides nothing, or whose label repeats an earlier
+    point's, is refused at its ``$.sweep.values[i]`` path; any other refusal
+    names the point by its label.
+    """
     if config.sweep is None:
         raise ValidationError(f"scenario {config.name!r} declares no sweep")
     out = []
-    for label, value in zip(config.sweep.labels(), config.sweep.values):
+    for i, point in enumerate(config.sweep):
+        label = ",".join(f"{k}={v:g}" for k, v in point.items())
+        if not point:
+            raise ValidationError(f"$.sweep.values[{i}]: a sweep point must override something")
+        if any(label == seen for seen, _ in out):
+            raise ValidationError(f"$.sweep.values[{i}]: label {label!r} repeats an earlier point's")
         sub = replace(config, sweep=None, name=f"{config.name}[{label}]")
-        if isinstance(value, Mapping):
-            for k, v in value.items():
+        try:
+            for k, v in point.items():
                 sub = _apply_override(sub, k, v)
-        else:
-            sub = _apply_override(sub, config.sweep.parameter, value)
-        violations = models.validate_params(sub.model, sub.params)
-        if violations:
-            raise ValidationError(f"sweep point {label!r}: " + "; ".join(violations))
+            models.validate_problem(sub.model, sub.params, sub.weights, sub.cost_kind)
+        except ValidationError as exc:
+            raise ValidationError(f"sweep point {label!r}: {exc}") from None
         out.append((label, sub))
     return out
 
 
 def builtin_scenario_names() -> tuple[str, ...]:
-    return _BUILTIN_FILES
+    """The bundled scenarios: every JSON file in the tbctrl.scenarios package, sorted."""
+    return tuple(sorted(f.name[:-5] for f in resources.files("tbctrl.scenarios").iterdir()
+                        if f.name.endswith(".json")))
+
+
+def _bundled(name: str) -> ScenarioConfig:
+    return load_scenario(
+        resources.files("tbctrl.scenarios").joinpath(f"{name}.json").read_text("utf-8"))
 
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
     """Bundled setups: the flagship run plus the standard sweep families."""
-    out = {}
-    for name in _BUILTIN_FILES:
-        text = resources.files("tbctrl.scenarios").joinpath(f"{name}.json").read_text("utf-8")
-        out[name] = load_scenario(text)
-    return out
+    return {name: _bundled(name) for name in builtin_scenario_names()}
 
 
 def get_scenario(name: str) -> ScenarioConfig:
     """Look up a bundled scenario; short aliases like 'fig4-sweep' are accepted."""
-    candidates = {name, f"seirs-{name}"}
-    for full in _BUILTIN_FILES:
-        if full in candidates:
-            text = resources.files("tbctrl.scenarios").joinpath(f"{full}.json").read_text("utf-8")
-            return load_scenario(text)
-    raise ValidationError(
-        f"unknown scenario {name!r}; bundled scenarios: {', '.join(_BUILTIN_FILES)}")
+    names = builtin_scenario_names()
+    for full in (name, f"seirs-{name}"):
+        if full in names:
+            return _bundled(full)
+    raise ValidationError(f"unknown scenario {name!r}; bundled scenarios: {', '.join(names)}")
 
 
 def find_scenario(ref: str) -> ScenarioConfig:
@@ -492,4 +470,4 @@ def find_scenario(ref: str) -> ScenarioConfig:
     except ValidationError:
         raise FileNotFoundError(
             f"scenario {ref!r} not found as a file, under ${SCENARIO_DIR_ENV}, "
-            f"or among bundled scenarios ({', '.join(_BUILTIN_FILES)})") from None
+            f"or among bundled scenarios ({', '.join(builtin_scenario_names())})") from None

@@ -28,9 +28,8 @@ def small_scenario_file(tmp_path):
 
 def _effort_sweep_file(tmp_path, values):
     cfg = get_scenario("fig4-sweep")
-    from tbctrl.scenario import SweepSpec
     cfg = replace(cfg, grid=make_time_grid(0.0, 5.0, 250), name="fig4-small",
-                  sweep=SweepSpec(parameter="cost.b1", values=values))
+                  sweep=tuple({"cost.b1": v} for v in values))
     path = tmp_path / "fig4-small.json"
     save_scenario(cfg, path)
     return path
@@ -362,9 +361,8 @@ class TestSweep:
     def test_per_value_failure_recorded_sweep_continues(self, tmp_path):
         import numpy as np
         cfg = get_scenario("fig1")
-        from tbctrl.scenario import SweepSpec
         cfg = replace(cfg, grid=make_time_grid(0.0, 5.0, 250), name="blowup",
-                      sweep=SweepSpec(parameter="beta", values=(13.0, 1e300)))
+                      sweep=({"beta": 13.0}, {"beta": 1e300}))
         path = tmp_path / "blowup.json"
         save_scenario(cfg, path)
         out = tmp_path / "sweep"

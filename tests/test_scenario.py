@@ -53,7 +53,7 @@ class TestBundledScenarios:
 
     def test_effort_weight_sweep(self):
         cfg = get_scenario("fig4-sweep")
-        values = [v for v in cfg.sweep.values]
+        values = [point["cost.b1"] for point in cfg.sweep]
         assert values == [50.0, 100.0, 250.0, 500.0]
         pts = sweep_points(cfg)
         assert [sub.weights.b[0] for _, sub in pts] == values
@@ -75,6 +75,11 @@ class TestBundledScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError):
             get_scenario("fig99")
+
+    def test_names_are_the_shipped_files(self):
+        assert builtin_scenario_names() == (
+            "seirs-fig1", "seirs-fig2-sweep", "seirs-fig3-sweep", "seirs-fig4-sweep",
+            "seirs-fig5-sweep", "seirs-fig6-sweep")
 
 
 class TestLoadScenario:
@@ -156,6 +161,38 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="sweep target"):
             load_scenario(json.dumps(doc))
 
+    def test_scalar_and_mapping_forms_give_equal_points(self):
+        doc = flagship_doc()
+        doc["sweep"] = {"parameter": "k1", "values": [0.25, 1.0]}
+        scalar = sweep_points(load_scenario(doc))
+        doc["sweep"] = {"values": [{"k1": 0.25}, {"k1": 1.0}]}
+        mapping = sweep_points(load_scenario(doc))
+        assert [label for label, _ in scalar] == ["k1=0.25", "k1=1"]
+        assert scalar == mapping
+
+    @pytest.mark.parametrize("sweep, error", [
+        ({"parameter": "cost.b1", "values": [50, -1]},
+         r"sweep point 'cost\.b1=-1': every effort weight b_i must be > 0"),
+        ({"parameter": "cost.a2", "values": [1.0]},
+         r"sweep point 'cost\.a2=1': cost kind C2 has no latent term"),
+        ({"parameter": "k1", "values": [0.5, -1.0]},
+         r"sweep point 'k1=-1': seirs: invalid parameters: "),
+        ({"parameter": "cost.a_isolated", "values": [1.0]},
+         r"sweep point 'cost\.a_isolated=1': seirs has no isolated compartment"),
+        ({"parameter": "nope", "values": [1.0]},
+         r"sweep point 'nope=1': sweep target 'nope' is not a parameter of seirs"),
+        ({"values": [{"k1": 0.5}, {}]}, r"\$\.sweep\.values\[1\]: a sweep point must override"),
+        ({"parameter": "k1", "values": [0.1234561, 0.1234562]},
+         r"\$\.sweep\.values\[1\]: label 'k1=0\.123456' repeats an earlier point's"),
+        ({"values": [{"k1": 0.5, "c": 1.0}, {"k1": 0.5, "c": 1.0}]},
+         r"\$\.sweep\.values\[1\]: label 'k1=0\.5,c=1' repeats"),
+    ])
+    def test_sweep_point_refusals_are_located(self, sweep, error):
+        doc = flagship_doc()
+        doc["sweep"] = sweep
+        with pytest.raises(ValidationError, match=rf"^{error}"):
+            load_scenario(doc)
+
     def test_time_table_parameter(self):
         doc = flagship_doc()
         doc["model"] = "korea"
@@ -199,6 +236,12 @@ class TestLoadScenario:
          r"parameters\.k1\.times: expected a list"),
         ({"parameters": {"k1": {"times": [0.0, 1.0], "values": 1.0}}},
          r"parameters\.k1\.values: expected a list"),
+        ({"parameters": {"k1": {"times": [], "values": []}}},
+         r"parameters\.k1: time table needs equally many times and values"),
+        ({"parameters": {"k1": {"times": [0.0, 1.0], "values": [1.0]}}},
+         r"parameters\.k1: time table needs equally many times and values"),
+        ({"parameters": {"k1": {"times": [1.0, 0.0], "values": [1.0, 1.0]}}},
+         r"parameters\.k1: time table times must be strictly increasing"),
         ({"sweep": {"parameter": 3, "values": [1.0]}}, r"sweep\.parameter: expected a string"),
         ({"grid": {"t0": 0.0, "tf": "5", "n_steps": 100}}, r"grid\.tf: expected a number"),
     ])
@@ -254,6 +297,16 @@ class TestRoundTrip:
         assert doc["schema"] == SCHEMA_ID
         assert doc["model"] == "seirs"
 
+    def test_scalar_sweep_saved_as_mappings(self):
+        doc = flagship_doc()
+        doc["sweep"] = {"parameter": "k1", "values": [0.25, 1.0]}
+        cfg = load_scenario(doc)
+        saved = scenario_to_dict(cfg)
+        assert saved["sweep"] == {"values": [{"k1": 0.25}, {"k1": 1.0}]}
+        again = load_scenario(saved)
+        assert again.sweep == cfg.sweep
+        assert sweep_points(again) == sweep_points(cfg)
+
 
 class TestPublishedSchema:
     """docs/scenario-schema.json accepts every bundled scenario, as shipped and as saved."""
@@ -271,6 +324,22 @@ class TestPublishedSchema:
         validator.validate(json.loads(bundled))
         save_scenario(builtin_scenarios()[name], tmp_path / "saved.json")
         validator.validate(json.loads((tmp_path / "saved.json").read_text()))
+
+    def test_saved_scalar_sweep_validates(self, validator):
+        doc = flagship_doc()
+        doc["sweep"] = {"parameter": "k1", "values": [0.25, 1.0]}
+        validator.validate(doc)
+        validator.validate(scenario_to_dict(load_scenario(doc)))
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"name": {"a": 1}}, r"^\$\.name: expected a string"),
+        ({"sweep": {"values": [{}]}}, r"^\$\.sweep\.values\[0\]: a sweep point must override"),
+    ])
+    def test_refused_by_both(self, validator, edit, error):
+        doc = {**flagship_doc(), **edit}
+        assert not validator.is_valid(doc)
+        with pytest.raises(ValidationError, match=error):
+            load_scenario(doc)
 
     def test_schema_rejects_unknown_key(self, validator):
         doc = flagship_doc()
