@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NonFiniteError, Trajectory, ValidationError
+from .core import NonFiniteError, Trajectory, ValidationError, check_count
 from . import models
 from .costs import total_cost
 from .models import ModelId
@@ -284,8 +284,7 @@ def _run_sweep(tasks: list, jobs: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    check_count("--jobs", args.jobs, 1)
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise ValidationError("--jobs above 1 needs os.fork, which this platform lacks")
     config = _apply_cli_overrides(find_scenario(args.scenario), args)

@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "NonFiniteError",
+    "check_count",
     "CostKind",
     "check_kind_weights",
     "TimeGrid",
@@ -27,6 +28,24 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A parameter set, scenario, weight set, or argument violates its contract."""
+
+
+def check_count(name: str, v, least: int) -> None:
+    """Refuse v unless it is an integer, not a bool, of at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValidationError(f"{name} must be >= {least}, got {v}")
+
+
+def _number(v, what: str) -> float:
+    """v as a float, if it is a real number, not a bool, within float range."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValidationError(f"{what}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer too long for a float
+        raise ValidationError(f"{what}: number out of float range") from None
 
 
 class NonFiniteError(RuntimeError):
@@ -81,7 +100,7 @@ def check_kind_weights(kind: CostKind, w: CostWeights) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of n_steps+1 nodes spanning [t0, tf]."""
+    """Uniform grid of n_steps+1 nodes spanning [t0, tf]; n_steps is an integer >= 2."""
 
     t0: float
     tf: float
@@ -93,8 +112,8 @@ class TimeGrid:
             raise ValidationError("time grid endpoints must be finite")
         if not self.tf > self.t0:
             raise ValidationError(f"horizon must be positive, got [{self.t0}, {self.tf}]")
-        if self.n_steps < 2:
-            raise ValidationError(f"n_steps must be at least 2, got {self.n_steps}")
+        check_count("n_steps", self.n_steps, 2)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         nodes = np.linspace(self.t0, self.tf, self.n_steps + 1)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -110,18 +129,16 @@ class TimeGrid:
 
 def make_time_grid(t0: float, tf: float, n_steps: int) -> TimeGrid:
     """Build a uniform time grid; rejects degenerate horizons and n_steps < 2."""
-    if not isinstance(n_steps, numbers.Integral):
-        raise ValidationError(f"n_steps must be an integer, got {n_steps!r}")
-    return TimeGrid(float(t0), float(tf), int(n_steps))
+    return TimeGrid(float(t0), float(tf), n_steps)
 
 
 @dataclass
 class Trajectory:
     """Per-node state, control, and (optionally) adjoint samples on a grid.
 
-    Arrays are laid out (n_nodes, dim). ``state_nonnegative`` is filled in by
-    integration routines and records whether all compartments stayed above a
-    small negative tolerance.
+    Arrays are laid out (n_nodes, dim). ``state_nonnegative`` is set only by
+    ``solve_fbs`` and records whether all compartments stayed above a small
+    negative tolerance.
     """
 
     grid: TimeGrid
@@ -194,12 +211,7 @@ class ParameterSet:
     def __init__(self, values: Mapping[str, float | TimeTable]):
         data: dict[str, float | TimeTable] = {}
         for name, v in values.items():
-            if isinstance(v, TimeTable):
-                data[name] = v
-            elif isinstance(v, numbers.Real):
-                data[name] = float(v)
-            else:
-                raise ValidationError(f"parameter {name!r}: expected a number or TimeTable, got {type(v).__name__}")
+            data[name] = v if isinstance(v, TimeTable) else _number(v, f"parameter {name!r}")
         self._data = data
         self._timed = any(isinstance(v, TimeTable) for v in data.values())
 
@@ -270,11 +282,10 @@ class CostWeights:
     upper: float = 1.0
 
     def __post_init__(self):
-        b = self.b
-        if isinstance(b, numbers.Real):
-            b = (float(b),)
-        else:
-            b = tuple(float(v) for v in b)
+        for name in ("a1", "a2", "a_isolated", "lower", "upper"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        b = (self.b,) if isinstance(self.b, numbers.Real) else self.b
+        b = tuple(_number(v, "b") for v in b)
         object.__setattr__(self, "b", b)
         for name in ("a1", "a2", "a_isolated"):
             v = getattr(self, name)

@@ -18,12 +18,9 @@ def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights)
     check_kind_weights(kind, w)
     if traj.control is None:
         raise ValidationError("trajectory has no control samples; cannot evaluate cost")
-    d = models.model_definition(model)
-    if traj.control.shape[1] != d.control_dim:
-        raise ValidationError(f"{d.id.value}: control dimension mismatch in trajectory")
-    if traj.state.shape[1] != d.state_dim:
-        raise ValidationError(f"{d.id.value}: state dimension mismatch in trajectory")
-    return _quadrature(d.id, w, traj.state, traj.control, traj.grid.h)
+    d, state, control = models._point(model, traj.grid.n_nodes, state=traj.state,
+                                      control=traj.control)
+    return _quadrature(d.id, w, state, control, traj.grid.h)
 
 
 def _quadrature(model: ModelId, w: CostWeights, state: np.ndarray, control: np.ndarray,

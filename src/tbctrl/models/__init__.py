@@ -56,7 +56,8 @@ def _cost_vec(model: ModelId, w: CostWeights) -> np.ndarray:
     """The state-cost vector g; the one check that w fits the model (effort weights, a_isolated)."""
     d = MODELS[model]
     if len(w.b) != d.control_dim:
-        raise ValidationError(f"{model.value} needs {d.control_dim} effort weights, got {len(w.b)}")
+        raise ValidationError(f"{model.value} has {d.control_dim} control(s), so needs "
+                              f"{d.control_dim} effort weights, got {len(w.b)}")
     vec = w.a1 * np.array(d.infectious) + w.a2 * np.array(d.latent)
     if d.isolated is not None:
         vec = vec + w.a_isolated * np.array(d.isolated)
@@ -97,18 +98,20 @@ def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights,
     return d
 
 
-def _point(model: ModelId, **vectors) -> list:
+def _point(model: ModelId, nodes: int | None = None, **vectors) -> list:
     """The model's definition, then each named vector as a float array of the model's shape.
 
-    A vector named ``control`` needs one entry per control, any other one per compartment.
+    A vector named ``control`` needs one entry per control, any other one per
+    compartment; given ``nodes``, each is a (nodes, entries) array, one row per node.
     """
     d = model_definition(model)
     out: list = [d]
     for what, v in vectors.items():
         n = d.control_dim if what == "control" else d.state_dim
+        shape = (n,) if nodes is None else (nodes, n)
         v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ValidationError(f"{d.id.value}: {what} must have shape ({n},), got {v.shape}")
+        if v.shape != shape:
+            raise ValidationError(f"{d.id.value}: {what} must have shape {shape}, got {v.shape}")
         out.append(v)
     return out
 

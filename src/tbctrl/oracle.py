@@ -25,7 +25,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .core import TimeGrid, Trajectory, ValidationError
+from .core import TimeGrid, Trajectory, ValidationError, check_count
 from . import models
 from .solver import SolveReport, Solution, _rk4
 
@@ -97,7 +97,7 @@ class _Simulator:
     def run(self, u_coarse: np.ndarray):
         """States at every node and the running cost at each, for one control."""
         fine = _fine_controls(u_coarse, self.grid.n_steps)
-        state = _rk4(self.d.rhs, self.x0, self.grid.nodes, (fine,), "state",
+        state = _rk4(self.d.rhs, self.x0, self.grid.nodes, fine, "state",
                      self.p, self.d.required_params)
         return state, self.state_cost(state.T) + self.effort(fine.T)
 
@@ -116,7 +116,7 @@ class _Simulator:
         for lo in range(0, out.size, _BATCH):
             by_interval = list(coarse[:, :, lo:lo + _BATCH])
             y0 = np.broadcast_to(self.x0[:, None], (self.x0.size, by_interval[0].shape[-1]))
-            kept = _rk4(self.d.rhs, y0, grid.nodes, ([by_interval[j] for j in intervals.tolist()],),
+            kept = _rk4(self.d.rhs, y0, grid.nodes, [by_interval[j] for j in intervals.tolist()],
                         "state", self.p, self.d.required_params, keep=self.state_cost)
             for b, column in enumerate(kept.T, lo):
                 s = int(starts[b])
@@ -146,8 +146,7 @@ class _Simulator:
 
 def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, float]:
     """First cheapest point of a uniform lattice of constant admissible controls, and its cost."""
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    check_count("grid_points", grid_points, 2)
     model, p, w = scenario.model, scenario.params, scenario.weights
     models.validate_problem(model, p, w, scenario.cost_kind)
     return _best_constant(_Simulator(model, p, w, scenario.grid, scenario.initial_state()), w,
@@ -202,17 +201,16 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     accepted step doubled. A trial step is halved until it passes the
     monotone Armijo test on the projected candidate.
 
-    Raises ``ValidationError`` unless 1 <= coarse_steps <= n_steps and
-    max_iters >= 1.
+    Raises ``ValidationError`` unless coarse_steps and max_iters are
+    integers with 1 <= coarse_steps <= n_steps and max_iters >= 1.
     """
     model, p, w = scenario.model, scenario.params, scenario.weights
     d = models.validate_problem(model, p, w, scenario.cost_kind)
     grid = scenario.grid
-    if coarse_steps < 1 or coarse_steps > grid.n_steps:
-        raise ValidationError(
-            f"coarse_steps must lie in [1, {grid.n_steps}], got {coarse_steps}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    check_count("coarse_steps", coarse_steps, 1)
+    if coarse_steps > grid.n_steps:
+        raise ValidationError(f"coarse_steps must be <= {grid.n_steps} (n_steps), got {coarse_steps}")
+    check_count("max_iters", max_iters, 1)
 
     sim = _Simulator(model, p, w, grid, scenario.initial_state())
     lo, hi = w.lower, w.upper

@@ -13,13 +13,12 @@ shifted states of the adjoint check or the grid search's candidate axes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .core import CostWeights, ParameterSet, ValidationError
+from .core import CostWeights, ParameterSet, ValidationError, check_count
 from . import models
 from .models import ModelId, _running_cost
 
@@ -75,14 +74,6 @@ class ConsistencyReport:
                 raise ValidationError("residuals must be nonnegative")
 
 
-def _check_count(name: str, v, least: int):
-    """Refuse v unless it is an integer, not a bool, of at least ``least``."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {v!r}")
-    if v < least:
-        raise ValidationError(f"{name} must be >= {least}, got {v}")
-
-
 def _slices(n: int, step: int) -> list[slice]:
     """range(n) in slices of ``step`` entries, the last one possibly shorter."""
     return [slice(i, i + step) for i in range(0, n, step)]
@@ -96,8 +87,8 @@ def _resolve(model, p, w, samples, seed):
         w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                         b=tuple(100.0 for _ in range(d.control_dim)))
     models.validate_problem(d.id, p, w)  # before any sampling
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     return d.id, d, p, w
 
 
@@ -177,7 +168,7 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
     The grid needs both bounds, so grid_points must be an integer of at least 2.
     """
     model, d, p, w = _resolve(model, p, w, samples, seed)
-    _check_count("grid_points", grid_points, 2)
+    check_count("grid_points", grid_points, 2)
     m, names = d.control_dim, d.required_params
     # Each call puts the samples on axis 0 and the candidates on the next k axes:
     # a sweep's one control, the others held at u*, or the tensor grid, u_i on axis i + 1.

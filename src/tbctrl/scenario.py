@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -15,7 +14,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .core import (CostKind, CostWeights, ParameterSet, TimeGrid, TimeTable,
-                   ValidationError, check_kind_weights, make_time_grid)
+                   ValidationError, _number, check_kind_weights, make_time_grid)
 from . import models
 from .models import ModelId
 from .solver import FbsSettings
@@ -81,15 +80,6 @@ def _reject_unknown(obj: Mapping, allowed: set[str], path: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
-def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
-        raise ValidationError(f"{path}: expected a number, got {obj!r}")
-    try:
-        return float(obj)
-    except OverflowError:  # a JSON integer too long for a float
-        raise ValidationError(f"{path}: number out of float range") from None
 
 
 def _finite(obj, path: str) -> float:
@@ -189,15 +179,10 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
     if "b" not in obj:
         raise ValidationError(f"{path}: missing 'b' (control effort weights)")
     b_raw = obj["b"]
-    if isinstance(b_raw, numbers.Real) and not isinstance(b_raw, bool):
-        b = (float(b_raw),)
-    elif isinstance(b_raw, (list, tuple)):
+    if isinstance(b_raw, (list, tuple)):
         b = tuple(_number(v, f"{path}.b[{i}]") for i, v in enumerate(b_raw))
     else:
-        raise ValidationError(f"{path}.b: expected a number or list of numbers")
-    if len(b) != d.control_dim:
-        raise ValidationError(
-            f"{path}.b: {d.id.value} has {d.control_dim} control(s), got {len(b)} weights")
+        b = (_number(b_raw, f"{path}.b"),)
     lower, upper = 0.0, 1.0
     if "bounds" in obj:
         bounds = obj["bounds"]
@@ -215,7 +200,7 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
             upper=upper,
         )
         check_kind_weights(kind, weights)
-        models.cost_state_vector(d.id, weights)  # the weights must fit the model (a_isolated)
+        models.cost_state_vector(d.id, weights)  # the weights must fit the model (b, a_isolated)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return kind, weights
@@ -298,12 +283,9 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     for key in ("t0", "tf", "n_steps"):
         if key not in gobj:
             raise ValidationError(f"$.grid: missing {key!r}")
-    nst = gobj["n_steps"]
-    if isinstance(nst, bool) or not isinstance(nst, numbers.Integral):
-        raise ValidationError(f"$.grid.n_steps: expected an integer, got {nst!r}")
     t0, tf = _number(gobj["t0"], "$.grid.t0"), _number(gobj["tf"], "$.grid.tf")
     try:
-        grid = make_time_grid(t0, tf, int(nst))
+        grid = make_time_grid(t0, tf, gobj["n_steps"])  # TimeGrid checks it is an integer
     except ValidationError as exc:
         raise ValidationError(f"$.grid: {exc}") from None
 
@@ -385,7 +367,9 @@ def _apply_override(config: ScenarioConfig, key: str, value: float) -> ScenarioC
         w = config.weights
         if field in ("a1", "a2", "a_isolated"):
             w = replace(w, **{field: float(value)})
-        elif field.startswith("b") and field[1:].isdigit():
+        elif field.startswith("b") and field[1:].isascii() and field[1:].isdigit():
+            if field[1:] != str(int(field[1:])):
+                raise ValidationError(f"sweep target {key!r}: index has a leading zero")
             idx = int(field[1:]) - 1
             if not 0 <= idx < len(w.b):
                 raise ValidationError(f"sweep target {key!r}: index out of range")
@@ -406,9 +390,10 @@ def sweep_points(config: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
     """Materialize one labelled sub-scenario per sweep point.
 
     A point's label joins its overrides as ``key=value`` (``:g`` format).
-    A point that overrides nothing, or whose label repeats an earlier
-    point's, is refused at its ``$.sweep.values[i]`` path; any other refusal
-    names the point by its label.
+    A point that overrides nothing, whose label repeats an earlier point's,
+    or whose overrides are an earlier point's in another order, is refused
+    at its ``$.sweep.values[i]`` path; any other refusal names the point by
+    its label.
     """
     if config.sweep is None:
         raise ValidationError(f"scenario {config.name!r} declares no sweep")
@@ -419,6 +404,9 @@ def sweep_points(config: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
             raise ValidationError(f"$.sweep.values[{i}]: a sweep point must override something")
         if any(label == seen for seen, _ in out):
             raise ValidationError(f"$.sweep.values[{i}]: label {label!r} repeats an earlier point's")
+        if point in config.sweep[:i]:  # dicts compare as sets of (target, value) pairs
+            raise ValidationError(f"$.sweep.values[{i}]: point {label!r} repeats an earlier point's "
+                                  "overrides in another order")
         sub = replace(config, sweep=None, name=f"{config.name}[{label}]")
         try:
             for k, v in point.items():

@@ -30,8 +30,8 @@ The state pass and the direct oracle's simulations share one RK4 kernel,
 ``_rk4``. It takes floats or numpy columns: one run works on Python floats
 rather than small arrays, and the oracle's batches on a (B,) column per
 compartment, one member per entry. Its step is straight-line code, one local
-name per component and stage, compiled from a template once per state width
-and driver widths, so a step spends its time in the model rather than in
+name per component and stage, compiled from a template once per state and
+control width, so a step spends its time in the model rather than in
 building lists. It hands the model its parameters as a tuple resolved once
 per pass (at each evaluation time only when the set holds a time table), and
 checks finiteness once per pass rather than after every step. The costate
@@ -46,15 +46,14 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid,
-                   Trajectory, ValidationError, _located, _raise_first_nonfinite)
+from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid, Trajectory,
+                   ValidationError, _located, _raise_first_nonfinite, check_count)
 from . import models
 from .costate import _costate_pass
 from .costs import _quadrature, total_cost
@@ -90,11 +89,7 @@ class FbsSettings:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:  # an infinite tolerance stops after one sweep
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # range() needs an int
-            raise ValidationError(f"max_iterations must be an integer, got {n!r}")
-        if n < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {n}")
+        check_count("max_iterations", self.max_iterations, 1)  # range() needs an int
 
 
 @dataclass
@@ -117,57 +112,54 @@ class Solution:
     report: SolveReport
 
 
-# One RK4 pass written out for a state of n components and drivers of the
-# given widths: the loop of ``_rk4`` with every stage as straight-line
-# arithmetic on local names. ``_rk4_steps`` fills in the names: y_i the state;
-# a_i, b_i, c_i and e_i the four stages; uk_i and vk_i entry i of driver k's
-# rows at the step's start and end.
+# One RK4 pass written out for a state of n components and a control of m:
+# the loop of ``_rk4`` with every stage as straight-line arithmetic on local
+# names. ``_rk4_steps`` fills in the names: y_i the state; a_i, b_i, c_i and
+# e_i the four stages; u_i and v_i entry i of the control rows at the step's
+# start and end.
 _RK4_TEMPLATE = """\
-def steps(f, y, t, d0, runs, store, values, names, timed, q0):
+def steps(f, y, t, u, runs, store, values, names, timed, q0):
     qm = qe = q0
-    for t1, d1 in runs:
+    for t1, v in runs:
         {y}, = y
-        {u}, = d0
-        {v}, = d1
+        {u}, = u
+        {v}, = v
         h = t1 - t
         tm, te = t + 0.5 * h, t + h
-        dm = {dm},
+        um = [{um}]
         if timed:
             q0, qm, qe = values(names, t), values(names, tm), values(names, te)
-        {a}, = f(t, y, *d0, q0)
+        {a}, = f(t, y, u, q0)
         hh = 0.5 * h
-        {b}, = f(tm, [{k2}], *dm, qm)
-        {c}, = f(tm, [{k3}], *dm, qm)
-        {e}, = f(te, [{k4}], *d1, qe)
+        {b}, = f(tm, [{k2}], um, qm)
+        {c}, = f(tm, [{k3}], um, qm)
+        {e}, = f(te, [{k4}], v, qe)
         h6 = h / 6.0
         y = [{y1}]
         store(y)
-        t, d0 = t1, d1
+        t, u = t1, v
 """
 
 
 @functools.cache
-def _rk4_steps(n: int, widths: tuple[int, ...]):
-    """The RK4 loop for n state components and drivers of these widths, from ``_RK4_TEMPLATE``.
+def _rk4_steps(n: int, m: int):
+    """The RK4 loop for n state components and m controls, from ``_RK4_TEMPLATE``.
 
-    It is compiled under a file name that states n and the widths, and its
-    source is put in ``linecache``, so tracebacks that the ``traceback``
-    module prints (pytest's and logging's among them) show its lines.
+    It is compiled under a file name that states n and m, and its source is
+    put in ``linecache``, so tracebacks that the ``traceback`` module prints
+    (pytest's and logging's among them) show its lines.
     """
-    def state(form):  # form, for each component i
-        return ", ".join(form.format(i=i) for i in range(n))
-
-    def drivers(form, wrap="({},)"):  # form, for each entry i of each driver k, wrapped per k
-        return ", ".join(wrap.format(", ".join(form.format(k=k, i=i) for i in range(m)))
-                         for k, m in enumerate(widths))
+    def entries(form, k):  # form, for each entry i of k
+        return ", ".join(form.format(i=i) for i in range(k))
 
     source = _RK4_TEMPLATE.format(
-        y=state("y{i}"), a=state("a{i}"), b=state("b{i}"), c=state("c{i}"), e=state("e{i}"),
-        u=drivers("u{k}_{i}"), v=drivers("v{k}_{i}"),
-        dm=drivers("0.5 * (u{k}_{i} + v{k}_{i})", "[{}]"),
-        k2=state("y{i} + hh * a{i}"), k3=state("y{i} + hh * b{i}"), k4=state("y{i} + h * c{i}"),
-        y1=state("y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})"))
-    filename = f"<tbctrl RK4 step, n={n}, drivers={widths}>"
+        y=entries("y{i}", n), a=entries("a{i}", n), b=entries("b{i}", n), c=entries("c{i}", n),
+        e=entries("e{i}", n), u=entries("u{i}", m), v=entries("v{i}", m),
+        um=entries("0.5 * (u{i} + v{i})", m),
+        k2=entries("y{i} + hh * a{i}", n), k3=entries("y{i} + hh * b{i}", n),
+        k4=entries("y{i} + h * c{i}", n),
+        y1=entries("y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})", n))
+    filename = f"<tbctrl RK4 step, n={n}, m={m}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     scope: dict = {}
     exec(compile(source, filename, "exec"), scope)
@@ -183,20 +175,20 @@ def _refuses(f, *args) -> bool:
     return False
 
 
-def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterSet,
+def _rk4(f, y0: np.ndarray, nodes: np.ndarray, control, what: str, p: ParameterSet,
          names: tuple[str, ...], keep=None) -> np.ndarray:
-    """Classical RK4 of y' = f(t, y, *d, q) forward along ``nodes``.
+    """Classical RK4 of y' = f(t, y, u, q) forward along ``nodes``.
 
-    The pass runs on Python floats: y is a list, ``drivers`` are node-indexed
-    arrays (one per part of d) read a row at a time, and a half-step takes the
-    mean of the two end rows. Each step is straight-line arithmetic on one
-    local name per component, stage and driver entry, in a loop compiled once
-    per state width and driver widths (``_rk4_steps``). q is the tuple of the
-    parameters ``names`` in ``p``, resolved once per pass, or at each
-    evaluation time if ``p`` holds a time table.
+    The pass runs on Python floats: y is a list, ``control`` is a
+    node-indexed (n_nodes, m) array read a row at a time, and a half-step
+    takes the mean of the two end rows. Each step is straight-line arithmetic
+    on one local name per component, stage and control entry, in a loop
+    compiled once per state and control width (``_rk4_steps``). q is the
+    tuple of the parameters ``names`` in ``p``, resolved once per pass, or at
+    each evaluation time if ``p`` holds a time table.
 
     Given ``keep``, the pass runs a batch of B members on numpy columns: y0 is
-    (w, B), each driver is node-indexed (m, B) rows, and y and every stage are
+    (w, B), the control is node-indexed (m, B) rows, and y and every stage are
     lists of (B,) columns, which f takes as it takes floats. Each member then
     gets bitwise the rows of its own float pass. Instead of the rows, the pass
     returns keep(y), a (B,) column, at each node, as an (n_nodes, B) array;
@@ -207,35 +199,35 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, drivers, what: str, p: ParameterS
     non-finite row (or kept value) is reported. A ValidationError from f (say,
     a live population driven to N <= 0) is located like a non-finite row, at
     the node the failing step integrates to; only at the pass's first
-    evaluation, which sees just the given y0, d0 and parameters, is it passed
-    on unchanged.
+    evaluation, which sees just the given y0, first control row and
+    parameters, is it passed on unchanged.
     """
     if keep is None:
         flat = array("d", y0)  # the rows so far, appended as they are made
         y = flat.tolist()
         store = flat.extend
-        runs = zip(*(map(np.ndarray.tolist, a) for a in drivers))
+        runs = map(np.ndarray.tolist, control)
     else:
         flat = array("d")  # the kept columns, likewise
         y = list(y0)
         store = lambda y: flat.frombytes(keep(y).tobytes())
         store(y)
-        runs = zip(*drivers)
+        runs = iter(control)
     width = np.shape(y0)[-1]  # w floats a row, or B kept values
     rows = lambda: np.frombuffer(flat, dtype=float).reshape(-1, width)
     values, timed = p.values, p._timed
     t = float(nodes[0])
-    d0 = next(runs)
+    u0 = next(runs)
     q0 = values(names, t)
-    steps = _rk4_steps(len(y), tuple(map(len, d0)))
+    steps = _rk4_steps(len(y), len(u0))
     try:
-        steps(f, y, t, d0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
+        steps(f, y, t, u0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
         _raise_first_nonfinite(rows()[-1], rows, nodes, what)
         raise
     except ValidationError as exc:
         j = len(rows())  # the node the failing step integrates to
-        if j == 1 and _refuses(f, t, y, *d0, q0):  # f is pure: the first evaluation refused
+        if j == 1 and _refuses(f, t, y, u0, q0):  # f is pure: the first evaluation refused
             raise
         _raise_first_nonfinite(rows()[-1], rows, nodes, what)
         raise _located(f"{what} left the model's domain ({exc})", nodes, j) from exc
@@ -247,13 +239,10 @@ def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
                       control: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate the state ODE forward; returns the (n_nodes, state_dim) array."""
     d, x0 = models._point(model, x0=x0)
-    control = np.asarray(control, dtype=float)
-    if control.shape != (grid.n_nodes, d.control_dim):
-        raise ValidationError(
-            f"{d.id.value}: control must have shape ({grid.n_nodes}, {d.control_dim}), got {control.shape}")
+    control = models._point(d.id, grid.n_nodes, control=control)[1]
     if np.any(x0 < 0):
         raise ValidationError("initial state must be nonnegative")
-    return _rk4(d.rhs, x0, grid.nodes, (control,), "state", p, d.required_params)
+    return _rk4(d.rhs, x0, grid.nodes, control, "state", p, d.required_params)
 
 
 def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
@@ -264,13 +253,7 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
     State and control are linearly interpolated at half-steps; lam(tf) = 0
     exactly by construction.
     """
-    d = models.model_definition(model)
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    if state.shape != (grid.n_nodes, d.state_dim):
-        raise ValidationError(f"{d.id.value}: state trajectory shape {state.shape} does not match grid")
-    if control.shape != (grid.n_nodes, d.control_dim):
-        raise ValidationError(f"{d.id.value}: control trajectory shape {control.shape} does not match grid")
+    d, state, control = models._point(model, grid.n_nodes, state=state, control=control)
     return _costate_pass(d, w, p, state, control, grid.nodes)
 
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tbctrl.core import (CostWeights, ParameterSet, TimeTable, Trajectory,
+from tbctrl.core import (CostWeights, ParameterSet, TimeGrid, TimeTable, Trajectory,
                          ValidationError, interpolate_state, make_time_grid)
+from tbctrl.models import ModelId
+from tbctrl.oracle import best_constant_control, solve_direct
+from tbctrl.pmp import verify_adjoint_consistency, verify_control_stationarity
+from tbctrl.solver import FbsSettings
 
 
 class TestTimeGrid:
@@ -41,6 +45,35 @@ class TestTimeGrid:
         diffs = np.diff(g.nodes)
         scale = max(abs(t0), abs(t0 + span), 1.0)
         assert np.max(np.abs(diffs - g.h)) <= 8 * np.finfo(float).eps * scale
+
+
+# Every count argument of the library, by entry point and name: its least value, and
+# a call that passes it v on a small flagship scenario.
+SEIRS = ModelId.SEIRS
+COUNT_ARGUMENTS = {
+    "FbsSettings.max_iterations": (1, lambda cfg, v: FbsSettings(max_iterations=v)),
+    "make_time_grid.n_steps": (2, lambda cfg, v: make_time_grid(0.0, 5.0, v)),
+    "TimeGrid.n_steps": (2, lambda cfg, v: TimeGrid(0.0, 5.0, v)),
+    "solve_direct.coarse_steps": (1, lambda cfg, v: solve_direct(cfg, coarse_steps=v)),
+    "solve_direct.max_iters": (1, lambda cfg, v: solve_direct(cfg, coarse_steps=5, max_iters=v)),
+    "best_constant_control.grid_points": (2, lambda cfg, v: best_constant_control(cfg, grid_points=v)),
+    "verify_adjoint_consistency.samples": (1, lambda cfg, v: verify_adjoint_consistency(SEIRS, samples=v)),
+    "verify_adjoint_consistency.seed": (0, lambda cfg, v: verify_adjoint_consistency(SEIRS, seed=v)),
+    "verify_control_stationarity.samples": (1, lambda cfg, v: verify_control_stationarity(SEIRS, samples=v)),
+    "verify_control_stationarity.seed": (0, lambda cfg, v: verify_control_stationarity(SEIRS, seed=v)),
+    "verify_control_stationarity.grid_points": (
+        2, lambda cfg, v: verify_control_stationarity(SEIRS, grid_points=v)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+def test_every_count_argument_refuses_non_counts(flagship, shrink, entry, bad):
+    least, call = COUNT_ARGUMENTS[entry]
+    name = entry.split(".")[1]
+    v = {"bool": True, "float": 2.5, "below": least - 1}[bad]
+    with pytest.raises(ValidationError, match=rf"^{name} must be (an integer|>= {least}), got "):
+        call(shrink(flagship, 100), v)
 
 
 class TestInterpolateState:
@@ -157,6 +190,11 @@ class TestParameterSet:
         with pytest.raises(ValidationError):
             ParameterSet({"beta": "fast"})
 
+    def test_rejects_bool(self):
+        # as a scenario document's parameters are refused; True would load as 1.0
+        with pytest.raises(ValidationError, match=r"^parameter 'k1': expected a number, got True$"):
+            ParameterSet({"k1": True})
+
 
 class TestCostWeights:
     def test_zero_effort_weight_rejected(self):
@@ -180,3 +218,17 @@ class TestCostWeights:
     def test_scalar_b_normalized(self):
         w = CostWeights(b=2.0)
         assert w.b == (2.0,)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"a1": True}, "a1"), ({"a2": False}, "a2"), ({"a_isolated": True}, "a_isolated"),
+        ({"b": True}, "b"), ({"b": (1.0, True)}, "b"), ({"lower": False}, "lower"),
+        ({"upper": True}, "upper"),
+    ])
+    def test_bools_rejected(self, kwargs, name):
+        with pytest.raises(ValidationError, match=rf"^{name}: expected a number, got (True|False)$"):
+            CostWeights(**kwargs)
+
+    def test_numbers_stored_as_floats(self):
+        w = CostWeights(a1=1, a2=np.int64(2), b=(3, np.float32(0.5)), a_isolated=0, lower=-1, upper=2)
+        assert all(type(v) is float for v in (w.a1, w.a2, w.a_isolated, w.lower, w.upper, *w.b))
+        assert (w.a1, w.a2, w.b, w.lower, w.upper) == (1.0, 2.0, (3.0, 0.5), -1.0, 2.0)

@@ -46,7 +46,7 @@ def scalar_gradient(sim, u):
             v = u.copy()
             v[j, k] = shifted
             fine = _fine_controls(v, n)[s:]
-            rows = _rk4(sim.d.rhs, base[s], g.nodes[s:], (fine,), "state", sim.p,
+            rows = _rk4(sim.d.rhs, base[s], g.nodes[s:], fine, "state", sim.p,
                         sim.d.required_params)
             run = sim.state_cost(rows.T) + sim.effort(fine.T)
             costs.append(float(prefix[s]) + float(h * (np.sum(run) - 0.5 * (run[0] + run[-1]))))

@@ -186,6 +186,12 @@ class TestLoadScenario:
          r"\$\.sweep\.values\[1\]: label 'k1=0\.123456' repeats an earlier point's"),
         ({"values": [{"k1": 0.5, "c": 1.0}, {"k1": 0.5, "c": 1.0}]},
          r"\$\.sweep\.values\[1\]: label 'k1=0\.5,c=1' repeats"),
+        ({"values": [{"cost.b\u00b9": 50}]},  # a superscript one: str.isdigit, but not int()
+         r"sweep point 'cost\.b\u00b9=50': sweep target 'cost\.b\u00b9': unknown cost field"),
+        ({"values": [{"cost.b1": 50}, {"cost.b01": 50}]},
+         r"sweep point 'cost\.b01=50': sweep target 'cost\.b01': index has a leading zero"),
+        ({"values": [{"k1": 0.5, "cost.b1": 50}, {"cost.b1": 50, "k1": 0.5}]},
+         r"\$\.sweep\.values\[1\]: point 'cost\.b1=50,k1=0\.5' repeats an earlier point's overrides"),
     ])
     def test_sweep_point_refusals_are_located(self, sweep, error):
         doc = flagship_doc()
@@ -244,6 +250,7 @@ class TestLoadScenario:
          r"parameters\.k1: time table times must be strictly increasing"),
         ({"sweep": {"parameter": 3, "values": [1.0]}}, r"sweep\.parameter: expected a string"),
         ({"grid": {"t0": 0.0, "tf": "5", "n_steps": 100}}, r"grid\.tf: expected a number"),
+        ({"cost": {"kind": "C2", "a1": 1.0, "b": 10 ** 400}}, r"cost\.b: number out of float range"),
     ])
     def test_non_finite_numbers_rejected(self, edit, error):
         # ... and other malformed values, each named by its JSON path

@@ -106,7 +106,7 @@ class TestReferenceKernel:
         sim = _Simulator(cfg.model, cfg.params, cfg.weights, g, cfg.initial_state())
         fine = _fine_controls(np.random.default_rng(3).uniform(0.0, 1.0, (25, 1, 4)), g.n_steps)
         x0 = np.broadcast_to(cfg.initial_state()[:, None], (4, 4))
-        kept = _rk4(sim.d.rhs, x0, g.nodes, (fine,), "state", cfg.params, sim.d.required_params,
+        kept = _rk4(sim.d.rhs, x0, g.nodes, fine, "state", cfg.params, sim.d.required_params,
                     keep=sim.state_cost)
         assert kept.shape == (g.n_nodes, 4)
         for b in range(4):
@@ -152,17 +152,17 @@ class TestMatmul:
 
 
 def toy_rhs(n, refuse_from=math.inf):
-    """y_i' = -a y_i + b u_(i mod 2) y_(i-1) + (1 + t/4) v_0: n states and drivers of widths 2 and 1.
+    """y_i' = -a y_i + b u_(i mod 2) y_(i-1) + (1 + t/4) u_2: n states and a control of width 3.
 
     It takes floats or (B,) columns, and for floats refuses t >= refuse_from
     or y_0 < 0 as a model refuses a point outside its domain.
     """
 
-    def f(t, y, u, v, q):
+    def f(t, y, u, q):
         if isinstance(y[0], float) and (t >= refuse_from or y[0] < 0.0):
             raise ValidationError(f"toy refuses t={t}")
         a, b = q
-        return [-a * y[i] + b * u[i % 2] * y[i - 1] + (1.0 + 0.25 * t) * v[0] for i in range(n)]
+        return [-a * y[i] + b * u[i % 2] * y[i - 1] + (1.0 + 0.25 * t) * u[2] for i in range(n)]
 
     return f
 
@@ -173,32 +173,31 @@ class TestToyKernel:
     P = ParameterSet({"a": 0.7, "b": TimeTable((0.0, 1.0, 2.0), (1.3, 0.4, 0.9))})
     NAMES = ("a", "b")
 
-    def reference(self, f, y0, nodes, u, v):
+    def reference(self, f, y0, nodes, u):
         q = lambda t: self.P.values(self.NAMES, t)
-        return reference_rk4(lambda t, y, ui, vi: np.array(f(t, list(y), ui, vi, q(t))),
-                             y0, nodes, (u, v))
+        return reference_rk4(lambda t, y, ui: np.array(f(t, list(y), ui, q(t))), y0, nodes, (u,))
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_floats_and_batch_match_reference(self, n):
         rng = np.random.default_rng(n)
         nodes = np.linspace(0.0, 2.0, 41)
         y0 = rng.uniform(0.5, 2.0, (n, 3))
-        u = rng.uniform(0.0, 1.0, (len(nodes), 2, 3))
-        v = rng.uniform(-1.0, 1.0, (len(nodes), 1, 3))
+        u = np.concatenate([rng.uniform(0.0, 1.0, (len(nodes), 2, 3)),
+                            rng.uniform(-1.0, 1.0, (len(nodes), 1, 3))], axis=1)
         f = toy_rhs(n)
-        kept = _rk4(f, y0, nodes, (list(u), list(v)), "state", self.P, self.NAMES,
+        kept = _rk4(f, y0, nodes, list(u), "state", self.P, self.NAMES,
                     keep=lambda y: reduce(add, y))
         for b in range(3):
-            ref = self.reference(f, y0[:, b], nodes, u[..., b], v[..., b])
-            rows = _rk4(f, y0[:, b], nodes, (u[..., b], v[..., b]), "state", self.P, self.NAMES)
+            ref = self.reference(f, y0[:, b], nodes, u[..., b])
+            rows = _rk4(f, y0[:, b], nodes, u[..., b], "state", self.P, self.NAMES)
             assert rows.tobytes() == ref.tobytes()
             assert kept[:, b].tobytes() == reduce(add, ref.T).tobytes()
 
     NODES = np.linspace(0.0, 1.0, 11)
 
     def run(self, f, y0):
-        u, v = np.full((11, 2), 0.5), np.full((11, 1), 0.25)
-        return _rk4(f, np.array(y0), self.NODES, (u, v), "state", self.P, self.NAMES)
+        u = np.tile([0.5, 0.5, 0.25], (11, 1))
+        return _rk4(f, np.array(y0), self.NODES, u, "state", self.P, self.NAMES)
 
     def test_refusal_at_first_evaluation_passes_through(self):
         with pytest.raises(ValidationError, match="^toy refuses t=0.0$") as err:
@@ -303,7 +302,7 @@ class TestForwardIntegration:
                 integrate_forward(mid, p, x0, np.zeros((g.n_nodes, 1)), g)
             with pytest.raises(NonFiniteError) as batch:
                 _rk4(d.rhs, np.column_stack([idle, x0, idle]), g.nodes,
-                     (np.zeros((g.n_nodes, 1, 3)),), "state", p, d.required_params,
+                     np.zeros((g.n_nodes, 1, 3)), "state", p, d.required_params,
                      keep=lambda y: reduce(add, y))
         assert (batch.value.step, batch.value.time) == (1, 0.5)
         assert str(batch.value) == str(alone.value)
@@ -337,7 +336,7 @@ class TestForwardIntegration:
         x0[0] = 1.13e307, 1.0
         with np.errstate(over="ignore", invalid="raise"):
             with pytest.raises(NonFiniteError) as err:
-                _rk4(d.rhs, x0, g.nodes, (np.zeros((g.n_nodes, 1, 2)),), "state", p,
+                _rk4(d.rhs, x0, g.nodes, np.zeros((g.n_nodes, 1, 2)), "state", p,
                      d.required_params, keep=lambda y: reduce(add, y))
         assert (err.value.step, err.value.time) == (1, 1.0)
 
@@ -444,7 +443,7 @@ class TestCostateScan:
         nodes = 0.02 * np.arange(n_steps + 1)
         u = rng.uniform(0.0, 1.0, (len(nodes), d.control_dim))
         x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
-        state = _rk4(d.rhs, x0, nodes, (u,), "state", p, d.required_params)
+        state = _rk4(d.rhs, x0, nodes, u, "state", p, d.required_params)
         w = CostWeights(a1=1.0, a2=0.5 if d.cost_kind is CostKind.C1 else 0.0,
                         b=(50.0,) * d.control_dim,
                         a_isolated=0.7 if d.isolated is not None else 0.0)
