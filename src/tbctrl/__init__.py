@@ -1,8 +1,7 @@
 """Optimal control of TB transmission models via the forward-backward sweep method."""
 
-from .core import (CostKind, CostWeights, NonFiniteError, ParameterSet, TimeGrid,
-                   TimeTable, Trajectory, ValidationError, interpolate_state,
-                   make_time_grid)
+from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid, TimeTable,
+                   Trajectory, ValidationError, interpolate_state, make_time_grid)
 from .costs import total_cost
 from .models import (ModelId, adjoint_rhs, control_characterization, default_params,
                      dynamics, model_definition, running_cost, validate_params)
@@ -17,7 +16,7 @@ from .solver import (FbsSettings, Solution, SolveReport, integrate_adjoint_backw
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostKind", "CostWeights", "NonFiniteError", "ParameterSet", "TimeGrid",
+    "CostWeights", "NonFiniteError", "ParameterSet", "TimeGrid",
     "TimeTable", "Trajectory", "ValidationError", "interpolate_state", "make_time_grid",
     "total_cost",
     "ModelId", "adjoint_rhs", "control_characterization", "default_params",

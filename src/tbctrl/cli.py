@@ -83,8 +83,7 @@ def cmd_list_models(args) -> int:
     for mid in ModelId:
         d = models.model_definition(mid)
         print(f"{mid.value:22s} states={d.state_dim} ({', '.join(d.state_labels)}); "
-              f"controls={d.control_dim} ({', '.join(d.control_labels)}); "
-              f"cost={d.cost_kind.value}; {d.description}")
+              f"controls={d.control_dim} ({', '.join(d.control_labels)}); {d.description}")
     return EXIT_OK
 
 
@@ -153,7 +152,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = _simulate(config, control)
-    cost = total_cost(config.cost_kind, config.model, traj, config.weights)
+    cost = total_cost(config.model, traj, config.weights)
     _write_trajectory(out / "trajectory.csv", config, traj)
     d = models.model_definition(config.model)
     _write_json(out / "summary.json", {
@@ -173,7 +172,7 @@ def _optimize_into(config: ScenarioConfig, out: Path) -> dict:
     solution = solve_fbs(config)
     d = models.model_definition(config.model)
     baseline = _simulate(config, np.zeros((config.grid.n_nodes, d.control_dim)))
-    baseline_cost = total_cost(config.cost_kind, config.model, baseline, config.weights)
+    baseline_cost = total_cost(config.model, baseline, config.weights)
     _write_trajectory(out / "trajectory.csv", config, solution.trajectory)
     _write_trajectory(out / "baseline.csv", config, baseline)
     _write_csv(out / "control.csv", ["t", *d.control_labels],

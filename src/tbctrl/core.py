@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -14,8 +13,6 @@ __all__ = [
     "ValidationError",
     "NonFiniteError",
     "check_count",
-    "CostKind",
-    "check_kind_weights",
     "TimeGrid",
     "make_time_grid",
     "Trajectory",
@@ -77,30 +74,10 @@ def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool
         raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 
 
-class CostKind(str, Enum):
-    """Shape of the objective integrand.
-
-    C1 penalizes infectious and latent burden, C2 infectious only,
-    C3 latent only; all three add quadratic control effort.
-    """
-
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-
-
-def check_kind_weights(kind: CostKind, w: CostWeights) -> None:
-    """Reject weight sets inconsistent with the declared functional shape."""
-    kind = CostKind(kind)
-    if kind is CostKind.C2 and w.a2 != 0.0:
-        raise ValidationError("cost kind C2 has no latent term; a2 must be 0")
-    if kind is CostKind.C3 and w.a1 != 0.0:
-        raise ValidationError("cost kind C3 has no infectious term; a1 must be 0")
-
-
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of n_steps+1 nodes spanning [t0, tf]; n_steps is an integer >= 2."""
+    """Uniform grid of n_steps+1 nodes spanning [t0, tf]: finite real ends, stored as
+    floats, and n_steps an integer >= 2."""
 
     t0: float
     tf: float
@@ -108,7 +85,9 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.t0) or not np.isfinite(self.tf):
+        for name in ("t0", "tf"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not math.isfinite(self.t0) or not math.isfinite(self.tf):
             raise ValidationError("time grid endpoints must be finite")
         if not self.tf > self.t0:
             raise ValidationError(f"horizon must be positive, got [{self.t0}, {self.tf}]")
@@ -129,7 +108,7 @@ class TimeGrid:
 
 def make_time_grid(t0: float, tf: float, n_steps: int) -> TimeGrid:
     """Build a uniform time grid; rejects degenerate horizons and n_steps < 2."""
-    return TimeGrid(float(t0), float(tf), n_steps)
+    return TimeGrid(t0, tf, n_steps)
 
 
 @dataclass
@@ -184,8 +163,8 @@ class TimeTable:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "times", tuple(_number(t, "time table time") for t in self.times))
+        object.__setattr__(self, "values", tuple(_number(v, "time table value") for v in self.values))
         if len(self.times) == 0 or len(self.times) != len(self.values):
             raise ValidationError("time table needs equally many times and values (at least one)")
         if not all(map(math.isfinite, self.times)):

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CostKind, CostWeights, Trajectory, ValidationError, check_kind_weights
+from .core import CostWeights, Trajectory, ValidationError
 from . import models
 from .models import ModelId
 
-__all__ = ["CostKind", "total_cost"]
+__all__ = ["total_cost"]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def total_cost(kind: CostKind, model: ModelId, traj: Trajectory, w: CostWeights) -> float:
+def total_cost(model: ModelId, traj: Trajectory, w: CostWeights) -> float:
     """Composite trapezoidal quadrature of the running cost over the grid."""
-    check_kind_weights(kind, w)
     if traj.control is None:
         raise ValidationError("trajectory has no control samples; cannot evaluate cost")
     d, state, control = models._point(model, traj.grid.n_nodes, state=traj.state,

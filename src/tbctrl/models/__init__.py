@@ -13,7 +13,7 @@ from operator import add, mul
 
 import numpy as np
 
-from ..core import CostKind, CostWeights, ParameterSet, ValidationError, check_kind_weights
+from ..core import CostWeights, ParameterSet, ValidationError
 from .base import ModelDefinition, ModelId, validate_against
 from . import seirs, two_strain, reinfection, isolation, korea, bowong, post_exposure
 from .baselines import has_baseline, neutral_control, uncontrolled_rhs
@@ -82,19 +82,16 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
     return _cost_vec(ModelId(model), w).copy()
 
 
-def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights,
-                     kind: CostKind | None = None) -> ModelDefinition:
-    """The model's definition, if p, w and the cost kind (when given) make a valid problem.
+def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights) -> ModelDefinition:
+    """The model's definition, if p and w make a valid problem.
 
-    Checks the parameters, then the weights' fit to the model, then the kind.
+    Checks the parameters, then the weights' fit to the model.
     """
     d = model_definition(model)
     violations = validate_against(d, p)
     if violations:
         raise ValidationError(f"{d.id.value}: invalid parameters: " + "; ".join(violations))
     _cost_vec(d.id, w)
-    if kind is not None:
-        check_kind_weights(kind, w)
     return d
 
 

@@ -11,7 +11,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..core import CostKind, CostWeights, ParameterSet, TimeTable, ValidationError
+from ..core import CostWeights, ParameterSet, TimeTable, ValidationError
 
 
 class ModelId(str, Enum):
@@ -83,7 +83,6 @@ class ModelDefinition:
     description: str
     state_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
-    cost_kind: CostKind
     required_params: tuple[str, ...]
     rhs: RhsFn
     adjoint: AdjointFn

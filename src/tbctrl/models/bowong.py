@@ -6,6 +6,7 @@ detected. Latents leaving L1 are detected with probability h. Control u1 is
 chemoprophylaxis effort on latents (the factor 1-r1 becomes 1-u1*r1), and
 control u2 scales the detection fraction (h becomes u2*h). Population N(t)
 is the live compartment sum.
+Source objective: a1*(I1 + I2) (all active cases) plus the control effort.
 
 The Hamiltonian couples u1 and u2 through the detected-progression flow
 u2*h*(1-u1*r1)*(k1+sigma*phi)*L1, so the control law is the exact minimizer
@@ -15,7 +16,6 @@ independent clamps.
 
 from __future__ import annotations
 
-from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "I2")
@@ -109,7 +109,6 @@ DEFINITION = ModelDefinition(
     description="fast/slow progression TB model, chemoprophylaxis and detection controls",
     state_labels=LABELS,
     control_labels=("u1", "u2"),
-    cost_kind=CostKind.C2,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

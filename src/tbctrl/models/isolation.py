@@ -7,11 +7,11 @@ and u2 boosts the isolation rate of active cases to (1+u2)*xi. The isolation
 level l in [0,1] sets how much J contributes to transmission (l=0 perfect
 isolation), and sigma_star is the residual contact treated individuals keep
 with the isolated. Population N(t) is the live compartment sum.
+Source objective: a1*I1 (the infectious class) plus the control effort.
 """
 
 from __future__ import annotations
 
-from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "J", "T")
@@ -83,7 +83,6 @@ DEFINITION = ModelDefinition(
     description="TB model with infectious immigration, screening control and isolation control",
     state_labels=LABELS,
     control_labels=("u1", "u2"),
-    cost_kind=CostKind.C2,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

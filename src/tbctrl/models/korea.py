@@ -6,11 +6,11 @@ s, r may be supplied as piecewise-linear time tables. Controls: u1 distancing
 (scales new infections by 1-u1), u2 case finding (moves latents to L5 at
 u2*alpha), and u3 case holding (the fraction of would-be treatment failures
 s*r*I prevented from re-entering L1). Population N(t) is the live sum.
+Source objective: a1*I + a2*L1 (active, recent latent) plus the effort.
 """
 
 from __future__ import annotations
 
-from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I", "L5")
@@ -73,7 +73,6 @@ DEFINITION = ModelDefinition(
     description="TB model with time-dependent rates; distancing, case finding, case holding",
     state_labels=LABELS,
     control_labels=("u1", "u2", "u3"),
-    cost_kind=CostKind.C1,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

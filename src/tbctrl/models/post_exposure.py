@@ -7,11 +7,12 @@ omega_R becomes (1-eps1*u1)*omega_R in both the I1 source and the T sink.
 Control u2 (case finding, effectiveness eps2) adds treatment of persistent
 latents: tau2 becomes tau2+eps2*u2 in both the L4 sink and the T source.
 Births balance natural deaths, so population is the constant parameter N.
+Source objective: a1*I1 + a2*L4 (active, persistent latent) plus the effort.
 """
 
 from __future__ import annotations
 
-from ..core import CostKind, ValidationError
+from ..core import ValidationError
 from .base import OPEN_UNIT, POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L3", "I1", "L4", "T")
@@ -75,7 +76,6 @@ DEFINITION = ModelDefinition(
     description="post-exposure TB model (early/persistent latents), case holding and finding",
     state_labels=LABELS,
     control_labels=("u1", "u2"),
-    cost_kind=CostKind.C1,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

@@ -4,11 +4,11 @@ Compartments S, L1, I1, T. Latently infected individuals can be pushed to
 active disease by renewed exposure (the rho*beta*c*L1*I1/N flow); the control
 u scales that flow by 1-u, modelling effort spent preventing reinfection
 contacts. The population N(t) is the live sum of compartments.
+Source objective: a1*I1 (the infectious class) plus the control effort.
 """
 
 from __future__ import annotations
 
-from ..core import CostKind
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "T")
@@ -67,7 +67,6 @@ DEFINITION = ModelDefinition(
     description="SEIRS TB model with exogenous reinfection and a reinfection-prevention control",
     state_labels=LABELS,
     control_labels=("u",),
-    cost_kind=CostKind.C2,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

@@ -4,11 +4,12 @@ Compartments S (susceptible), L1 (latent), I1 (infectious), T (treated).
 The control u scales down progression out of the latent class: the flow
 L1 -> I1 runs at rate (1-u) k1. Total population is treated as the constant
 parameter N (recruitment Lambda = mu*N and d1 = 0 keep it exact).
+Source objective: a1*I1 (the infectious class) plus the control effort.
 """
 
 from __future__ import annotations
 
-from ..core import CostKind, ValidationError
+from ..core import ValidationError
 from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "T")
@@ -59,7 +60,6 @@ DEFINITION = ModelDefinition(
     description="single-strain SEIRS TB model, case-finding control on latent progression",
     state_labels=LABELS,
     control_labels=("u",),
-    cost_kind=CostKind.C2,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

@@ -5,6 +5,7 @@ Control u1 is the fraction of typical latents found and treated (it scales
 r1); the coefficient 1-u2 is the treatment-failure pressure on infectious
 typical cases, so u2 near 1 means little failure and few new resistant
 cases. Population is treated as the constant parameter N.
+Source objective: a1*I2 + a2*L2 (the resistant strain) plus the effort.
 
 Neutral controls are (u1, u2) = (1, 0): full baseline latent treatment and
 unmitigated treatment failure recover the uncontrolled system.
@@ -12,7 +13,7 @@ unmitigated treatment failure recover the uncontrolled system.
 
 from __future__ import annotations
 
-from ..core import CostKind, ValidationError
+from ..core import ValidationError
 from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "L2", "I2", "T")
@@ -81,7 +82,6 @@ DEFINITION = ModelDefinition(
     description="two-strain TB model (typical + resistant), case finding and case holding",
     state_labels=LABELS,
     control_labels=("u1", "u2"),
-    cost_kind=CostKind.C1,
     required_params=PARAMS,
     rhs=rhs,
     characterize=characterize,

@@ -148,7 +148,7 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     """First cheapest point of a uniform lattice of constant admissible controls, and its cost."""
     check_count("grid_points", grid_points, 2)
     model, p, w = scenario.model, scenario.params, scenario.weights
-    models.validate_problem(model, p, w, scenario.cost_kind)
+    models.validate_problem(model, p, w)
     return _best_constant(_Simulator(model, p, w, scenario.grid, scenario.initial_state()), w,
                           grid_points)
 
@@ -205,7 +205,7 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     integers with 1 <= coarse_steps <= n_steps and max_iters >= 1.
     """
     model, p, w = scenario.model, scenario.params, scenario.weights
-    d = models.validate_problem(model, p, w, scenario.cost_kind)
+    d = models.validate_problem(model, p, w)
     grid = scenario.grid
     check_count("coarse_steps", coarse_steps, 1)
     if coarse_steps > grid.n_steps:

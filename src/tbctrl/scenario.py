@@ -13,8 +13,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import (CostKind, CostWeights, ParameterSet, TimeGrid, TimeTable,
-                   ValidationError, _number, check_kind_weights, make_time_grid)
+from .core import (CostWeights, ParameterSet, TimeGrid, TimeTable, ValidationError,
+                   _number, make_time_grid)
 from . import models
 from .models import ModelId
 from .solver import FbsSettings
@@ -48,7 +48,6 @@ class ScenarioConfig:
     initial_mode: str                 # "fractions" | "counts"
     initial_values: tuple[float, ...]
     grid: TimeGrid
-    cost_kind: CostKind
     weights: CostWeights
     fbs: FbsSettings
     population: float | None = None   # reference N for fraction mode
@@ -164,20 +163,13 @@ def _parse_initial_state(obj, d, path: str):
     return mode, values, total
 
 
-def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
+def _parse_cost(obj, d, path: str) -> CostWeights:
+    """The weights, which state the objective; a2 and a_isolated default to 0."""
     obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"kind", "a1", "a2", "a_isolated", "b", "bounds"}, path)
-    kind_raw = obj.get("kind", d.cost_kind.value)
-    try:
-        kind = CostKind(kind_raw)
-    except ValueError:
-        raise ValidationError(f"{path}.kind: expected one of C1/C2/C3, got {kind_raw!r}") from None
-    if kind in (CostKind.C1, CostKind.C2) and "a1" not in obj:
-        raise ValidationError(f"{path}: cost kind {kind.value} requires 'a1'")
-    if kind in (CostKind.C1, CostKind.C3) and "a2" not in obj:
-        raise ValidationError(f"{path}: cost kind {kind.value} requires 'a2'")
-    if "b" not in obj:
-        raise ValidationError(f"{path}: missing 'b' (control effort weights)")
+    _reject_unknown(obj, {"a1", "a2", "a_isolated", "b", "bounds"}, path)
+    for key in ("a1", "b"):
+        if key not in obj:
+            raise ValidationError(f"{path}: missing required key {key!r}")
     b_raw = obj["b"]
     if isinstance(b_raw, (list, tuple)):
         b = tuple(_number(v, f"{path}.b[{i}]") for i, v in enumerate(b_raw))
@@ -192,18 +184,17 @@ def _parse_cost(obj, d, path: str) -> tuple[CostKind, CostWeights]:
         upper = _number(bounds[1], f"{path}.bounds[1]")
     try:
         weights = CostWeights(
-            a1=_number(obj.get("a1", 0.0), f"{path}.a1"),
+            a1=_number(obj["a1"], f"{path}.a1"),
             a2=_number(obj.get("a2", 0.0), f"{path}.a2"),
             b=b,
             a_isolated=_number(obj.get("a_isolated", 0.0), f"{path}.a_isolated"),
             lower=lower,
             upper=upper,
         )
-        check_kind_weights(kind, weights)
         models.cost_state_vector(d.id, weights)  # the weights must fit the model (b, a_isolated)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return kind, weights
+    return weights
 
 
 def _parse_fbs(obj, path: str) -> FbsSettings:
@@ -235,10 +226,13 @@ def _parse_sweep(obj, path: str) -> tuple[dict[str, float], ...]:
         raise ValidationError(f"{path}.parameter: expected a string, got {parameter!r}")
     points = []
     for i, v in enumerate(raw_values):
-        if isinstance(v, Mapping):
+        if parameter is None:
+            if not isinstance(v, Mapping):
+                raise ValidationError(f"{path}: scalar sweep values need a 'parameter' name")
             points.append({k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()})
-        elif parameter is None:
-            raise ValidationError(f"{path}: scalar sweep values need a 'parameter' name")
+        elif isinstance(v, Mapping):
+            raise ValidationError(f"{path}: a sweep with a 'parameter' takes only numbers, "
+                                  f"but values[{i}] is an object")
         else:
             points.append({parameter: _number(v, f"{path}.values[{i}]")})
     return tuple(points)
@@ -289,7 +283,7 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     except ValidationError as exc:
         raise ValidationError(f"$.grid: {exc}") from None
 
-    kind, weights = _parse_cost(doc["cost"], d, "$.cost")
+    weights = _parse_cost(doc["cost"], d, "$.cost")
     fbs = _parse_fbs(doc.get("fbs"), "$.fbs")
     sweep = _parse_sweep(doc["sweep"], "$.sweep") if "sweep" in doc else None
 
@@ -300,7 +294,6 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
         initial_mode=mode,
         initial_values=values,
         grid=grid,
-        cost_kind=kind,
         weights=weights,
         fbs=fbs,
         population=total,
@@ -337,7 +330,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "initial_state": {"mode": config.initial_mode, "values": list(config.initial_values)},
         "grid": {"t0": config.grid.t0, "tf": config.grid.tf, "n_steps": config.grid.n_steps},
         "cost": {
-            "kind": config.cost_kind.value,
             "a1": config.weights.a1,
             "a2": config.weights.a2,
             "a_isolated": config.weights.a_isolated,
@@ -411,7 +403,7 @@ def sweep_points(config: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
         try:
             for k, v in point.items():
                 sub = _apply_override(sub, k, v)
-            models.validate_problem(sub.model, sub.params, sub.weights, sub.cost_kind)
+            models.validate_problem(sub.model, sub.params, sub.weights)
         except ValidationError as exc:
             raise ValidationError(f"sweep point {label!r}: {exc}") from None
         out.append((label, sub))

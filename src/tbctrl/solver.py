@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (CostWeights, NonFiniteError, ParameterSet, TimeGrid, Trajectory,
-                   ValidationError, _located, _raise_first_nonfinite, check_count)
+                   ValidationError, _located, _number, _raise_first_nonfinite, check_count)
 from . import models
 from .costate import _costate_pass
 from .costs import _quadrature, total_cost
@@ -87,6 +87,7 @@ class FbsSettings:
     max_iterations: int = 500
 
     def __post_init__(self):
+        object.__setattr__(self, "tolerance", _number(self.tolerance, "tolerance"))
         if not 0.0 < self.tolerance < math.inf:  # an infinite tolerance stops after one sweep
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         check_count("max_iterations", self.max_iterations, 1)  # range() needs an int
@@ -407,12 +408,12 @@ def solve_fbs(scenario: "ScenarioConfig") -> Solution:
     ``_start``); the report counts the sweeps on the scenario's own grid.
     """
     model, p, w, grid = scenario.model, scenario.params, scenario.weights, scenario.grid
-    d = models.validate_problem(model, p, w, scenario.cost_kind)
+    d = models.validate_problem(model, p, w)
     u, history, converged, rel_residual = _sweep(d, scenario, grid, _start(d, scenario, grid))
     state = integrate_forward(model, p, scenario.initial_state(), u, grid)
     adjoint = integrate_adjoint_backward(model, p, w, state, u, grid)
     traj = Trajectory(grid, state, u, adjoint, state_nonnegative=_positivity(state))
-    cost = total_cost(scenario.cost_kind, model, traj, w)
+    cost = total_cost(model, traj, w)
     report = SolveReport(
         iterations=len(history),
         converged=converged,

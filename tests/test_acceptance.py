@@ -40,8 +40,7 @@ def constant_run_cost(config, value):
     u = np.full((config.grid.n_nodes, d.control_dim), value)
     state = integrate_forward(config.model, config.params, config.initial_state(),
                               u, config.grid)
-    return state, total_cost(config.cost_kind, config.model,
-                             Trajectory(config.grid, state, u), config.weights)
+    return state, total_cost(config.model, Trajectory(config.grid, state, u), config.weights)
 
 
 def infectious_fraction(config, trajectory):
@@ -219,8 +218,7 @@ def test_criterion_11_adjoint_gradient_matches_finite_differences(flagship):
 
         def cost_of(u):
             state = integrate_forward(cfg.model, cfg.params, x0, u, cfg.grid)
-            return total_cost(cfg.cost_kind, cfg.model,
-                              Trajectory(cfg.grid, state, u), cfg.weights)
+            return total_cost(cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
 
         rng = np.random.default_rng(42)
         nodes = rng.choice(np.arange(1, cfg.grid.n_steps), size=20, replace=False)

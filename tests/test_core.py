@@ -76,6 +76,37 @@ def test_every_count_argument_refuses_non_counts(flagship, shrink, entry, bad):
         call(shrink(flagship, 100), v)
 
 
+# Every real-number argument of the library outside the weights and parameters (which
+# have their own tests), by entry point and the name its refusal gives, and a call
+# that passes it v.
+REAL_ARGUMENTS = {
+    "TimeGrid.t0": ("t0", lambda v: TimeGrid(v, 5.0, 4)),
+    "TimeGrid.tf": ("tf", lambda v: TimeGrid(0.0, v, 4)),
+    "make_time_grid.t0": ("t0", lambda v: make_time_grid(v, 5.0, 4)),
+    "make_time_grid.tf": ("tf", lambda v: make_time_grid(0.0, v, 4)),
+    "FbsSettings.tolerance": ("tolerance", lambda v: FbsSettings(tolerance=v)),
+    "TimeTable.times": ("time table time", lambda v: TimeTable((0.0, v), (1.0, 2.0))),
+    "TimeTable.values": ("time table value", lambda v: TimeTable((0.0, 1.0), (1.0, v))),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+@pytest.mark.parametrize("bad", [True, False, "5", None])
+def test_every_real_argument_refuses_non_numbers(entry, bad):
+    # unchecked, make_time_grid(False, True, 4) is a grid on [0, 1], and a
+    # string reaches numpy as a TypeError
+    name, call = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValidationError, match=rf"^{name}: expected a number, got {bad!r}$"):
+        call(bad)
+
+
+def test_real_arguments_stored_as_floats():
+    g = TimeGrid(0, np.int64(5), 4)
+    tab = TimeTable((0, np.float32(1.5)), (np.int64(2), 3))
+    assert all(type(v) is float for v in (g.t0, g.tf, FbsSettings(tolerance=1).tolerance,
+                                          *tab.times, *tab.values))
+
+
 class TestInterpolateState:
     @pytest.fixture
     def traj(self):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tbctrl import (CostKind, CostWeights, ModelId, integrate_forward,
-                    make_time_grid, total_cost)
+from tbctrl import CostWeights, ModelId, integrate_forward, make_time_grid, total_cost
 from tbctrl.core import Trajectory, ValidationError
 
 
@@ -19,28 +18,19 @@ class TestTrivialIntegrals:
     def test_zero_integrand(self):
         traj = _seirs_traj(100, lambda t: 0.0 * t, lambda t: 0.0 * t)
         w = CostWeights(a1=1.0, b=(100.0,))
-        assert total_cost(CostKind.C2, ModelId.SEIRS, traj, w) == 0.0
+        assert total_cost(ModelId.SEIRS, traj, w) == 0.0
 
     def test_constant_effort(self):
         # (B/2) * u^2 * (tf - t0) = 50 * 1 * 5
         traj = _seirs_traj(100, lambda t: 0.0 * t, lambda t: np.ones_like(t))
         w = CostWeights(a1=1.0, b=(100.0,))
-        assert total_cost(CostKind.C2, ModelId.SEIRS, traj, w) == pytest.approx(250.0, rel=1e-13)
+        assert total_cost(ModelId.SEIRS, traj, w) == pytest.approx(250.0, rel=1e-13)
 
     def test_missing_controls_rejected(self):
         g = make_time_grid(0.0, 1.0, 4)
         traj = Trajectory(g, np.zeros((5, 4)))
         with pytest.raises(ValidationError):
-            total_cost(CostKind.C2, ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(1.0,)))
-
-    def test_kind_weight_consistency(self):
-        traj = _seirs_traj(10, lambda t: 0.0 * t, lambda t: 0.0 * t)
-        with pytest.raises(ValidationError):
-            total_cost(CostKind.C2, ModelId.SEIRS, traj,
-                       CostWeights(a1=1.0, a2=1.0, b=(1.0,)))
-        with pytest.raises(ValidationError):
-            total_cost(CostKind.C3, ModelId.SEIRS, traj,
-                       CostWeights(a1=1.0, b=(1.0,)))
+            total_cost(ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(1.0,)))
 
 
 class TestAgainstRefinedQuadrature:
@@ -49,7 +39,7 @@ class TestAgainstRefinedQuadrature:
         cfg = flagship
         u = np.zeros((cfg.grid.n_nodes, 1))
         state = integrate_forward(cfg.model, cfg.params, cfg.initial_state(), u, cfg.grid)
-        got = total_cost(cfg.cost_kind, cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
+        got = total_cost(cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
 
         def fine_cost(n):
             g = make_time_grid(0.0, 5.0, n)
@@ -68,9 +58,9 @@ class TestProperties:
     def test_monotone_in_weights(self):
         t_fn = lambda t: np.sin(t) + 2.0
         traj = _seirs_traj(200, t_fn, lambda t: 0.5 * np.ones_like(t))
-        base = total_cost(CostKind.C2, ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(50.0,)))
-        more_a = total_cost(CostKind.C2, ModelId.SEIRS, traj, CostWeights(a1=2.0, b=(50.0,)))
-        more_b = total_cost(CostKind.C2, ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(80.0,)))
+        base = total_cost(ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(50.0,)))
+        more_a = total_cost(ModelId.SEIRS, traj, CostWeights(a1=2.0, b=(50.0,)))
+        more_b = total_cost(ModelId.SEIRS, traj, CostWeights(a1=1.0, b=(80.0,)))
         assert more_a >= base and more_b >= base
 
     def test_second_order_convergence(self):
@@ -82,6 +72,6 @@ class TestProperties:
         errs = []
         for n in (100, 200, 400):
             traj = _seirs_traj(n, lambda t: np.sin(t) + 2.0, np.cos)
-            errs.append(abs(total_cost(CostKind.C2, ModelId.SEIRS, traj, w) - exact))
+            errs.append(abs(total_cost(ModelId.SEIRS, traj, w) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)

@@ -369,22 +369,17 @@ PROBLEM_ENTRIES = {
     "verify_control_stationarity": lambda cfg: verify_control_stationarity(
         cfg.model, cfg.params, cfg.weights, samples=1),
 }
-# The cost-kind rule applies only where a scenario brings a cost kind.
-KIND_ENTRIES = ("solve_fbs", "solve_direct", "best_constant_control")
 
 
 class TestValidateProblem:
-    @pytest.mark.parametrize("entry, problem", [
-        *((e, pr) for pr in ("mu = -1", "seirs with a_isolated = 1") for e in PROBLEM_ENTRIES),
-        *((e, "C2 with a2 = 1") for e in KIND_ENTRIES),
-    ])
+    @pytest.mark.parametrize("problem", ["mu = -1", "seirs with a_isolated = 1"])
+    @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
     def test_every_entry_point_rejects_the_same_problems(self, flagship, shrink, entry, problem):
         cfg = shrink(flagship, 50)
-        assert cfg.model is ModelId.SEIRS and cfg.cost_kind.value == "C2"
+        assert cfg.model is ModelId.SEIRS
         cfg = {
             "mu = -1": replace(cfg, params=cfg.params.with_updates({"mu": -1.0})),
             "seirs with a_isolated = 1": replace(cfg, weights=replace(cfg.weights, a_isolated=1.0)),
-            "C2 with a2 = 1": replace(cfg, weights=replace(cfg.weights, a2=1.0)),
         }[problem]
         with pytest.raises(ValidationError):
             PROBLEM_ENTRIES[entry](cfg)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
-                    make_time_grid, model_definition, oracle, solve_direct)
-from tbctrl.core import CostKind, TimeTable, ValidationError
+                    make_time_grid, model_definition, oracle, solve_direct, solve_fbs)
+from tbctrl.core import TimeTable, ValidationError
 from tbctrl.oracle import (_FD_STEP, _coarse_boundaries, _fine_controls, _Simulator,
                            _spectral_step, _trapezoid)
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import FbsSettings, _rk4
+
+from conftest import source_a2
 
 
 def model_config(mid, n_steps, time_table=False):
@@ -22,9 +24,8 @@ def model_config(mid, n_steps, time_table=False):
     return ScenarioConfig(
         name=f"{mid.value}-default", model=mid, params=p, initial_mode="counts",
         initial_values=(7000.0, 2000.0, 1000.0) + (100.0,) * (d.state_dim - 3),
-        grid=make_time_grid(0.0, 5.0, n_steps), cost_kind=d.cost_kind,
-        weights=CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
-                            b=(50.0,) * d.control_dim),
+        grid=make_time_grid(0.0, 5.0, n_steps),
+        weights=CostWeights(a1=1.0, a2=source_a2(mid), b=(50.0,) * d.control_dim),
         fbs=FbsSettings())
 
 
@@ -107,6 +108,18 @@ class TestSolveDirect:
         fbs = solve_cached.get(f"{mid.value}-default-n500", cfg)
         assert abs(sol.cost - fbs.cost) / sol.cost < 0.01
 
+    @pytest.mark.parametrize("mid", [m for m in ModelId if source_a2(m) == 0.0])
+    def test_latent_weight_on_infectious_only_models(self, mid, default_config):
+        # the weights alone state the objective: a2 = 1 on a model whose source
+        # objective weighs only the infectious class is a valid problem
+        cfg = default_config(mid, 500)
+        cfg = replace(cfg, weights=replace(cfg.weights, a2=1.0))
+        fbs = solve_fbs(cfg)
+        assert fbs.report.converged, fbs.report.message
+        sol = solve_direct(cfg, coarse_steps=20)
+        assert sol.report.converged, sol.report.message
+        assert abs(sol.cost - fbs.cost) / sol.cost < 0.01
+
 
 class TestSpectralStep:
     def test_two_point_step_on_positive_curvature(self):
@@ -185,8 +198,7 @@ class TestBestConstantControl:
             u = np.full((cfg.grid.n_nodes, 1), v)
             state = integrate_forward(cfg.model, cfg.params, cfg.initial_state(),
                                       u, cfg.grid)
-            return total_cost(cfg.cost_kind, cfg.model, Trajectory(cfg.grid, state, u),
-                              cfg.weights)
+            return total_cost(cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
 
         # same integral through the separately written quadrature path
         bound = min(const_cost(0.0), const_cost(1.0))

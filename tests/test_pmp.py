@@ -143,7 +143,7 @@ class TestAdjointConsistency:
 
     @pytest.mark.parametrize("mid, pattern, weight", [
         (ModelId.ISOLATION_IMMIGRATION, "isolated", "a_isolated"),
-        (ModelId.REINFECTION, "latent", "a2"),  # a C2 model
+        (ModelId.REINFECTION, "latent", "a2"),  # its source objective has no latent term
     ])
     def test_dropped_state_cost_term_detected(self, monkeypatch, capsys, mid, pattern, weight):
         # the default weights switch every state-cost term on, so none can go missing unseen

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tbctrl import (ModelId, builtin_scenarios, get_scenario, load_scenario,
+from tbctrl import (CostWeights, ModelId, builtin_scenarios, get_scenario, load_scenario,
                     load_scenario_file, save_scenario, scenario_to_dict,
                     validate_params)
 from tbctrl.core import TimeTable, ValidationError
@@ -27,7 +27,7 @@ def flagship_doc():
         "initial_state": {"mode": "fractions",
                           "values": ["76/120", "38/120", "5/120", "1/120"]},
         "grid": {"t0": 0.0, "tf": 5.0, "n_steps": 100},
-        "cost": {"kind": "C2", "a1": 1.0, "b": [100.0]},
+        "cost": {"a1": 1.0, "b": [100.0]},
     }
 
 
@@ -143,11 +143,19 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=r"^\$\.cost: seirs has no isolated compartment"):
             load_scenario(json.dumps(doc))
 
-    def test_kind_consistency_checked(self):
+    def test_weights_state_the_objective(self):
+        # a2 and a_isolated default to 0; any nonnegative a2 is an objective of its own
+        assert load_scenario(flagship_doc()).weights == CostWeights(a1=1.0, b=(100.0,))
         doc = flagship_doc()
         doc["cost"]["a2"] = 1.0
-        with pytest.raises(ValidationError, match="C2"):
-            load_scenario(json.dumps(doc))
+        assert load_scenario(doc).weights == CostWeights(a1=1.0, a2=1.0, b=(100.0,))
+
+    @pytest.mark.parametrize("key", ["a1", "b"])
+    def test_required_cost_keys(self, key):
+        doc = flagship_doc()
+        del doc["cost"][key]
+        with pytest.raises(ValidationError, match=rf"^\$\.cost: missing required key '{key}'$"):
+            load_scenario(doc)
 
     def test_empty_sweep_rejected(self):
         doc = flagship_doc()
@@ -173,8 +181,6 @@ class TestLoadScenario:
     @pytest.mark.parametrize("sweep, error", [
         ({"parameter": "cost.b1", "values": [50, -1]},
          r"sweep point 'cost\.b1=-1': every effort weight b_i must be > 0"),
-        ({"parameter": "cost.a2", "values": [1.0]},
-         r"sweep point 'cost\.a2=1': cost kind C2 has no latent term"),
         ({"parameter": "k1", "values": [0.5, -1.0]},
          r"sweep point 'k1=-1': seirs: invalid parameters: "),
         ({"parameter": "cost.a_isolated", "values": [1.0]},
@@ -192,6 +198,12 @@ class TestLoadScenario:
          r"sweep point 'cost\.b01=50': sweep target 'cost\.b01': index has a leading zero"),
         ({"values": [{"k1": 0.5, "cost.b1": 50}, {"cost.b1": 50, "k1": 0.5}]},
          r"\$\.sweep\.values\[1\]: point 'cost\.b1=50,k1=0\.5' repeats an earlier point's overrides"),
+        # the two forms do not mix
+        ({"parameter": "k1", "values": [0.5, {"c": 1.0}]},
+         r"\$\.sweep: a sweep with a 'parameter' takes only numbers, but values\[1\] is an object"),
+        ({"parameter": "k1", "values": [{"c": 1.0}]},
+         r"\$\.sweep: a sweep with a 'parameter' takes only numbers, but values\[0\] is an object"),
+        ({"values": [{"c": 1.0}, 0.5]}, r"\$\.sweep: scalar sweep values need a 'parameter' name"),
     ])
     def test_sweep_point_refusals_are_located(self, sweep, error):
         doc = flagship_doc()
@@ -207,7 +219,7 @@ class TestLoadScenario:
                              "s": 0.3, "r": 2.0}
         doc["initial_state"] = {"mode": "fractions",
                                 "values": [0.6, 0.2, 0.05, 0.15], "total": 10000.0}
-        doc["cost"] = {"kind": "C1", "a1": 1.0, "a2": 1.0, "b": [50.0, 50.0, 50.0]}
+        doc["cost"] = {"a1": 1.0, "a2": 1.0, "b": [50.0, 50.0, 50.0]}
         cfg = load_scenario(json.dumps(doc))
         assert isinstance(cfg.params.raw("k"), TimeTable)
         assert cfg.params.value("k", 5.0) == pytest.approx(0.125)
@@ -250,7 +262,7 @@ class TestLoadScenario:
          r"parameters\.k1: time table times must be strictly increasing"),
         ({"sweep": {"parameter": 3, "values": [1.0]}}, r"sweep\.parameter: expected a string"),
         ({"grid": {"t0": 0.0, "tf": "5", "n_steps": 100}}, r"grid\.tf: expected a number"),
-        ({"cost": {"kind": "C2", "a1": 1.0, "b": 10 ** 400}}, r"cost\.b: number out of float range"),
+        ({"cost": {"a1": 1.0, "b": 10 ** 400}}, r"cost\.b: number out of float range"),
     ])
     def test_non_finite_numbers_rejected(self, edit, error):
         # ... and other malformed values, each named by its JSON path
@@ -294,7 +306,6 @@ class TestRoundTrip:
             assert again.params == cfg.params
             assert again.initial_values == cfg.initial_values
             assert again.grid == cfg.grid
-            assert again.cost_kind == cfg.cost_kind
             assert again.weights == cfg.weights
             assert again.fbs == cfg.fbs
             assert again.sweep == cfg.sweep
@@ -341,6 +352,13 @@ class TestPublishedSchema:
     @pytest.mark.parametrize("edit, error", [
         ({"name": {"a": 1}}, r"^\$\.name: expected a string"),
         ({"sweep": {"values": [{}]}}, r"^\$\.sweep\.values\[0\]: a sweep point must override"),
+        # documents from before the weights alone stated the objective
+        ({"cost": {"kind": "C2", "a1": 1.0, "b": [100.0]}},
+         r"^\$\.cost: unknown key\(s\) \['kind'\]"),
+        ({"cost": {"b": [100.0]}}, r"^\$\.cost: missing required key 'a1'"),
+        ({"sweep": {"parameter": "k1", "values": [0.5, {"c": 1.0}]}},
+         r"^\$\.sweep: a sweep with a 'parameter' takes only numbers"),
+        ({"sweep": {"values": [{"c": 1.0}, 0.5]}}, r"^\$\.sweep: scalar sweep values need a 'parameter'"),
     ])
     def test_refused_by_both(self, validator, edit, error):
         doc = {**flagship_doc(), **edit}

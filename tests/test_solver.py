@@ -11,11 +11,13 @@ from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_
                     integrate_adjoint_backward, integrate_forward, make_time_grid,
                     model_definition, reduced_cost_gradient, solve_fbs, total_cost)
 from tbctrl import models, solver
-from tbctrl.core import CostKind, TimeTable, Trajectory, ValidationError
+from tbctrl.core import TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
 from tbctrl.costate import _BLOCK, _SUB_BLOCK, _coefficients, _costate_pass, _matmul
 from tbctrl.solver import FbsSettings, _least_squares, _rk4, _sweep
+
+from conftest import source_a2
 
 
 LIVE_POPULATION = [ModelId.REINFECTION, ModelId.KOREA, ModelId.ISOLATION_IMMIGRATION,
@@ -444,8 +446,7 @@ class TestCostateScan:
         u = rng.uniform(0.0, 1.0, (len(nodes), d.control_dim))
         x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
         state = _rk4(d.rhs, x0, nodes, u, "state", p, d.required_params)
-        w = CostWeights(a1=1.0, a2=0.5 if d.cost_kind is CostKind.C1 else 0.0,
-                        b=(50.0,) * d.control_dim,
+        w = CostWeights(a1=1.0, a2=0.5, b=(50.0,) * d.control_dim,
                         a_isolated=0.7 if d.isolated is not None else 0.0)
         ref = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
                             np.zeros(d.state_dim), nodes, (state, u), backward=True)
@@ -639,8 +640,7 @@ class TestSolveFbs:
         def const_cost(v):
             u = np.full((cfg.grid.n_nodes, 1), v)
             state = integrate_forward(cfg.model, cfg.params, cfg.initial_state(), u, cfg.grid)
-            return total_cost(cfg.cost_kind, cfg.model, Trajectory(cfg.grid, state, u),
-                              cfg.weights)
+            return total_cost(cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
 
         assert sol.cost <= min(const_cost(0.0), const_cost(1.0))
 
@@ -717,7 +717,7 @@ class TestNestedStart:
         u, _, converged = single_grid(cfg)
         assert converged
         state = integrate_forward(mid, cfg.params, cfg.initial_state(), u, cfg.grid)
-        cost = total_cost(cfg.cost_kind, mid, Trajectory(cfg.grid, state, u), cfg.weights)
+        cost = total_cost(mid, Trajectory(cfg.grid, state, u), cfg.weights)
         assert abs(sol.cost - cost) <= 1e-8 * abs(cost)
 
     def test_failing_coarse_level_falls_back_to_single_grid(self, flagship, shrink, monkeypatch):
@@ -807,8 +807,7 @@ class TestReducedGradient:
 
         def cost_of(u):
             state = integrate_forward(cfg.model, cfg.params, x0, u, cfg.grid)
-            return total_cost(cfg.cost_kind, cfg.model,
-                              Trajectory(cfg.grid, state, u), cfg.weights)
+            return total_cost(cfg.model, Trajectory(cfg.grid, state, u), cfg.weights)
 
         rng = np.random.default_rng(2)
         nodes = rng.choice(np.arange(1, cfg.grid.n_steps), size=10, replace=False)
@@ -830,15 +829,14 @@ class TestReducedGradient:
             p = p.with_updates({"mu": TimeTable((0.0, 2.0, 5.0), (mu, 1.5 * mu, mu))})
         g = make_time_grid(0.0, 5.0, 200)
         x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
-        w = CostWeights(a1=1.0, a2=1.0 if d.cost_kind is CostKind.C1 else 0.0,
-                        b=(50.0,) * d.control_dim)
+        w = CostWeights(a1=1.0, a2=source_a2(mid), b=(50.0,) * d.control_dim)
         # A smooth control: against a rough one the costate route is only O(h) close.
         control = 0.5 + 0.3 * np.sin(np.outer(g.nodes, np.arange(1, d.control_dim + 1)))
         grad = reduced_cost_gradient(mid, p, w, g, x0, control)
 
         def cost_of(u):
             state = integrate_forward(mid, p, x0, u, g)
-            return total_cost(d.cost_kind, mid, Trajectory(g, state, u), w)
+            return total_cost(mid, Trajectory(g, state, u), w)
 
         delta = 1e-3
         # Interior nodes: next to tf, where lam -> 0, the relative gap grows.
