@@ -1,20 +1,22 @@
 """Pontryagin layer: Hamiltonian evaluation and independent consistency checks.
 
-The verifiers here are deliberately dumb: central differences of the
-Hamiltonian in the state cross-check the analytic adjoints, and a dense grid
-search over admissible controls cross-checks the closed-form control laws.
-H has one implementation, ``_hamiltonian``: lam.f plus the running cost of
-``models._running_cost``, which the cost quadrature and ``running_cost`` share.
-``hamiltonian`` validates its arguments and calls it at one point; the verifiers
-check the problem once and call it on numpy columns, one per sample, against the
-shifted states of the adjoint check or the grid search's candidate axes.
+H has one implementation, ``_hamiltonian``: lam.f plus ``models._running_cost``, which the cost
+quadrature shares; ``hamiltonian`` validates one point and calls it. The verifiers are deliberately
+dumb and call it on numpy columns, one per sample. Central differences of H in the state check the
+analytic adjoints. The control laws are checked by a grid search on H's exact quadratic form in u
+(the dynamics are affine in u): one call per batch at the stencil z = 0, e_i / 2, e_i and e_i + e_j
+(j < i), in z = (u - lower) / (upper - lower), reads each sample's coefficients, and u* and every
+candidate are priced on them. The same call checks the form at the sample's drawn u: a sample whose
+H there is off the quadratic by more than 1e-10 max(1, |H|) gets a NaN residual, so the model fails.
+``_WIDTH`` bounds the values of an adjoint-check call, a stencil call and a grid-search temporary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import islice, product
 
 import numpy as np
 
@@ -32,9 +34,7 @@ __all__ = [
 
 DEFAULT_SEED = 1234
 
-# Values per entry in a Hamiltonian call, the one budget of both verifiers: 51
-# rows of bowong's 101-point tensor grid. Calls twice as wide ran `tbctrl verify
-# all` about 12% faster, but raised its peak RSS by 0.3 MiB.
+# 51 rows of a 101-point grid: 101 rows ran bowong's search a fifth faster, for 0.3 MiB more RSS.
 _WIDTH = 51 * 101
 
 
@@ -72,11 +72,6 @@ class ConsistencyReport:
         for v in (self.max_adjoint_residual, self.max_stationarity_residual):
             if v is not None and v < 0:
                 raise ValidationError("residuals must be nonnegative")
-
-
-def _slices(n: int, step: int) -> list[slice]:
-    """range(n) in slices of ``step`` entries, the last one possibly shorter."""
-    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _resolve(model, p, w, samples, seed):
@@ -160,44 +155,46 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
                                 w: CostWeights | None = None, samples: int = 100,
                                 grid_points: int = 101,
                                 seed: int = DEFAULT_SEED) -> ConsistencyReport:
-    """Check the closed-form control law attains the grid minimum of H.
-
-    Models whose Hamiltonian is additively separable across controls are
-    checked with per-component sweeps around the candidate (which certifies
-    the joint minimum); the non-separable model gets the full tensor grid.
-    The grid needs both bounds, so grid_points must be an integer of at least 2.
-    """
+    """Check the closed-form control law attains the grid minimum of H: on each control's line
+    through u* where H is separable across controls (which certifies the joint minimum), else on
+    the tensor grid. The grid needs both bounds, so grid_points must be an integer of at least 2."""
     model, d, p, w = _resolve(model, p, w, samples, seed)
     check_count("grid_points", grid_points, 2)
-    m, names = d.control_dim, d.required_params
-    # Each call puts the samples on axis 0 and the candidates on the next k axes:
-    # a sweep's one control, the others held at u*, or the tensor grid, u_i on axis i + 1.
-    sweeps = [(i,) for i in range(m)] if d.separable_controls else [tuple(range(m))]
-    k = len(sweeps[0])
-    axes = [np.linspace(w.lower, w.upper, grid_points).reshape((-1,) + (1,) * (k - 1 - j))
-            for j in range(k)]
-    ts, xs, lams, _ = zip(*_draws(d, w, samples, seed))
-    # u* on floats, sample by sample: the laws take no columns
-    u_star = [np.array(d.characterize(t, x.tolist(), lam.tolist(), p.values(names, t), w)).tolist()
-              for t, x, lam in zip(ts, xs, lams)]
-    column = lambda v: np.array(v).T.reshape((-1, samples) + (1,) * k)  # entry, sample, 1, ...
-    (t,), x, lam, us = map(column, ([ts], xs, lams, u_star))
-    h_star = np.concatenate([_hamiltonian(d, t[s], x[:, s], lam[:, s], us[:, s], p.values(names, t[s]),
-                                          w).ravel() for s in _slices(samples, _WIDTH)])
-    h_min = h_star.copy()
-    # Whole grids for as many samples as fit a call, else one sample's grid in rows of axis 1.
-    cells = grid_points ** k
-    rows = min(grid_points, max(1, _WIDTH // (cells // grid_points)))
-    for s in _slices(samples, max(1, _WIDTH // cells)):
-        q = p.values(names, t[s])
-        for on in sweeps:
-            u = [axes[on.index(i)] if i in on else ui for i, ui in enumerate(us[:, s])]
-            for r in _slices(grid_points, rows):
-                u[on[0]] = axes[0][r]
-                h = _hamiltonian(d, t[s], x[:, s], lam[:, s], u, q, w)
-                h_min[s] = np.minimum(h_min[s], h.reshape(len(h), -1).min(axis=1))  # NaN wins
-    res = ((h_star - h_min) / np.maximum(1.0, np.abs(h_star))).tolist()
-    max_res, worst = _worst([(r, {"sample": i, "residual": r, "u_star": u, "t": t})
-                             for i, (r, u, t) in enumerate(zip(res, u_star, ts))])
+    draws, scored = _draws(d, w, samples, seed), []
+    size = max(1, _WIDTH // max(grid_points, (d.control_dim + 1) ** 2))  # (m+1)^2 >= stencil + u
+    while batch := list(islice(draws, size)):
+        u_star, h_star, h_min = _grid_search(d, p, w, batch, grid_points)
+        res = ((h_star - h_min) / np.maximum(1.0, np.abs(h_star))).tolist()
+        for (t, *_), u, r in zip(batch, u_star, res):
+            scored.append((r, {"sample": len(scored), "residual": r, "u_star": u, "t": t}))
+    max_res, worst = _worst(scored)
     return ConsistencyReport(model=model, samples=samples, seed=seed,
                              max_stationarity_residual=max_res, worst_offenders=worst)
+
+
+def _grid_search(d, p: ParameterSet, w: CostWeights, batch: list, grid_points: int):
+    """u* by sample (the laws take floats), H there, and H's least value over u* and the grid.
+    In z, H = f0 + sum_i [z_i (g_i + Q_i z_i) + sum_{j<i} C_ij z_i z_j]: quad sums terms(i, z_i)."""
+    m, names, lo, span = d.control_dim, d.required_params, w.lower, w.upper - w.lower
+    axis = (np.linspace(lo, w.upper, grid_points) - lo) / span
+    u_star = np.array([d.characterize(t, x.tolist(), lam.tolist(), p.values(names, t), w)
+                       for t, x, lam, _ in batch], dtype=float)
+    (t,), x, lam, u, z = (np.array(v).T.reshape(-1, len(batch), 1)
+                          for v in (*zip(*batch), (u_star - lo) / span))
+    e = np.eye(m)
+    stencil = [0.0 * e[0], *(e / 2), *e, *(a + b for i, a in enumerate(e) for b in e[:i])]
+    uu = np.concatenate([np.broadcast_to(lo + span * np.array(stencil).T[:, None],
+                                         (m, len(batch), len(stencil))), u], 2)  # then drawn u
+    f0, *f, hu = _hamiltonian(d, t, x, lam, list(uu), p.values(names, t), w).T[:, :, None]
+    half, one, fp = np.array(f[:m]), np.array(f[m:2 * m]), f[2 * m:]
+    g, sq = 4.0 * half - 3.0 * f0 - one, 2.0 * (one - 2.0 * half + f0)
+    cross = [[fp[i * (i - 1) // 2 + j] - one[i] - one[j] + f0 for j in range(i)] for i in range(m)]
+    terms = lambda i, zi: (zi * (g[i] + sq[i] * zi), [c * zi for c in cross[i]])  # of z_i in H
+    on_axis = None if d.separable_controls else terms(m - 1, axis)  # a tensor row's, once
+    quad = lambda z: sum((sum(map(np.multiply, cz, z), dg) for dg, cz in (
+        on_axis if zi is axis and on_axis else terms(i, zi) for i, zi in enumerate(z))), f0)
+    fits = np.abs(hu - quad((u - lo) / span)) <= 1e-10 * np.maximum(1.0, np.abs(hu))
+    h_star = np.where(fits, quad(z), np.nan).ravel()  # off the form: NaN, which wins the min
+    lines = ([*z[:i], axis, *z[i + 1:]] for i in range(m)) if d.separable_controls else (
+        [*row, axis] for row in product(axis, repeat=m - 1))
+    return u_star.tolist(), h_star, np.minimum(h_star, reduce(np.minimum, map(quad, lines)).min(1))

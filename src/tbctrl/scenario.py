@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -89,16 +90,18 @@ def _finite(obj, path: str) -> float:
 
 
 def _fraction_value(obj, path: str) -> Fraction:
-    if isinstance(obj, str):
-        try:
-            f = Fraction(obj)
-            float(f)  # raises OverflowError past float range
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{path}: cannot parse fraction {obj!r}") from None
-        except OverflowError:
-            raise ValidationError(f"{path}: number out of float range") from None
-        return f
-    return Fraction(_finite(obj, path))
+    if not isinstance(obj, str):
+        return Fraction(_finite(obj, path))
+    if not (m := re.fullmatch(r"\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*", obj)):  # the schema's pattern
+        raise ValidationError(f"{path}: expected a number or an 'n' or 'n/m' string, got {obj!r}")
+    try:
+        f = Fraction(int(m[1]), int(m[2] or 1))
+        float(f)  # raises OverflowError past float range
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{path}: cannot parse fraction {obj!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{path}: number out of float range") from None
+    return f
 
 
 def _list(obj, path: str) -> list | tuple:

@@ -385,6 +385,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 7
 
+    @pytest.mark.parametrize("seed", [1, 7, 1234])
+    def test_all_models_pass_at_several_seeds(self, capsys, seed):
+        assert main(["verify", "all", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 7 and all(line.endswith("[ok]") for line in lines)
+
     def test_unknown_model_is_validation_error(self, capsys):
         assert main(["verify", "nosuch"]) == 2
         err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from tbctrl import (CostWeights, ModelId, adjoint_rhs, control_characterization,
                     verify_control_stationarity)
 from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
-from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _hamiltonian
+from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _grid_search, _hamiltonian
 from tbctrl.cli import main
 
 
@@ -284,8 +284,9 @@ class TestNonFiniteResiduals:
         assert second["residual"] < 1e-6
 
 
-def point_residual(mid, p, w, t, x, lam, grid_points):
-    """u* and the grid-search residual of one sample, by point-wrapper calls at every candidate."""
+def point_search(mid, p, w, t, x, lam, grid_points):
+    """u*, H at u* and the least H over u* and the grid of one sample, by point-wrapper calls
+    at every candidate: the full Hamiltonian, not its quadratic form in u."""
     axis = np.linspace(w.lower, w.upper, grid_points)
     u_star = control_characterization(mid, t, x, lam, p, w)
     h_star = h_min = hamiltonian(mid, t, x, lam, u_star, p, w)
@@ -298,6 +299,12 @@ def point_residual(mid, p, w, t, x, lam, grid_points):
         candidates = [np.array(u) for u in itertools.product(axis, repeat=u_star.size)]
     for u in candidates:
         h_min = min(h_min, hamiltonian(mid, t, x, lam, u, p, w))
+    return u_star, h_star, h_min
+
+
+def point_residual(mid, p, w, t, x, lam, grid_points):
+    """u* and the grid-search residual of one sample, from ``point_search``."""
+    u_star, h_star, h_min = point_search(mid, p, w, t, x, lam, grid_points)
     return u_star, (h_star - h_min) / max(1.0, abs(h_star))
 
 
@@ -359,17 +366,18 @@ class TestTimeTables:
         assert interior >= 3
 
 
-# Sample counts and grids whose search spans several calls, the last one partial.
-SPLIT = _WIDTH // 101 + 9  # separable, 101 points: whole calls of _WIDTH // 101 samples, then 9
+# Sample counts and grids whose search spans several batches, the last one partial.
+SPLIT = _WIDTH // 101 + 9  # 101 points: whole batches of _WIDTH // 101 samples, then 9
 CALL_EDGES = ([(m, None, SPLIT, 101) for m in ModelId if m is not ModelId.BOWONG]
               + [(ModelId.KOREA, "tables", SPLIT, 101),
-                 (ModelId.BOWONG, None, _WIDTH // 21 ** 2 + 4, 21),  # whole tensor grids a call
-                 (ModelId.BOWONG, None, 2, 75)])  # blocks of whole rows of u1, the last one partial
+                 (ModelId.BOWONG, None, 15, 21),  # the tensor grid, in one batch each
+                 (ModelId.BOWONG, None, 2, 75)])
 
 
 class TestBatchedSearch:
-    """The grid search scores sample columns against broadcast candidate axes, in calls of
-    at most ``_WIDTH`` values; its records are those of a search point by point."""
+    """The grid search scores u* and the candidates on each sample's quadratic form of H in u,
+    read by one Hamiltonian call of at most ``_WIDTH`` values per batch of samples; its records
+    are those of a search point by point on the full H, to rounding."""
 
     @pytest.mark.parametrize("mid, tables, samples, grid_points", CALL_EDGES,
                              ids=lambda v: getattr(v, "value", str(v)))
@@ -394,16 +402,21 @@ class TestBatchedSearch:
         residuals = {e["residual"] for e in expected}
         assert min(residuals) > 0.0 and len(residuals) == samples
         expected.sort(key=lambda e: -e["residual"])
-        assert r.max_stationarity_residual == expected[0]["residual"]
-        assert r.worst_offenders == expected[:3]
+        # The quadratic and the full H round differently: the largest gap seen is 3.8e-13.
+        near = lambda v: pytest.approx(v, rel=0.0, abs=1e-12)
+        assert r.max_stationarity_residual == near(expected[0]["residual"])
+        for got, want in zip(r.worst_offenders, expected[:3], strict=True):
+            assert got == {**want, "residual": near(want["residual"])}
 
-    @pytest.mark.parametrize("mid, samples, grid_points", [
-        (ModelId.SEIRS, 250, 101),
-        (ModelId.BOWONG, 2, 301),
-    ], ids=["seirs", "bowong"])
-    def test_calls_no_wider_than_budget(self, monkeypatch, mid, samples, grid_points):
-        # one call at u*, then calls that cover every candidate once, none wider than _WIDTH
+    @pytest.mark.parametrize("mid, samples, grid_points, batches", [
+        (ModelId.SEIRS, 250, 101, [51, 51, 51, 51, 46]),
+        (ModelId.BOWONG, 2, 301, [2]),
+        (ModelId.KOREA, 700, 2, [321, 321, 58]),  # (m + 1)^2 = 16, not the grid, sets the batch
+    ], ids=["seirs", "bowong", "korea"])
+    def test_calls_no_wider_than_budget(self, monkeypatch, mid, samples, grid_points, batches):
+        # one call per batch: its samples at every stencil point and at their drawn u
         defn = models_pkg.model_definition(mid)
+        m = defn.control_dim
         widths = []
 
         def rhs(t, x, u, p):
@@ -412,9 +425,47 @@ class TestBatchedSearch:
 
         monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, rhs=rhs))
         verify_control_stationarity(mid, samples=samples, grid_points=grid_points)
-        cells = defn.control_dim * grid_points if defn.separable_controls else grid_points ** 2
-        assert widths[0] == samples and sum(widths[1:]) == samples * cells
-        assert len(widths) > 3 and max(widths) <= _WIDTH
+        points = 1 + 2 * m + m * (m - 1) // 2 + 1
+        assert widths == [b * points for b in batches] and max(widths) <= _WIDTH
+
+
+class TestQuadraticForm:
+    """The grid search reads H's coefficients in u from a stencil, and checks the form at
+    each sample's drawn u."""
+
+    @pytest.mark.parametrize("mid", [ModelId.SEIRS, ModelId.BOWONG], ids=lambda m: m.value)
+    def test_cubic_term_fails_the_form_check(self, monkeypatch, capsys, mid):
+        # a u^3 term free of x leaves the adjoint right and every law unchanged, so only the
+        # form check can see it: it makes the residuals NaN, and `tbctrl verify` fails the model
+        defn = models_pkg.model_definition(mid)
+
+        def cubic(t, x, u, p):
+            out = defn.rhs(t, x, u, p)
+            out[1] = out[1] + u[0] ** 3
+            return out
+
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, rhs=cubic))
+        r = verify_control_stationarity(mid, samples=20)
+        assert math.isnan(r.max_stationarity_residual)
+        assert all(math.isnan(rec["residual"]) for rec in r.worst_offenders)
+        assert verify_adjoint_consistency(mid, samples=20).max_adjoint_residual < 1e-6
+        assert main(["verify", mid.value]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_grid_minimum_matches_full_hamiltonian(self, mid):
+        # an independent reference: the same candidates scored by point calls of the full H
+        d = models_pkg.model_definition(mid)
+        p = models_pkg.default_params(mid)
+        w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
+                        b=(100.0,) * d.control_dim)
+        batch = list(_draws(d, w, 20, DEFAULT_SEED))
+        u_star, h_star, h_min = _grid_search(d, p, w, batch, 11)
+        for (t, x, lam, _), us, hs, hm in zip(batch, u_star, h_star, h_min, strict=True):
+            ref_u, ref_star, ref_min = point_search(mid, p, w, t, x, lam, 11)
+            assert us == ref_u.tolist()
+            assert hs == pytest.approx(ref_star, rel=1e-13, abs=0.0)
+            assert hm == pytest.approx(ref_min, rel=1e-13, abs=0.0)
 
 
 class TestArguments:

@@ -246,9 +246,9 @@ class TestLoadScenario:
          r"parameters\.k1\.times: expected a finite number"),
         ({"parameters": {"k1": {"times": [-INF, 0.0], "values": [1.0, 1.0]}}},
          r"parameters\.k1\.times: expected a finite number"),
-        ({"initial_state": {"values": ["1e400", "0", "0", "0"]}},
+        ({"initial_state": {"values": [str(10 ** 400), "0", "0", "0"]}},
          r"initial_state\.values\[0\]: number out of float range"),
-        ({"initial_state": {"values": ["1e308", "1e308", "0", "0"]}},  # the sum overflows
+        ({"initial_state": {"values": [str(10 ** 308)] * 2 + ["0", "0"]}},  # the sum overflows
          r"initial_state\.values: initial fractions must sum to 1, got inf"),
         ({"parameters": {"k1": {"times": 0.0, "values": [1.0]}}},
          r"parameters\.k1\.times: expected a list"),
@@ -359,12 +359,26 @@ class TestPublishedSchema:
         ({"sweep": {"parameter": "k1", "values": [0.5, {"c": 1.0}]}},
          r"^\$\.sweep: a sweep with a 'parameter' takes only numbers"),
         ({"sweep": {"values": [{"c": 1.0}, 0.5]}}, r"^\$\.sweep: scalar sweep values need a 'parameter'"),
+        # strings are "n" or "n/m", and only in fraction mode
+        ({"initial_state": {"values": ["0.5", "0.25", "1/4", "0"]}},
+         r"^\$\.initial_state\.values\[0\]: expected a number or an 'n' or 'n/m' string, "
+         r"got '0\.5'$"),
+        ({"initial_state": {"mode": "counts", "values": ["7000", 1, 1, 1]}},
+         r"^\$\.initial_state\.values\[0\]: expected a number"),
+        ({"initial_state": {"values": ["1/0", 1, 0, 0]}},
+         r"^\$\.initial_state\.values\[0\]: cannot parse fraction '1/0'$"),
     ])
     def test_refused_by_both(self, validator, edit, error):
         doc = {**flagship_doc(), **edit}
         assert not validator.is_valid(doc)
         with pytest.raises(ValidationError, match=error):
             load_scenario(doc)
+
+    def test_fraction_strings_read_by_both(self, validator):
+        doc = flagship_doc()
+        doc["initial_state"]["values"] = [" 3 / 8 ", "1/4", "3/8", "0"]
+        assert validator.is_valid(doc)
+        assert load_scenario(doc).initial_values == (0.375, 0.25, 0.375, 0.0)
 
     def test_schema_rejects_unknown_key(self, validator):
         doc = flagship_doc()
