@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import models
 from .core import (CostWeights, ParameterSet, ValidationError, _located,
                    _raise_first_nonfinite)
 
@@ -147,7 +146,6 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     located at the node of the first step to meet a failing stage time (the
     latest such time), once the rows before it are integrated and checked.
     """
-    models._cost_vec(d.id, w)  # the weights must fit the model; no adjoint reads b
     n = d.state_dim
     ts = nodes[::-1]  # integration order
     lam = np.empty((len(nodes), n))  # allocated whole: a growing buffer is copied past the chunk arrays

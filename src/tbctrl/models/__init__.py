@@ -83,25 +83,28 @@ def cost_state_vector(model: ModelId, w: CostWeights) -> np.ndarray:
 
 
 def validate_problem(model: ModelId, p: ParameterSet, w: CostWeights) -> ModelDefinition:
-    """The model's definition, if p and w make a valid problem.
-
-    Checks the parameters, then the weights' fit to the model.
-    """
-    d = model_definition(model)
-    violations = validate_against(d, p)
-    if violations:
-        raise ValidationError(f"{d.id.value}: invalid parameters: " + "; ".join(violations))
-    _cost_vec(d.id, w)
-    return d
+    """The model's definition, if p and w make a valid problem (see ``_point``)."""
+    return _point(model, p=p, w=w)[0]
 
 
-def _point(model: ModelId, nodes: int | None = None, **vectors) -> list:
+def _point(model: ModelId, nodes: int | None = None, p: ParameterSet | None = None,
+           w: CostWeights | None = None, **vectors) -> list:
     """The model's definition, then each named vector as a float array of the model's shape.
 
+    The one gate of every public entry: given p, it refuses a parameter set
+    that ``validate_against`` rejects; given w, weights that do not fit the
+    model (``_cost_vec``). Past it, ``rhs``, ``adjoint`` and ``characterize``
+    receive the tuple of an accepted set and check nothing but the state.
     A vector named ``control`` needs one entry per control, any other one per
     compartment; given ``nodes``, each is a (nodes, entries) array, one row per node.
     """
     d = model_definition(model)
+    if p is not None:
+        violations = validate_against(d, p)
+        if violations:
+            raise ValidationError(f"{d.id.value}: invalid parameters: " + "; ".join(violations))
+    if w is not None:
+        _cost_vec(d.id, w)
     out: list = [d]
     for what, v in vectors.items():
         n = d.control_dim if what == "control" else d.state_dim
@@ -116,23 +119,21 @@ def _point(model: ModelId, nodes: int | None = None, **vectors) -> list:
 def dynamics(model: ModelId, t: float, x: np.ndarray, u: np.ndarray,
              p: ParameterSet) -> np.ndarray:
     """Time derivative of the state under control u."""
-    d, x, u = _point(model, state=x, control=u)
+    d, x, u = _point(model, p=p, state=x, control=u)
     return np.array(d.rhs(t, x, u, p.values(d.required_params, t)))
 
 
 def adjoint_rhs(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Time derivative of the costate: -dH/dx for the model's Hamiltonian."""
-    d, x, lam, u = _point(model, state=x, adjoint=lam, control=u)
-    _cost_vec(d.id, w)  # the weights must fit the model
+    d, x, lam, u = _point(model, p=p, w=w, state=x, adjoint=lam, control=u)
     return np.array(d.adjoint(t, x, lam, u, p.values(d.required_params, t), w))
 
 
 def control_characterization(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                              p: ParameterSet, w: CostWeights) -> np.ndarray:
     """Pointwise minimizer of the Hamiltonian over the admissible control box."""
-    d, x, lam = _point(model, state=x, adjoint=lam)
-    _cost_vec(d.id, w)  # the weights must fit the model
+    d, x, lam = _point(model, p=p, w=w, state=x, adjoint=lam)
     return np.array(d.characterize(t, x, lam, p.values(d.required_params, t), w))
 
 

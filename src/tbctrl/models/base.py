@@ -69,8 +69,9 @@ class ModelDefinition:
     ``rhs``, ``adjoint`` and ``characterize`` take the model's parameters as
     one tuple in ``required_params`` order (the module's ``PARAMS``), which
     the caller resolves with ``ParameterSet.values``: once per pass, or at
-    each evaluation time when the set holds a time table. They return
-    index-mutable sequences (lists).
+    each evaluation time when the set holds a time table. The set is one the
+    argument gate ``models._point`` accepted, so they check nothing but the
+    state (``live_population``). They return index-mutable sequences (lists).
 
     ``domains`` maps a parameter to its admissible range and lists only the
     exceptions: every parameter it does not name must be finite and >= 0

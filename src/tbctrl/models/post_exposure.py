@@ -12,7 +12,6 @@ Source objective: a1*I1 + a2*L4 (active, persistent latent) plus the effort.
 
 from __future__ import annotations
 
-from ..core import ValidationError
 from .base import OPEN_UNIT, POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L3", "I1", "L4", "T")
@@ -23,8 +22,6 @@ PARAMS = ("N", "mu", "beta", "sigma", "sigma_R", "delta", "k1",
 def rhs(t, x, u, p):
     (n_pop, mu, beta, sigma, sig_r, delta, k1, omega, omega_r,
      tau0, tau1, tau2, eps1, eps2) = p
-    if n_pop <= 0.0:
-        raise ValidationError("parameter N must be positive")
     s, l3, i1, l4, tr = x
     u1, u2 = u
     th = beta / n_pop

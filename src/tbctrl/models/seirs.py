@@ -9,7 +9,6 @@ Source objective: a1*I1 (the infectious class) plus the control effort.
 
 from __future__ import annotations
 
-from ..core import ValidationError
 from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "T")
@@ -18,8 +17,6 @@ PARAMS = ("Lambda", "beta", "c", "mu", "sigma", "k1", "r1", "r2", "d1", "N")
 
 def rhs(t, x, u, p):
     lam_in, beta, c, mu, sigma, k1, r1, r2, d1, n_pop = p
-    if n_pop <= 0.0:
-        raise ValidationError("parameter N must be positive")
     s, l1, i1, tr = x
     th = beta * c / n_pop
     inf_s = th * s * i1

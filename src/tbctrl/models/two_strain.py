@@ -13,7 +13,6 @@ unmitigated treatment failure recover the uncontrolled system.
 
 from __future__ import annotations
 
-from ..core import ValidationError
 from .base import POSITIVE, UNIT, ModelDefinition, ModelId, clamp
 
 LABELS = ("S", "L1", "I1", "L2", "I2", "T")
@@ -23,8 +22,6 @@ PARAMS = ("Lambda", "beta", "beta_star", "c", "mu", "sigma",
 
 def rhs(t, x, u, pp):
     lam_in, beta, beta_s, c, mu, sigma, k1, k2, r1, r2, d1, d2, p, q, n_pop = pp
-    if n_pop <= 0.0:
-        raise ValidationError("parameter N must be positive")
     s, l1, i1, l2, i2, tr = x
     u1, u2 = u
     th1 = beta * c / n_pop

@@ -53,7 +53,7 @@ def _hamiltonian(d, t, x, lam, u, q: tuple, w: CostWeights):
 def hamiltonian(model: ModelId, t: float, x: np.ndarray, lam: np.ndarray,
                 u: np.ndarray, p: ParameterSet, w: CostWeights) -> float:
     """Running cost plus inner product of adjoint and dynamics."""
-    d, x, lam, u = models._point(model, state=x, adjoint=lam, control=u)
+    d, x, lam, u = models._point(model, p=p, w=w, state=x, adjoint=lam, control=u)
     return float(_hamiltonian(d, t, x, lam, u, p.values(d.required_params, t), w))
 
 

@@ -36,8 +36,9 @@ building lists. It hands the model its parameters as a tuple resolved once
 per pass (at each evaluation time only when the set holds a time table), and
 checks finiteness once per pass rather than after every step. The costate
 pass is the same RK4 rule applied to the costate, which is linear in lam, run
-as an affine scan (``costate._costate_pass``). The sweep checks the problem
-once, before the first iteration, and prices each iterate with the bare cost
+as an affine scan (``costate._costate_pass``). Each pass checks its
+arguments once, at entry (``models._point``); the sweep checks the problem
+before the first iteration and prices each iterate with the bare cost
 quadrature.
 """
 
@@ -239,7 +240,7 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, control, what: str, p: ParameterS
 def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
                       control: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate the state ODE forward; returns the (n_nodes, state_dim) array."""
-    d, x0 = models._point(model, x0=x0)
+    d, x0 = models._point(model, p=p, x0=x0)
     control = models._point(d.id, grid.n_nodes, control=control)[1]
     if np.any(x0 < 0):
         raise ValidationError("initial state must be nonnegative")
@@ -254,7 +255,8 @@ def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,
     State and control are linearly interpolated at half-steps; lam(tf) = 0
     exactly by construction.
     """
-    d, state, control = models._point(model, grid.n_nodes, state=state, control=control)
+    d, state, control = models._point(model, grid.n_nodes, p=p, w=w, state=state,
+                                      control=control)
     return _costate_pass(d, w, p, state, control, grid.nodes)
 
 

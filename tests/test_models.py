@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs, best_constant_control,
                     control_characterization, default_params, dynamics, hamiltonian,
-                    integrate_adjoint_backward, make_time_grid, model_definition,
+                    integrate_adjoint_backward, integrate_forward, make_time_grid,
+                    model_definition,
                     reduced_cost_gradient, running_cost, solve_direct, solve_fbs,
                     validate_params, verify_adjoint_consistency, verify_control_stationarity)
 from tbctrl.core import TimeTable, ValidationError
@@ -371,6 +372,22 @@ PROBLEM_ENTRIES = {
 }
 
 
+# Each entry point that evaluates or integrates a model for a parameter set,
+# called on seirs at a point or on a 4-step grid.
+_X, _LAM, _U = np.full(4, 100.0), np.ones(4), np.full(1, 0.5)
+_W, _GRID = CostWeights(a1=1.0, b=(50.0,)), make_time_grid(0.0, 1.0, 4)
+PARAMETER_ENTRIES = {
+    "integrate_forward": lambda p: integrate_forward(
+        ModelId.SEIRS, p, _X, np.tile(_U, (_GRID.n_nodes, 1)), _GRID),
+    "integrate_adjoint_backward": lambda p: integrate_adjoint_backward(
+        ModelId.SEIRS, p, _W, np.tile(_X, (_GRID.n_nodes, 1)), np.tile(_U, (_GRID.n_nodes, 1)), _GRID),
+    "dynamics": lambda p: dynamics(ModelId.SEIRS, 0.5, _X, _U, p),
+    "adjoint_rhs": lambda p: adjoint_rhs(ModelId.SEIRS, 0.5, _X, _LAM, _U, p, _W),
+    "control_characterization": lambda p: control_characterization(ModelId.SEIRS, 0.5, _X, _LAM, p, _W),
+    "hamiltonian": lambda p: hamiltonian(ModelId.SEIRS, 0.5, _X, _LAM, _U, p, _W),
+}
+
+
 class TestValidateProblem:
     @pytest.mark.parametrize("problem", ["mu = -1", "seirs with a_isolated = 1"])
     @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
@@ -383,6 +400,19 @@ class TestValidateProblem:
         }[problem]
         with pytest.raises(ValidationError):
             PROBLEM_ENTRIES[entry](cfg)
+
+    @pytest.mark.parametrize("problem", ["N = 0", "mu = -1", "beta time table"])
+    @pytest.mark.parametrize("entry", PARAMETER_ENTRIES)
+    def test_every_pass_and_point_entry_rejects_the_same_parameters(self, entry, problem):
+        p = default_params(ModelId.SEIRS)
+        PARAMETER_ENTRIES[entry](p)
+        p = p.with_updates({
+            "N = 0": {"N": 0.0},
+            "mu = -1": {"mu": -1.0},
+            "beta time table": {"beta": TimeTable((0.0, 1.0), (13.0, 20.0))},  # seirs allows none
+        }[problem])
+        with pytest.raises(ValidationError, match=r"^seirs: invalid parameters"):
+            PARAMETER_ENTRIES[entry](p)
 
     @pytest.mark.parametrize("entry", ["adjoint_rhs", "integrate_adjoint_backward"])
     @pytest.mark.parametrize("mid", list(ModelId))

@@ -320,13 +320,15 @@ class TestForwardIntegration:
 
     def test_blowup_located_when_invalid_operations_raise(self):
         # S' = 3 S with h = 1: every RK4 stage of step 1 stays finite but the row
-        # overflows; step 2 then meets 0 * inf, which np.errstate makes an error
+        # overflows; step 2 then meets 0 * inf, which np.errstate makes an error.
+        # mu < 0 is outside seirs' domain, so the kernel runs without the entry's gate.
+        d = model_definition(ModelId.SEIRS)
         p = zero_rate_params().with_updates({"mu": -3.0})
         g = make_time_grid(0.0, 5.0, 5)
         x0 = np.array([1.13e307, 0.0, 0.0, 0.0])
         with np.errstate(over="ignore", invalid="raise"):
             with pytest.raises(NonFiniteError) as err:
-                integrate_forward(ModelId.SEIRS, p, x0, np.zeros((g.n_nodes, 1)), g)
+                _rk4(d.rhs, x0, g.nodes, np.zeros((g.n_nodes, 1)), "state", p, d.required_params)
         assert (err.value.step, err.value.time) == (1, 1.0)
 
     def test_batch_blowup_located_when_invalid_operations_raise(self):
@@ -370,9 +372,12 @@ class TestBackwardIntegration:
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_blowup_located_in_integration_order(self, mid):
         # zero dynamics: |lam_i| = (n - i) * h * a1, which first overflows at i = 2;
-        # rows 1 and 0 overflow too but come later in the backward pass
+        # rows 1 and 0 overflow too but come later in the backward pass. N and
+        # post-exposure's efficacies must lie inside their domains; under zero
+        # rates and controls they move nothing.
         d = model_definition(mid)
-        p = ParameterSet({name: 1.0 if name == "N" else 0.0 for name in d.required_params})
+        inside = {"N": 1.0, "eps1": 0.5, "eps2": 0.5}
+        p = ParameterSet({name: inside.get(name, 0.0) for name in d.required_params})
         g = make_time_grid(0.0, 10.0, 10)
         w = CostWeights(a1=2.5e307, b=(1.0,) * d.control_dim)
         state = np.ones((g.n_nodes, d.state_dim))
@@ -448,7 +453,9 @@ class TestCostateScan:
         state = _rk4(d.rhs, x0, nodes, u, "state", p, d.required_params)
         w = CostWeights(a1=1.0, a2=0.5, b=(50.0,) * d.control_dim,
                         a_isolated=0.7 if d.isolated is not None else 0.0)
-        ref = reference_rk4(lambda t, lam, x, v: adjoint_rhs(mid, t, x, lam, v, p, w),
+        # the model's adjoint without the entry's gate: seirs allows no time table
+        ref = reference_rk4(lambda t, lam, x, v: np.array(
+                                d.adjoint(t, x, lam, v, p.values(d.required_params, t), w)),
                             np.zeros(d.state_dim), nodes, (state, u), backward=True)
         return _costate_pass(d, w, p, state, u, nodes), ref
 
