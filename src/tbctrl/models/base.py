@@ -27,12 +27,13 @@ class ModelId(str, Enum):
 
 
 # States, costates and controls are sequences of floats (lists in the RK4
-# kernel, arrays through the public wrappers). rhs and adjoint also take numpy
-# arrays that broadcast together: (B,) columns of an RK4 batch, (P,) stage
-# points of the costate pass against (n+1, 1) costates, or (k, 1) columns per
-# sample or node against (k, G) shifted states or (G,) candidate controls
-# (bowong's grid: (k, 1, 1) against (R, 1) and (G,)). Outside an RK4 batch
-# the time is then a column too, and so is each time-table parameter.
+# kernel, arrays through the public wrappers). rhs, adjoint and characterize
+# also take numpy arrays that broadcast together: (B,) columns of an RK4 batch,
+# (P,) stage points of the costate pass against (n+1, 1) costates, or the
+# verifiers' (k, 1) columns per sample against (k, 2n) shifted states or
+# (k, P) stencil controls. Outside an RK4 batch the time is then a column too,
+# and so is each time-table parameter. On columns, entry j of each output is
+# what the float call at entry j gives, bitwise.
 # The parameter argument is the tuple of the model's PARAMS values, as
 # ParameterSet.values returns it.
 Vec = Sequence[float]
@@ -72,6 +73,8 @@ class ModelDefinition:
     each evaluation time when the set holds a time table. The set is one the
     argument gate ``models._point`` accepted, so they check nothing but the
     state (``live_population``). They return index-mutable sequences (lists).
+    All three take floats or numpy columns (see the comment on ``Vec``); a
+    control law's clamps go through ``clamp``, which does both.
 
     ``domains`` maps a parameter to its admissible range and lists only the
     exceptions: every parameter it does not name must be finite and >= 0
@@ -105,8 +108,13 @@ class ModelDefinition:
         return len(self.control_labels)
 
 
-def clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(lo, v), hi)
+def clamp(v, lo: float, hi: float):
+    """min(max(lo, v), hi) for a float v, entry by entry for numpy columns; NaN gives lo."""
+    try:  # costs the float path nothing
+        return min(max(lo, v), hi)
+    except ValueError:  # columns have no single truth value
+        v = np.where(v > lo, v, lo)  # max(lo, v) keeps lo unless v > lo
+        return np.where(hi < v, hi, v)  # min(v, hi) keeps v unless hi < v
 
 
 def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:

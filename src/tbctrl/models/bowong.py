@@ -16,6 +16,8 @@ independent clamps.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .base import UNIT, ModelDefinition, ModelId, clamp, live_population
 
 LABELS = ("S", "L1", "I1", "I2")
@@ -73,7 +75,8 @@ def characterize(t, x, lam, p, w):
         q(u) = B1/2 u1^2 + B2/2 u2^2 + alpha u1 + beta_c u2 + gamma u1 u2
     and the global box minimum is either the interior stationary point (when
     the Hessian is positive definite) or lies on one of the four edges, each
-    of which is a strictly convex 1-D quadratic.
+    of which is a strictly convex 1-D quadratic: the first least candidate wins.
+    On numpy columns the same choice is made entry by entry.
     """
     _, beta, mu, g, f, h, r1, r2, r3, k1, sigma, d1, d3 = p
     s, l1, i1, i2 = x
@@ -87,21 +90,36 @@ def characterize(t, x, lam, p, w):
     gamma = h * r1 * kflow * (l4 - l3)
     lo, hi = w.lower, w.upper
 
-    def q(u1, u2):
+    def q(uv):
+        u1, u2 = uv
         return (0.5 * b1 * u1 * u1 + 0.5 * b2 * u2 * u2
                 + alpha * u1 + beta_c * u2 + gamma * u1 * u2)
 
     candidates = []
-    det = b1 * b2 - gamma * gamma
-    if det > 0.0:
-        u1i = (gamma * beta_c - b2 * alpha) / det
-        u2i = (gamma * alpha - b1 * beta_c) / det
-        if lo <= u1i <= hi and lo <= u2i <= hi:
-            candidates.append((u1i, u2i))
     for edge in (lo, hi):
         candidates.append((edge, clamp(-(beta_c + gamma * edge) / b2, lo, hi)))
         candidates.append((clamp(-(alpha + gamma * edge) / b1, lo, hi), edge))
-    return list(min(candidates, key=lambda uv: q(*uv)))
+    det = b1 * b2 - gamma * gamma
+    num1, num2 = gamma * beta_c - b2 * alpha, gamma * alpha - b1 * beta_c  # interior point * det
+    try:  # costs the float path nothing
+        if det > 0.0:
+            u1i, u2i = num1 / det, num2 / det
+            if lo <= u1i <= hi and lo <= u2i <= hi:
+                candidates.insert(0, (u1i, u2i))  # the interior point is the first candidate
+        return list(min(candidates, key=q))
+    except ValueError:  # columns have no single truth value: the same choice entry by entry
+        pos = np.where(det > 0.0, det, np.nan)  # det <= 0: no interior point, NaN is in no box
+        u1i, u2i = num1 / pos, num2 / pos
+        # in the box where clamping moves neither; `&` on bools would page in numpy code (peak RSS)
+        inside = np.where(u1i == clamp(u1i, lo, hi), u2i == clamp(u2i, lo, hi), False)
+        u1, u2 = np.where(inside, u1i, candidates[0][0]), np.where(inside, u2i, candidates[0][1])
+        least = q((u1, u2))
+        for c1, c2 in candidates:  # a later candidate wins only where it is less, as in min()
+            qc = q((c1, c2))
+            less = qc < least
+            u1, u2 = np.where(less, c1, u1), np.where(less, c2, u2)
+            least = np.where(less, qc, least)
+        return [u1, u2]
 
 
 DEFINITION = ModelDefinition(

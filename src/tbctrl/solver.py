@@ -242,8 +242,6 @@ def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
     """Integrate the state ODE forward; returns the (n_nodes, state_dim) array."""
     d, x0 = models._point(model, p=p, x0=x0)
     control = models._point(d.id, grid.n_nodes, control=control)[1]
-    if np.any(x0 < 0):
-        raise ValidationError("initial state must be nonnegative")
     return _rk4(d.rhs, x0, grid.nodes, control, "state", p, d.required_params)
 
 

@@ -374,6 +374,39 @@ class TestSweep:
         assert rows[1][4].startswith("error:")
 
 
+# `tbctrl verify all --seed S` as the row-by-row grid search with per-sample law calls printed it.
+# A change that only makes the verifiers faster prints these bytes.
+VERIFY_ALL_GOLDEN = {
+    1: """\
+seirs                  adjoint=2.942e-09 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=2.532e-09 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=2.007e-08 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=6.354e-09 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=3.208e-09 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=2.975e-09 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=6.057e-09 stationarity=0.000e+00 [ok]
+""",
+    7: """\
+seirs                  adjoint=1.650e-09 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=5.950e-09 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=6.619e-09 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=4.197e-09 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=7.941e-09 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=3.577e-09 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=5.206e-09 stationarity=0.000e+00 [ok]
+""",
+    1234: """\
+seirs                  adjoint=2.065e-09 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=6.328e-09 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=2.533e-09 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=8.225e-09 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=6.191e-09 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=7.003e-09 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=7.739e-09 stationarity=0.000e+00 [ok]
+""",
+}
+
+
 class TestVerify:
     def test_single_model(self, capsys):
         assert main(["verify", "seirs", "--samples", "20"]) == 0
@@ -390,6 +423,11 @@ class TestVerify:
         assert main(["verify", "all", "--seed", str(seed)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 7 and all(line.endswith("[ok]") for line in lines)
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_ALL_GOLDEN))
+    def test_all_models_print_the_golden_text(self, capsys, seed):
+        assert main(["verify", "all", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == VERIFY_ALL_GOLDEN[seed]
 
     def test_unknown_model_is_validation_error(self, capsys):
         assert main(["verify", "nosuch"]) == 2

@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from tbctrl import (CostWeights, ModelId, adjoint_rhs, control_characterization,
                     verify_control_stationarity)
 from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
-from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _grid_search, _hamiltonian
+from tbctrl import pmp
+from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _grid_search, _hamiltonian, _row_least
 from tbctrl.cli import main
 
 
@@ -492,3 +494,88 @@ class TestArguments:
             got = verify(ModelId.TWO_STRAIN, samples=np.int64(7), seed=np.int32(3),
                          **{k: np.int64(v) for k, v in kwargs.items()})
             assert got == verify(ModelId.TWO_STRAIN, samples=7, seed=3, **kwargs)
+
+
+def every_node(h, sq, b, axis):
+    """The least of h over every node of the grid ``axis``: what ``_row_least`` must equal."""
+    return reduce(np.minimum, map(h, axis))
+
+
+class TestRowBrackets:
+    """A tensor row's quadratic c + z (b + Q z) in the last control is priced only at the nodes
+    beside its vertex and at the ends. Scored by the same expression at every node instead, each
+    row gives the same least value bitwise, in every case below."""
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 101])
+    def test_built_rows_match_every_node(self, grid_points):
+        axis = np.linspace(0.0, 1.0, grid_points)
+        node, mid = axis[grid_points // 2], (axis[0] + axis[1]) / 2
+        rows = [(50.0, -100.0 * 0.3137), (50.0, -100.0 * node),  # interior vertex; on a node
+                (50.0, -100.0 * mid),  # halfway between two nodes, which tie
+                (7.0, 14.0 * 0.4), (7.0, -14.0 * 1.6),  # vertex below and above [0, 1]
+                (0.0, 2.5), (0.0, -2.5), (0.0, 0.0),  # Q = 0
+                (-30.0, 30.0), (-30.0, 10.0), (-30.0, 70.0)]  # Q < 0
+        sq, b = (np.array(v)[:, None] for v in zip(*rows))
+        for c in (12.5, -3.7e5):
+            scored = []
+
+            def h(zl):
+                scored.append(zl)
+                return c + zl * (b + sq * zl)
+
+            got = _row_least(h, sq, b, axis)
+            assert len(scored) == 6  # four nodes beside each vertex, then both ends
+            assert got.tobytes() == every_node(h, sq, b, axis).tobytes()
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 101])
+    @pytest.mark.parametrize("seed", [1, 7, DEFAULT_SEED])
+    def test_nudged_bowong_matches_every_node(self, monkeypatch, seed, grid_points):
+        # off the minimum every residual differs, so each record shows the least value it got
+        defn = models_pkg.model_definition(ModelId.BOWONG)
+        law = defn.characterize
+        monkeypatch.setitem(models_pkg.MODELS, ModelId.BOWONG, replace(
+            defn, characterize=lambda *args: [0.5 * v + 0.2537 for v in law(*args)]))
+        d, p = models_pkg.MODELS[ModelId.BOWONG], models_pkg.default_params(ModelId.BOWONG)
+        w = CostWeights(a1=1.0, a2=1.0, b=(100.0, 100.0))
+        batch = list(_draws(d, w, _WIDTH // grid_points, seed))
+        got = _grid_search(d, p, w, batch, grid_points)
+        report = verify_control_stationarity(ModelId.BOWONG, p, w, seed=seed,
+                                             grid_points=grid_points)
+        assert report.max_stationarity_residual > 0.0
+        monkeypatch.setattr(pmp, "_row_least", every_node)
+        want = _grid_search(d, p, w, batch, grid_points)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+        assert repr(report) == repr(verify_control_stationarity(
+            ModelId.BOWONG, p, w, seed=seed, grid_points=grid_points))
+
+
+class TestColumnLaws:
+    """Each model's control law called once on columns gives, entry by entry, the bits of its
+    calls on floats: on 100 draws, korea with time tables, and a NaN costate, which every law
+    clamps to the lower bound."""
+
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_columns_match_float_calls(self, mid):
+        d = models_pkg.model_definition(mid)
+        p = TestTimeTables.P if mid is ModelId.KOREA else models_pkg.default_params(mid)
+        inside = np.zeros(d.control_dim, dtype=int)  # samples off both bounds, by control
+        both = 0  # samples with every control off its bounds (bowong: its interior point)
+        for b, (lo, hi), seed in itertools.product((100.0, 1e4), ((0.0, 1.0), (0.05, 0.9)),
+                                                   (1, 7, DEFAULT_SEED)):
+            w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
+                            b=(b,) * d.control_dim, lower=lo, upper=hi)
+            draws = list(_draws(d, w, 100, seed))
+            draws[0][2][:] = math.nan
+            t, x, lam = (np.array(v) for v in list(zip(*draws))[:3])
+            law = d.characterize(t, x.T, lam.T, p.values(d.required_params, t), w)
+            cols = np.array(np.broadcast_arrays(*law, t)[:d.control_dim])
+            assert cols.shape == (d.control_dim, 100) and np.all(cols[:, 0] == w.lower)
+            for i, (ti, xi, li, _) in enumerate(draws):
+                one = d.characterize(ti, xi.tolist(), li.tolist(),
+                                     p.values(d.required_params, ti), w)
+                assert np.array(one, dtype=float).tobytes() == cols[:, i].tobytes()
+            off = (w.lower < cols) & (cols < w.upper)
+            inside += off.sum(axis=1)
+            both += int(np.all(off, axis=0).sum())
+        assert np.all(inside > 0) and both > 0

@@ -351,6 +351,17 @@ class TestForwardIntegration:
                               np.array([-1.0, 0.0, 0.0, 0.0]),
                               np.zeros((g.n_nodes, 1)), g)
 
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_negative_initial_state_names_the_model(self, mid):
+        d = model_definition(mid)
+        g = make_time_grid(0.0, 1.0, 10)
+        x0 = np.full(d.state_dim, 100.0)
+        x0[-1] = -1e-300  # the smallest negative entry is enough
+        with pytest.raises(ValidationError,
+                           match=f"^{mid.value}: initial state must be nonnegative$"):
+            integrate_forward(mid, models.default_params(mid), x0,
+                              np.zeros((g.n_nodes, d.control_dim)), g)
+
 
 class TestBackwardIntegration:
     def test_zero_state_weight_gives_zero_adjoint(self, flagship, shrink):
