@@ -1,16 +1,17 @@
 """Pontryagin layer: Hamiltonian evaluation and independent consistency checks.
 
 H has one implementation, ``_hamiltonian``: lam.f plus ``models._running_cost``, which the cost
-quadrature shares; ``hamiltonian`` validates one point and calls it. The verifiers are deliberately
-dumb and call it on numpy columns, one per sample. Central differences of H in the state check the
-analytic adjoints. The control laws are checked by a grid search on H's exact quadratic form in u
-(the dynamics are affine in u): one call per batch at the stencil z = 0, e_i / 2, e_i and e_i + e_j
-(j < i), in z = (u - lower) / (upper - lower), reads each sample's coefficients, and u* and every
-candidate are priced on them. The same call checks the form at the sample's drawn u: a sample whose
-H there is off the quadratic by more than 1e-10 max(1, |H|) gets a NaN residual, so the model fails.
-The law is called once per batch, on its columns. On a tensor grid (bowong), each row of the first
-m - 1 controls is a quadratic in the last: only the nodes beside its vertex and the two ends can
-hold its least value, so only those are priced, by the same expression as every other candidate.
+quadrature shares; ``hamiltonian`` validates one point and calls it. ``_draws`` draws the samples
+as numpy columns, and a verifier's batch is a slice of their rows. Central differences of H in the
+state check the analytic adjoints. The control laws are checked by a grid search on H's exact
+quadratic form in u (the dynamics are affine in u): one call per batch at the stencil z = 0,
+e_i / 2, e_i and e_i + e_j (j < i), in z = (u - lower) / (upper - lower), reads each sample's
+coefficients, and u* and every candidate are priced on them. The same call checks the form at the
+sample's drawn u: a sample whose H there is off the quadratic by more than 1e-10 max(1, |H|) gets a
+NaN residual, so the model fails. The law is called once per batch, on its columns. On a tensor
+grid (bowong), each row of the first m - 1 controls is a quadratic in the last: only the nodes
+beside its vertex and the two ends can hold its least value, so only those are priced, by the same
+expression as every other candidate.
 ``_WIDTH`` bounds the values of an adjoint-check call, a stencil call and a grid-search temporary.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, islice, product
+from itertools import chain, product
 
 import numpy as np
 
@@ -92,20 +93,19 @@ def _resolve(model, p, w, samples, seed):
 
 
 def _draws(d, w: CostWeights, samples: int, seed: int):
-    """The seeded random points (t, x, lam, u): t a float, the others fresh arrays."""
+    """The seeded points: t a (samples, 1) column; x, lam and u one such column per entry."""
     # One rng call draws every sample's row of 2n + m + 1 uniforms, each column
     # mapped as lo + (hi - lo) r, as rng.uniform maps its draws: bitwise the
     # points of drawing x, lam, u and t in turn for each sample. uniform(0.0,
     # 1.0) draws bitwise what random() draws; random() left about 80 KiB more
     # of numpy's code pages resident in `tbctrl verify all`.
     n, m = d.state_dim, d.control_dim
-    r = np.random.default_rng(seed).uniform(0.0, 1.0, (samples, 2 * n + m + 1))
+    r = np.random.default_rng(seed).uniform(0.0, 1.0, (samples, 2 * n + m + 1)).T[:, :, None]
     # Log-uniform compartment sizes spread the check across population scales.
-    x = 10.0 ** (4.0 * r[:, :n])  # on [0, 4); 0.0 + 4.0 r is 4.0 r exactly
-    lam = -100.0 + 200.0 * r[:, n:2 * n]
-    u = w.lower + (w.upper - w.lower) * r[:, 2 * n:2 * n + m]
-    t = (5.0 * r[:, -1]).tolist()
-    return zip(t, x, lam, u)
+    x = 10.0 ** (4.0 * r[:n])  # on [0, 4); 0.0 + 4.0 r is 4.0 r exactly
+    lam = -100.0 + 200.0 * r[n:2 * n]
+    u = w.lower + (w.upper - w.lower) * r[2 * n:2 * n + m]
+    return 5.0 * r[-1], x, lam, u
 
 
 def _worst(res: list[float], record) -> tuple[float, list[dict]]:
@@ -128,29 +128,24 @@ def verify_adjoint_consistency(model: ModelId, p: ParameterSet | None = None,
     """
     model, d, p, w = _resolve(model, p, w, samples, seed)
     n = d.state_dim
-    i = np.arange(n)
-    points, res, comp = [], [], []
-    draws = _draws(d, w, samples, seed)
-    while batch := list(islice(draws, _WIDTH // (2 * n))):
-        ts, xs, lams, us = zip(*batch)
-        t = np.array(ts)[:, None]
-        x = np.array(xs)
-        lam, u = np.array(lams).T[:, :, None], np.array(us).T[:, :, None]
+    i, size = np.arange(n), _WIDTH // (2 * n)
+    draws, res, comp = _draws(d, w, samples, seed), [], []
+    for b in range(0, samples, size):
+        t, x, lam, u = (v[..., b:b + size, :] for v in draws)
         q = p.values(d.required_params, t)
-        step = 1e-4 * np.maximum(1.0, np.abs(x))
+        step = 1e-4 * np.maximum(1.0, np.abs(x[:, :, 0]))
         # State entry j by sample and column: column 2i shifts x_i up by its step, 2i + 1 down.
-        shifted = np.repeat(x.T[:, :, None], 2 * n, axis=2)
-        shifted[i, :, 2 * i] += step.T
-        shifted[i, :, 2 * i + 1] -= step.T
+        shifted = np.repeat(x, 2 * n, axis=2)
+        shifted[i, :, 2 * i] += step
+        shifted[i, :, 2 * i + 1] -= step
         h = _hamiltonian(d, t, shifted, lam, u, q, w)
-        grad = (h[:, 0::2] - h[:, 1::2]) / (2.0 * step)
-        adj = np.hstack(np.broadcast_arrays(*d.adjoint(t, x.T[:, :, None], lam, u, q, w)))
+        grad = (h[:, 0::2] - h[:, 1::2]) / (2.0 * step.T)
+        adj = np.hstack(np.broadcast_arrays(*d.adjoint(t, x, lam, u, q, w)))
         diff = np.abs(adj + grad)
         res += (diff.max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))).tolist()
         comp += diff.argmax(axis=1).tolist()
-        points += batch
     max_res, worst = _worst(res, lambda k: {"sample": k, "residual": res[k], "component": comp[k],
-                                            "t": points[k][0], "x": points[k][1].tolist()})
+                                            "t": draws[0].item(k), "x": draws[1][:, k, 0].tolist()})
     return ConsistencyReport(model=model, samples=samples, seed=seed,
                              max_adjoint_residual=max_res, worst_offenders=worst)
 
@@ -164,32 +159,33 @@ def verify_control_stationarity(model: ModelId, p: ParameterSet | None = None,
     the tensor grid. The grid needs both bounds, so grid_points must be an integer of at least 2."""
     model, d, p, w = _resolve(model, p, w, samples, seed)
     check_count("grid_points", grid_points, 2)
-    draws, res, u_star, ts = _draws(d, w, samples, seed), [], [], []
+    draws, res, u_star = _draws(d, w, samples, seed), [], []
     size = max(1, _WIDTH // max(grid_points, (d.control_dim + 1) ** 2))  # (m+1)^2 >= stencil + u
-    while batch := list(islice(draws, size)):
-        u, h_star, h_min = _grid_search(d, p, w, batch, grid_points)
+    for b in range(0, samples, size):
+        u, h_star, h_min = _grid_search(d, p, w, [v[..., b:b + size, :] for v in draws],
+                                        grid_points)
         res += ((h_star - h_min) / np.maximum(1.0, np.abs(h_star))).tolist()
         u_star += u
-        ts += (t for t, *_ in batch)
     max_res, worst = _worst(res, lambda k: {"sample": k, "residual": res[k], "u_star": u_star[k],
-                                            "t": ts[k]})
+                                            "t": draws[0].item(k)})
     return ConsistencyReport(model=model, samples=samples, seed=seed,
                              max_stationarity_residual=max_res, worst_offenders=worst)
 
 
-def _grid_search(d, p: ParameterSet, w: CostWeights, batch: list, grid_points: int):
-    """u* by sample, H there, and H's least value over u* and the grid.
+def _grid_search(d, p: ParameterSet, w: CostWeights, batch, grid_points: int):
+    """u* by sample, H there, and H's least value over u* and the grid, for a batch (t, x, lam, u)
+    of ``_draws``' columns.
     In z, H = f0 + sum_i [z_i (g_i + Q_i z_i) + sum_{j<i} C_ij z_i z_j]: quad sums terms(i, z_i)."""
     m, lo, span = d.control_dim, w.lower, w.upper - w.lower
     axis = (np.linspace(lo, w.upper, grid_points) - lo) / span
-    (t,), x, lam, u = (np.array(v).T.reshape(-1, len(batch), 1) for v in zip(*batch))
+    t, x, lam, u = batch
     q = p.values(d.required_params, t)
     # one law call on the batch's columns; an entry the law returns as one value is every sample's
     u_star = np.array(np.broadcast_arrays(*d.characterize(t, x, lam, q, w), t)[:m], dtype=float)
     e = np.eye(m)
     stencil = [0.0 * e[0], *(e / 2), *e, *(a + b for i, a in enumerate(e) for b in e[:i])]
     uu = np.concatenate([np.broadcast_to(lo + span * np.array(stencil).T[:, None],
-                                         (m, len(batch), len(stencil))), u], 2)  # then drawn u
+                                         (m, len(t), len(stencil))), u], 2)  # then drawn u
     f0, *f, hu = _hamiltonian(d, t, x, lam, list(uu), q, w).T[:, :, None]
     half, one, fp = np.array(f[:m]), np.array(f[m:2 * m]), f[2 * m:]
     g, sq = 4.0 * half - 3.0 * f0 - one, 2.0 * (one - 2.0 * half + f0)

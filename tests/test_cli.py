@@ -522,6 +522,27 @@ def test_cli_import_starts_no_pool_machinery(small_sweep_file, tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # a parser built per call kept its strings resident, so a process's memory grew per call
+    built, init = [], cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    try:
+        assert main(["list-models"]) == 0
+        assert built.count("tbctrl") == 1
+        first = len(built)
+        assert main(["verify", "seirs", "--samples", "5"]) == 0
+        assert len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+
+
 class TestScenarioDirEnv:
     def test_bundled_name_resolution(self, tmp_path):
         out = tmp_path / "sim"

@@ -108,17 +108,45 @@ def reference_draws(d, w, samples, seed):
         yield rng.uniform(0.0, 5.0), x, lam, u
 
 
+def draw_rows(d, w, samples, seed):
+    """``_draws``' columns as one (t, x, lam, u) row per sample: t a float, the others views."""
+    t, x, lam, u = _draws(d, w, samples, seed)
+    return [(t.item(k), x[:, k, 0], lam[:, k, 0], u[:, k, 0]) for k in range(samples)]
+
+
 class TestDraws:
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_match_four_calls_per_sample(self, mid):
         d = models_pkg.model_definition(mid)
         w = CostWeights(a1=1.0, b=(1.0,) * d.control_dim, lower=0.05, upper=0.9)
         for seed in (1, 7, DEFAULT_SEED):
-            for got, ref in zip(_draws(d, w, 60, seed), reference_draws(d, w, 60, seed),
-                                strict=True):
-                assert type(got[0]) is float and got[0] == ref[0]
-                for a, b in zip(got[1:], ref[1:]):
-                    assert a.tobytes() == b.tobytes()
+            t, *cols = _draws(d, w, 60, seed)
+            assert t.shape == (60, 1)
+            assert [c.shape for c in cols] == [(d.state_dim, 60, 1)] * 2 + [(d.control_dim, 60, 1)]
+            ref = list(zip(*reference_draws(d, w, 60, seed)))
+            assert t.tobytes() == np.array(ref[0]).tobytes()
+            for c, r in zip(cols, ref[1:]):
+                assert c.tobytes() == np.array(r).T[:, :, None].tobytes()
+
+
+class TestRecordTypes:
+    """Worst-offender records hold builtin numbers, read from the draws' columns by index:
+    under numpy 2 the repr of a numpy float reads np.float64(...)."""
+
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_records_hold_builtin_types(self, mid):
+        adj = verify_adjoint_consistency(mid, samples=30).worst_offenders
+        stat = verify_control_stationarity(mid, samples=30, grid_points=11).worst_offenders
+        floats = lambda v: type(v) is list and all(type(e) is float for e in v)
+        for rec in adj + stat:
+            assert type(rec["sample"]) is int and type(rec["t"]) is float
+            assert type(rec["residual"]) is float
+        for rec in adj:
+            assert type(rec["component"]) is int and floats(rec["x"])
+            assert len(rec["x"]) == models_pkg.model_definition(mid).state_dim
+        for rec in stat:
+            assert floats(rec["u_star"])
+            assert len(rec["u_star"]) == models_pkg.model_definition(mid).control_dim
 
 
 class TestAdjointConsistency:
@@ -327,7 +355,7 @@ class TestTimeTables:
     W = CostWeights(a1=1.0, a2=1.0, b=(1e6, 1e6, 1e6))
 
     def draws(self, samples, seed):
-        return list(_draws(models_pkg.model_definition(ModelId.KOREA), self.W, samples, seed))
+        return draw_rows(models_pkg.model_definition(ModelId.KOREA), self.W, samples, seed)
 
     def test_adjoint_records_match_point_wrappers(self):
         k, p, w = ModelId.KOREA, self.P, self.W
@@ -361,7 +389,7 @@ class TestTimeTables:
         for seed in range(10):
             (rec,) = verify_control_stationarity(mid, p, w, samples=1, grid_points=21,
                                                  seed=seed).worst_offenders
-            ((t, x, lam, _),) = _draws(d, w, 1, seed)
+            ((t, x, lam, _),) = draw_rows(d, w, 1, seed)
             u_star, res = point_residual(mid, p, w, t, x, lam, 21)
             assert rec == {"sample": 0, "residual": res, "u_star": u_star.tolist(), "t": t}
             interior += 0.0 < u_star[-1] < 1.0
@@ -398,7 +426,7 @@ class TestBatchedSearch:
                             b=(100.0,) * defn.control_dim)
         r = verify_control_stationarity(mid, p, w, samples=samples, grid_points=grid_points)
         expected = []
-        for i, (t, x, lam, _) in enumerate(_draws(defn, w, samples, DEFAULT_SEED)):
+        for i, (t, x, lam, _) in enumerate(draw_rows(defn, w, samples, DEFAULT_SEED)):
             u_star, res = point_residual(mid, p, w, t, x, lam, grid_points)
             expected.append({"sample": i, "residual": res, "u_star": u_star.tolist(), "t": t})
         residuals = {e["residual"] for e in expected}
@@ -461,9 +489,9 @@ class TestQuadraticForm:
         p = models_pkg.default_params(mid)
         w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                         b=(100.0,) * d.control_dim)
-        batch = list(_draws(d, w, 20, DEFAULT_SEED))
-        u_star, h_star, h_min = _grid_search(d, p, w, batch, 11)
-        for (t, x, lam, _), us, hs, hm in zip(batch, u_star, h_star, h_min, strict=True):
+        u_star, h_star, h_min = _grid_search(d, p, w, _draws(d, w, 20, DEFAULT_SEED), 11)
+        rows = draw_rows(d, w, 20, DEFAULT_SEED)
+        for (t, x, lam, _), us, hs, hm in zip(rows, u_star, h_star, h_min, strict=True):
             ref_u, ref_star, ref_min = point_search(mid, p, w, t, x, lam, 11)
             assert us == ref_u.tolist()
             assert hs == pytest.approx(ref_star, rel=1e-13, abs=0.0)
@@ -565,14 +593,13 @@ class TestColumnLaws:
                                                    (1, 7, DEFAULT_SEED)):
             w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                             b=(b,) * d.control_dim, lower=lo, upper=hi)
-            draws = list(_draws(d, w, 100, seed))
-            draws[0][2][:] = math.nan
-            t, x, lam = (np.array(v) for v in list(zip(*draws))[:3])
-            law = d.characterize(t, x.T, lam.T, p.values(d.required_params, t), w)
-            cols = np.array(np.broadcast_arrays(*law, t)[:d.control_dim])
+            t, x, lam, _ = _draws(d, w, 100, seed)
+            lam[:, 0] = math.nan
+            law = d.characterize(t, x, lam, p.values(d.required_params, t), w)
+            cols = np.array(np.broadcast_arrays(*law, t)[:d.control_dim])[:, :, 0]
             assert cols.shape == (d.control_dim, 100) and np.all(cols[:, 0] == w.lower)
-            for i, (ti, xi, li, _) in enumerate(draws):
-                one = d.characterize(ti, xi.tolist(), li.tolist(),
+            for i, ti in enumerate(t[:, 0].tolist()):
+                one = d.characterize(ti, x[:, i, 0].tolist(), lam[:, i, 0].tolist(),
                                      p.values(d.required_params, ti), w)
                 assert np.array(one, dtype=float).tobytes() == cols[:, i].tobytes()
             off = (w.lower < cols) & (cols < w.upper)
