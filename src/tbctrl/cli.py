@@ -354,7 +354,7 @@ def cmd_verify(args) -> int:
             worst = _reduction_residual(mid, args.seed)
             red_ok = worst == 0.0
             red_note = f" reduction={'exact' if red_ok else f'MISMATCH ({worst:g})'}"
-        adj_ok = adj.max_adjoint_residual < 1e-6
+        adj_ok = adj.max_adjoint_residual < 1e-12
         stat_ok = stat.max_stationarity_residual < 1e-10
         ok = adj_ok and stat_ok and red_ok
         failed |= not ok

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -77,8 +77,9 @@ def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of n_steps+1 nodes spanning [t0, tf]: finite real ends, stored as
-    floats, and n_steps an integer >= 2."""
+    floats, and n_steps an integer from 2 to ``MAX_STEPS``."""
 
+    MAX_STEPS: ClassVar[int] = 10**7  # every solve then stays under 16 GiB (docs/formats.md)
     t0: float
     tf: float
     n_steps: int
@@ -92,6 +93,8 @@ class TimeGrid:
         if not self.tf > self.t0:
             raise ValidationError(f"horizon must be positive, got [{self.t0}, {self.tf}]")
         check_count("n_steps", self.n_steps, 2)
+        if self.n_steps > self.MAX_STEPS:  # before linspace allocates the nodes
+            raise ValidationError(f"n_steps must be <= {self.MAX_STEPS}, got {self.n_steps}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         nodes = np.linspace(self.t0, self.tf, self.n_steps + 1)
         nodes.flags.writeable = False

@@ -30,7 +30,7 @@ class ModelId(str, Enum):
 # kernel, arrays through the public wrappers). rhs, adjoint and characterize
 # also take numpy arrays that broadcast together: (B,) columns of an RK4 batch,
 # (P,) stage points of the costate pass against (n+1, 1) costates, or the
-# verifiers' (k, 1) columns per sample against (k, 2n) shifted states or
+# verifiers' (k, 1) columns per sample against (k, n) complex-stepped states or
 # (k, P) stencil controls. Outside an RK4 batch the time is then a column too,
 # and so is each time-table parameter. On columns, entry j of each output is
 # what the float call at entry j gives, bitwise.
@@ -74,7 +74,10 @@ class ModelDefinition:
     argument gate ``models._point`` accepted, so they check nothing but the
     state (``live_population``). They return index-mutable sequences (lists).
     All three take floats or numpy columns (see the comment on ``Vec``); a
-    control law's clamps go through ``clamp``, which does both.
+    control law's clamps go through ``clamp``, which does both. ``rhs`` also
+    takes complex columns and must be analytic in x and u, as H's derivatives
+    are read by the complex step: no ``.real``, no ``abs`` and no branch on a
+    value, except ``live_population``'s refusal of N <= 0.
 
     ``domains`` maps a parameter to its admissible range and lists only the
     exceptions: every parameter it does not name must be finite and >= 0
@@ -159,10 +162,10 @@ def live_population(x: Vec) -> float:
     # left to right, as np.sum adds so few terms; builtin sum() is compensated from Python 3.12
     n = reduce(add, x)
     try:  # costs the float path nothing
-        if not n <= 0.0:
+        if not n.real <= 0.0:  # a complex step's N by its real part, not by complex order
             return n
     except ValueError:  # columns have no single truth value
         # fmin skips NaN as `<=` does; .any() would page in numpy code (peak RSS)
-        if not np.fmin.reduce(n, axis=None) <= 0.0:
+        if not np.fmin.reduce(n.real, axis=None) <= 0.0:
             return n
-    raise ValidationError(f"degenerate population: N(t) = {np.min(n)}")
+    raise ValidationError(f"degenerate population: N(t) = {np.min(n.real)}")

@@ -77,9 +77,9 @@ def _require_mapping(obj, path: str) -> Mapping:
 
 
 def _reject_unknown(obj: Mapping, allowed: set[str], path: str):
-    unknown = set(obj) - allowed
+    unknown = sorted(set(obj) - allowed, key=str)  # a Python mapping may mix key types
     if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ValidationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 def _finite(obj, path: str) -> float:
@@ -201,8 +201,6 @@ def _parse_cost(obj, d, path: str) -> CostWeights:
 
 
 def _parse_fbs(obj, path: str) -> FbsSettings:
-    if obj is None:
-        return FbsSettings()
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"tolerance", "max_iterations"}, path)
     kwargs: dict[str, Any] = {}
@@ -287,7 +285,7 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
         raise ValidationError(f"$.grid: {exc}") from None
 
     weights = _parse_cost(doc["cost"], d, "$.cost")
-    fbs = _parse_fbs(doc.get("fbs"), "$.fbs")
+    fbs = _parse_fbs(doc.get("fbs", {}), "$.fbs")
     sweep = _parse_sweep(doc["sweep"], "$.sweep") if "sweep" in doc else None
 
     config = ScenarioConfig(

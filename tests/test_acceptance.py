@@ -102,12 +102,12 @@ def test_criterion_03_direct_method_agreement(flagship, solve_cached):
 
 
 def test_criterion_04_adjoint_consistency_all_models():
-    with criterion(4, "analytic adjoints match -dH/dx to 1e-6 for all 7 models"):
+    with criterion(4, "analytic adjoints match -dH/dx to 1e-12 for all 7 models"):
         worst = {}
         for mid in ModelId:
             r = verify_adjoint_consistency(mid, samples=100)
             worst[mid.value] = r.max_adjoint_residual
-            assert r.max_adjoint_residual < 1e-6, f"{mid.value}: {r.max_adjoint_residual}"
+            assert r.max_adjoint_residual < 1e-12, f"{mid.value}: {r.max_adjoint_residual}"
         print("  (max residuals: " +
               ", ".join(f"{k}={v:.2e}" for k, v in worst.items()) + ")")
 

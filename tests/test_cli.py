@@ -112,6 +112,27 @@ class TestSimulate:
         code = main(["simulate", str(bad), "-o", str(tmp_path / "x")])
         assert code == 2
 
+    def test_null_fbs_is_validation_error(self, small_scenario_file, tmp_path, capsys):
+        doc = json.loads(small_scenario_file.read_text())
+        doc["fbs"] = None
+        bad = tmp_path / "null-fbs.json"
+        bad.write_text(json.dumps(doc))  # written as null
+        assert main(["simulate", str(bad), "-o", str(tmp_path / "x")]) == 2
+        assert "$.fbs: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["document", "option"])
+    def test_oversized_grid_is_validation_error(self, small_scenario_file, tmp_path, capsys,
+                                                source):
+        # refused before numpy allocates the nodes: exit 2 with one line, not a traceback
+        doc = json.loads(small_scenario_file.read_text())
+        if source == "document":
+            doc["grid"]["n_steps"] = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--n-steps", str(10**30)] if source == "option" else []
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x"), *extra]) == 2
+        assert f"n_steps must be <= 10000000, got {10**30}" in capsys.readouterr().err
+
     def test_infinite_tolerance_is_validation_error(self, small_scenario_file, tmp_path, capsys):
         doc = json.loads(small_scenario_file.read_text())
         doc["fbs"]["tolerance"] = math.inf
@@ -374,35 +395,36 @@ class TestSweep:
         assert rows[1][4].startswith("error:")
 
 
-# `tbctrl verify all --seed S` as the row-by-row grid search with per-sample law calls printed it.
-# A change that only makes the verifiers faster prints these bytes.
+# `tbctrl verify all --seed S`: adjoint residuals by the complex step, and stationarity residuals as
+# the row-by-row grid search with per-sample law calls printed them. A change that only makes the
+# verifiers faster prints these bytes.
 VERIFY_ALL_GOLDEN = {
     1: """\
-seirs                  adjoint=2.942e-09 stationarity=0.000e+00 reduction=exact [ok]
-two-strain             adjoint=2.532e-09 stationarity=0.000e+00 reduction=exact [ok]
-reinfection            adjoint=2.007e-08 stationarity=0.000e+00 reduction=exact [ok]
-isolation-immigration  adjoint=6.354e-09 stationarity=0.000e+00 reduction=exact [ok]
-korea                  adjoint=3.208e-09 stationarity=0.000e+00 reduction=exact [ok]
-bowong                 adjoint=2.975e-09 stationarity=0.000e+00 [ok]
-post-exposure          adjoint=6.057e-09 stationarity=0.000e+00 [ok]
+seirs                  adjoint=2.493e-15 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=8.805e-16 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=1.923e-15 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=1.290e-15 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=1.987e-15 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=2.943e-15 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=1.219e-15 stationarity=0.000e+00 [ok]
 """,
     7: """\
-seirs                  adjoint=1.650e-09 stationarity=0.000e+00 reduction=exact [ok]
-two-strain             adjoint=5.950e-09 stationarity=0.000e+00 reduction=exact [ok]
-reinfection            adjoint=6.619e-09 stationarity=0.000e+00 reduction=exact [ok]
-isolation-immigration  adjoint=4.197e-09 stationarity=0.000e+00 reduction=exact [ok]
-korea                  adjoint=7.941e-09 stationarity=0.000e+00 reduction=exact [ok]
-bowong                 adjoint=3.577e-09 stationarity=0.000e+00 [ok]
-post-exposure          adjoint=5.206e-09 stationarity=0.000e+00 [ok]
+seirs                  adjoint=4.885e-16 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=4.808e-16 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=8.949e-16 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=2.386e-15 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=1.710e-15 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=2.697e-15 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=1.587e-15 stationarity=0.000e+00 [ok]
 """,
     1234: """\
-seirs                  adjoint=2.065e-09 stationarity=0.000e+00 reduction=exact [ok]
-two-strain             adjoint=6.328e-09 stationarity=0.000e+00 reduction=exact [ok]
-reinfection            adjoint=2.533e-09 stationarity=0.000e+00 reduction=exact [ok]
-isolation-immigration  adjoint=8.225e-09 stationarity=0.000e+00 reduction=exact [ok]
-korea                  adjoint=6.191e-09 stationarity=0.000e+00 reduction=exact [ok]
-bowong                 adjoint=7.003e-09 stationarity=0.000e+00 [ok]
-post-exposure          adjoint=7.739e-09 stationarity=0.000e+00 [ok]
+seirs                  adjoint=1.181e-15 stationarity=0.000e+00 reduction=exact [ok]
+two-strain             adjoint=4.012e-16 stationarity=0.000e+00 reduction=exact [ok]
+reinfection            adjoint=1.642e-15 stationarity=0.000e+00 reduction=exact [ok]
+isolation-immigration  adjoint=1.050e-15 stationarity=0.000e+00 reduction=exact [ok]
+korea                  adjoint=1.767e-15 stationarity=0.000e+00 reduction=exact [ok]
+bowong                 adjoint=2.300e-15 stationarity=0.000e+00 [ok]
+post-exposure          adjoint=7.375e-16 stationarity=0.000e+00 [ok]
 """,
 }
 

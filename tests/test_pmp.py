@@ -14,6 +14,7 @@ from tbctrl import (CostWeights, ModelId, adjoint_rhs, control_characterization,
 from tbctrl.core import ParameterSet, TimeTable, ValidationError
 from tbctrl import models as models_pkg
 from tbctrl import pmp
+from tbctrl.models.base import live_population
 from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _grid_search, _hamiltonian, _row_least
 from tbctrl.cli import main
 
@@ -152,7 +153,7 @@ class TestRecordTypes:
 class TestAdjointConsistency:
     def test_seirs_within_tolerance(self):
         r = verify_adjoint_consistency(ModelId.SEIRS, samples=100)
-        assert r.max_adjoint_residual < 1e-6
+        assert r.max_adjoint_residual < 1e-12
         assert r.samples == 100 and r.seed == 1234
         assert len(r.worst_offenders) == 3
 
@@ -197,25 +198,72 @@ class TestAdjointConsistency:
             verify_adjoint_consistency(ModelId.SEIRS, samples=0)
 
     def test_batches_no_wider_than_budget(self, monkeypatch):
-        # two-strain differences 12 states per sample, so a batch holds _WIDTH // 12 samples
+        # two-strain steps 6 states per sample, each a complex value of two floats, so a batch
+        # holds _WIDTH // 12 samples: _WIDTH // 12 * 12 floats of every state entry at most
         defn = models_pkg.model_definition(ModelId.TWO_STRAIN)
-        widths = []
+        widths, floats = [], []
 
         def rhs(t, x, u, p):
             widths.append(max(np.size(v) for v in (*x, *u)))
+            floats.append(max(np.asarray(v).nbytes for v in (*x, *u)) // 8)
             return defn.rhs(t, x, u, p)
 
         monkeypatch.setitem(models_pkg.MODELS, ModelId.TWO_STRAIN, replace(defn, rhs=rhs))
         r = verify_adjoint_consistency(ModelId.TWO_STRAIN, samples=_WIDTH // 12 + 1)
-        assert r.max_adjoint_residual < 1e-6
-        assert widths == [_WIDTH // 12 * 12, 12] and max(widths) <= _WIDTH
+        assert r.max_adjoint_residual < 1e-12
+        assert widths == [_WIDTH // 12 * 6, 6]
+        assert floats == [_WIDTH // 12 * 12, 12] and max(floats) <= _WIDTH
 
     @pytest.mark.parametrize("mid", list(ModelId))
-    def test_default_step_passes_cli_threshold_for_every_seed(self, mid):
-        # central-difference roundoff must stay under `tbctrl verify`'s 1e-6 bar
+    def test_complex_step_passes_cli_threshold_for_every_seed(self, mid):
+        # the complex step has no cancellation, so only roundoff stays, under `tbctrl verify`'s
+        # 1e-12 bar
         worst = max(verify_adjoint_consistency(mid, seed=seed).max_adjoint_residual
-                    for seed in range(1, 41))
-        assert worst < 1e-6
+                    for seed in range(1, 201))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("mid, i", [(mid, i) for mid in ModelId for i in
+                                        range(models_pkg.model_definition(mid).state_dim)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_costate_term_off_by_1e_9_detected(self, monkeypatch, capsys, mid, i):
+        # a costate component wrong by one part in 1e9 passes a 1e-6 bar, but not 1e-12
+        defn = models_pkg.model_definition(mid)
+
+        def scaled(*args):
+            out = defn.adjoint(*args)
+            out[i] = out[i] * (1.0 + 1e-9)
+            return out
+
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, adjoint=scaled))
+        assert verify_adjoint_consistency(mid).max_adjoint_residual >= 1e-12
+        assert main(["verify", mid.value]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
+    def test_rhs_dropping_the_complex_step_fails(self, monkeypatch, capsys, mid):
+        # an rhs that is not analytic in x loses the step: H's derivative is then the running
+        # cost's alone, far from the adjoint, and not a residual of 0
+        defn = models_pkg.model_definition(mid)
+
+        def real_part(t, x, u, p):
+            return defn.rhs(t, [v.real for v in x], u, p)
+
+        monkeypatch.setitem(models_pkg.MODELS, mid, replace(defn, rhs=real_part))
+        assert verify_adjoint_consistency(mid).max_adjoint_residual > 1e-3
+        assert main(["verify", mid.value]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("x, refused", [
+        ([1e-20j, 0.0], True),  # complex order would call N = 1e-20 i positive
+        ([np.array([[0.0, 1.0]]) + 1e-20j * e for e in np.eye(2)], True),
+        ([np.array([[2.0, 1.0]]) + 1e-20j * e for e in np.eye(2)], False),
+    ])
+    def test_live_population_judges_a_complex_step_by_its_real_part(self, x, refused):
+        if refused:
+            with pytest.raises(ValidationError, match="degenerate population: N"):
+                live_population(x)
+        else:
+            np.testing.assert_array_equal(live_population(x), x[0] + x[1])
 
 
 class TestControlStationarity:
@@ -310,8 +358,8 @@ class TestNonFiniteResiduals:
         r = verify_adjoint_consistency(ModelId.SEIRS, samples=10)
         assert math.isnan(r.max_adjoint_residual)
         first, second, _ = r.worst_offenders
-        assert first["sample"] == 2 and math.isnan(first["residual"])
-        assert second["residual"] < 1e-6
+        assert first["sample"] == 2 and math.isnan(first["residual"]) and first["component"] == 0
+        assert second["residual"] < 1e-12
 
 
 def point_search(mid, p, w, t, x, lam, grid_points):
@@ -364,14 +412,15 @@ class TestTimeTables:
         for rec in r.worst_offenders:
             t, x, lam, u = draws[rec["sample"]]
             assert rec["t"] == t and rec["x"] == x.tolist()
+            # the complex step by scalar calls of the kernel, one per sample and entry, as the
+            # public hamiltonian casts to float
+            d = models_pkg.model_definition(k)
+            q = p.values(d.required_params, t)
             grad = np.empty(x.size)
             for i in range(x.size):
-                h = 1e-4 * max(1.0, abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                grad[i] = (hamiltonian(k, t, xp, lam, u, p, w)
-                           - hamiltonian(k, t, xm, lam, u, p, w)) / (2.0 * h)
+                xs = list(x.astype(complex))
+                xs[i] += 1e-20j
+                grad[i] = _hamiltonian(d, t, xs, list(lam), list(u), q, w).imag / 1e-20
             diff = np.abs(adjoint_rhs(k, t, x, lam, u, p, w) + grad)
             assert rec["component"] == int(np.argmax(diff))
             assert rec["residual"] == float(np.max(diff)) / max(1.0, float(np.max(np.abs(grad))))
@@ -478,7 +527,7 @@ class TestQuadraticForm:
         r = verify_control_stationarity(mid, samples=20)
         assert math.isnan(r.max_stationarity_residual)
         assert all(math.isnan(rec["residual"]) for rec in r.worst_offenders)
-        assert verify_adjoint_consistency(mid, samples=20).max_adjoint_residual < 1e-6
+        assert verify_adjoint_consistency(mid, samples=20).max_adjoint_residual < 1e-12
         assert main(["verify", mid.value]) == 2
         assert "FAIL" in capsys.readouterr().out
 

@@ -8,9 +8,10 @@ import pytest
 from tbctrl import (CostWeights, ModelId, builtin_scenarios, get_scenario, load_scenario,
                     load_scenario_file, save_scenario, scenario_to_dict,
                     validate_params)
-from tbctrl.core import TimeTable, ValidationError
+from tbctrl.core import TimeGrid, TimeTable, ValidationError
 from tbctrl.scenario import SCHEMA_ID, builtin_scenario_names, find_scenario, sweep_points
 
+MAX_STEPS = TimeGrid.MAX_STEPS
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.json"
 
 NAN, INF = math.nan, math.inf
@@ -107,6 +108,20 @@ class TestLoadScenario:
         doc = flagship_doc()
         doc["cost"]["weight"] = 1
         with pytest.raises(ValidationError, match=r"\$\.cost"):
+            load_scenario(json.dumps(doc))
+
+    def test_unknown_keys_of_mixed_types_refused(self):
+        # a Python mapping may mix key types: the refusal still lists them, sorted as strings
+        doc = {**flagship_doc(), 1: "x", "zz": 2}
+        with pytest.raises(ValidationError, match=r"^\$: unknown key\(s\) \[1, 'zz'\]; allowed: "):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 10**30])
+    def test_oversized_grid_refused_before_allocation(self, n_steps):
+        doc = flagship_doc()
+        doc["grid"]["n_steps"] = n_steps
+        with pytest.raises(ValidationError,
+                           match=rf"^\$\.grid: n_steps must be <= {MAX_STEPS}, got {n_steps}$"):
             load_scenario(json.dumps(doc))
 
     def test_schema_field_required(self):
@@ -367,12 +382,19 @@ class TestPublishedSchema:
          r"^\$\.initial_state\.values\[0\]: expected a number"),
         ({"initial_state": {"values": ["1/0", 1, 0, 0]}},
          r"^\$\.initial_state\.values\[0\]: cannot parse fraction '1/0'$"),
+        ({"fbs": None}, r"^\$\.fbs: expected an object, got NoneType$"),
+        ({"grid": {"t0": 0.0, "tf": 5.0, "n_steps": MAX_STEPS + 1}},
+         rf"^\$\.grid: n_steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"),
     ])
     def test_refused_by_both(self, validator, edit, error):
         doc = {**flagship_doc(), **edit}
         assert not validator.is_valid(doc)
         with pytest.raises(ValidationError, match=error):
             load_scenario(doc)
+
+    def test_grid_bound_is_the_loaders(self, validator):
+        grid = json.loads(SCHEMA_PATH.read_text())["properties"]["grid"]["properties"]
+        assert grid["n_steps"]["maximum"] == MAX_STEPS
 
     def test_fraction_strings_read_by_both(self, validator):
         doc = flagship_doc()
