@@ -23,8 +23,7 @@ from .core import NonFiniteError, Trajectory, ValidationError, check_count
 from . import models
 from .costs import total_cost
 from .models import ModelId
-from .pmp import (DEFAULT_SEED, verify_adjoint_consistency,
-                  verify_control_stationarity)
+from .pmp import DEFAULT_SEED, _uniforms, verify_adjoint_consistency, verify_control_stationarity
 from .scenario import ScenarioConfig, builtin_scenario_names, find_scenario, sweep_points
 from .solver import integrate_forward, solve_fbs
 
@@ -334,8 +333,7 @@ def _reduction_residual(mid: ModelId, seed: int) -> float:
     """
     d = models.model_definition(mid)
     p = models.default_params(mid)
-    # One call draws bitwise the points of 200 calls of size n, row by row.
-    x = np.random.default_rng(seed).uniform(1.0, 1e4, size=(200, d.state_dim)).T
+    x = 1.0 + 9999.0 * _uniforms(seed, 200, d.state_dim)
     a = d.rhs(0.3, x, models.neutral_control(mid).tolist(), p.values(d.required_params, 0.3))
     b = models.uncontrolled_rhs(mid, 0.3, x, p)
     # broadcast: an entry of a may be a scalar; np.max, unlike max(), keeps a NaN

@@ -18,6 +18,8 @@ hold its least value, so only those are priced, by the same expression as every 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, product
@@ -92,17 +94,19 @@ def _resolve(model, p, w, samples, seed):
     return d.id, d, p, w
 
 
+def _uniforms(seed, samples: int, k: int):
+    """k columns of seeded uniforms on [0, 1), drawn sample by sample."""
+    # One Mersenne Twister call; the top 53 bits of each 64. numpy.random would map libcrypto.
+    b = random.Random(operator.index(seed)).randbytes(8 * samples * k)
+    return (np.frombuffer(b, "<u8") >> 11).reshape(samples, k).T * 2.0 ** -53
+
+
 def _draws(d, w: CostWeights, samples: int, seed: int):
     """The seeded points: t a (samples, 1) column; x, lam and u one such column per entry."""
-    # One rng call draws every sample's row of 2n + m + 1 uniforms, each column
-    # mapped as lo + (hi - lo) r, as rng.uniform maps its draws: bitwise the
-    # points of drawing x, lam, u and t in turn for each sample. uniform(0.0,
-    # 1.0) draws bitwise what random() draws; random() left about 80 KiB more
-    # of numpy's code pages resident in `tbctrl verify all`.
     n, m = d.state_dim, d.control_dim
-    r = np.random.default_rng(seed).uniform(0.0, 1.0, (samples, 2 * n + m + 1)).T[:, :, None]
+    r = _uniforms(seed, samples, 2 * n + m + 1)[:, :, None]  # x, lam, u, t
     # Log-uniform compartment sizes spread the check across population scales.
-    x = 10.0 ** (4.0 * r[:n])  # on [0, 4); 0.0 + 4.0 r is 4.0 r exactly
+    x = 10.0 ** (4.0 * r[:n])
     lam = -100.0 + 200.0 * r[n:2 * n]
     u = w.lower + (w.upper - w.lower) * r[2 * n:2 * n + m]
     return 5.0 * r[-1], x, lam, u

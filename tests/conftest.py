@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tbctrl import (CostWeights, ModelId, default_params, get_scenario, make_time_grid,
@@ -14,6 +15,13 @@ def source_a2(mid):
     """a2 of a unit-weight test problem on the model's source objective (named in each
     model module's docstring): 1 where it weighs a latent class, 0 where only infectious."""
     return 1.0 if mid in (ModelId.TWO_STRAIN, ModelId.KOREA, ModelId.POST_EXPOSURE) else 0.0
+
+
+def uniforms(rng, k):
+    """k uniforms on [0, 1) from one ``getrandbits`` call on a ``random.Random``: the top 53 bits
+    of each 64-bit word, least significant word first. The verifiers' draws, by integers."""
+    v = rng.getrandbits(64 * k)
+    return np.array([(v >> 64 * i & 2 ** 64 - 1) >> 11 for i in range(k)]) * 2.0 ** -53
 
 
 class SolveStore:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from tbctrl import pmp
 from tbctrl.models.base import live_population
 from tbctrl.pmp import _WIDTH, DEFAULT_SEED, _draws, _grid_search, _hamiltonian, _row_least
 from tbctrl.cli import main
+from conftest import uniforms
 
 
 def flagship_params():
@@ -100,13 +102,13 @@ class TestHamiltonian:
 
 
 def reference_draws(d, w, samples, seed):
-    """Four rng calls per sample, x, lam, u and t in turn: the loop ``_draws`` replaced."""
-    rng = np.random.default_rng(seed)
+    """Four draws per sample, x, lam, u and t in turn, each mapped as lo + (hi - lo) r."""
+    rng = random.Random(seed)
     for _ in range(samples):
-        x = 10.0 ** rng.uniform(0.0, 4.0, size=d.state_dim)
-        lam = rng.uniform(-100.0, 100.0, size=d.state_dim)
-        u = rng.uniform(w.lower, w.upper, size=d.control_dim)
-        yield rng.uniform(0.0, 5.0), x, lam, u
+        x = 10.0 ** (0.0 + 4.0 * uniforms(rng, d.state_dim))
+        lam = -100.0 + 200.0 * uniforms(rng, d.state_dim)
+        u = w.lower + (w.upper - w.lower) * uniforms(rng, d.control_dim)
+        yield 0.0 + 5.0 * uniforms(rng, 1).item(), x, lam, u
 
 
 def draw_rows(d, w, samples, seed):
@@ -289,6 +291,13 @@ class TestControlStationarity:
         r = verify_control_stationarity(ModelId.TWO_STRAIN, samples=30, grid_points=51)
         assert r.max_stationarity_residual <= 1e-10
 
+    @pytest.mark.parametrize("mid", list(ModelId))
+    def test_passes_cli_threshold_for_every_seed(self, mid):
+        # each law is the exact minimiser of H's quadratic in u, so no grid node undercuts it
+        worst = max(verify_control_stationarity(mid, seed=seed).max_stationarity_residual
+                    for seed in range(1, 201))
+        assert worst < 1e-10
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValidationError):
             verify_control_stationarity(ModelId.SEIRS, samples=0)
@@ -435,7 +444,7 @@ class TestTimeTables:
             w = CostWeights(a1=1.0, a2=1.0, a_isolated=1.0 if d.isolated is not None else 0.0,
                             b=(1e7,) * d.control_dim)
         interior = 0
-        for seed in range(10):
+        for seed in range(15):  # bowong's u2* is interior at 3 of seeds 0 to 14, 2 of 0 to 9
             (rec,) = verify_control_stationarity(mid, p, w, samples=1, grid_points=21,
                                                  seed=seed).worst_offenders
             ((t, x, lam, _),) = draw_rows(d, w, 1, seed)

@@ -1,9 +1,13 @@
+import copy
 import json
 import math
+import operator
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbctrl import (CostWeights, ModelId, builtin_scenarios, get_scenario, load_scenario,
                     load_scenario_file, save_scenario, scenario_to_dict,
@@ -414,6 +418,114 @@ class TestPublishedSchema:
         assert not validator.is_valid(doc)
         with pytest.raises(ValidationError, match=rf"^\$\.fbs: unknown key\(s\) \['{key}'\]"):
             load_scenario(doc)
+
+
+def edit_bases():
+    """Every bundled document as a mapping, the flagship in counts mode with a total, and a
+    korea document with a time table, a total, bounds and every cost weight: the documents that
+    edits start from."""
+    docs = {name: json.loads(resources.files("tbctrl.scenarios").joinpath(f"{name}.json")
+                             .read_text("utf-8")) for name in builtin_scenario_names()}
+    counts = copy.deepcopy(docs["seirs-fig1"])
+    counts["initial_state"] = {"mode": "counts", "values": [7000.0, 2000.0, 600.0, 400.0],
+                               "total": 10000.0}
+    korea = {**flagship_doc(), "model": "korea",
+             "parameters": {"b": 0.02, "mu": 0.0143, "beta": 13.0, "alpha": 0.4,
+                            "k": {"times": [0.0, 10.0], "values": [0.05, 0.2]}, "s": 0.3,
+                            "r": 2.0},
+             "initial_state": {"mode": "fractions", "values": [0.6, 0.2, 0.05, 0.15],
+                               "total": 10000.0},
+             "cost": {"a1": 1.0, "a2": 1.0, "a_isolated": 0.0, "b": [50.0, 50.0, 50.0],
+                      "bounds": [0.0, 0.9]},
+             "fbs": {"tolerance": 1e-4, "max_iterations": 500}}
+    return {**docs, "counts": counts, "korea": korea}
+
+
+def node_paths(node, path=()):
+    """The path of every object, list and value below a document's root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for k, v in items:
+        yield (*path, k)
+        yield from node_paths(v, (*path, k))
+
+
+def edited(doc, path, op, value):
+    """A copy of doc with the node at path dropped, replaced by value, or, for an object or a
+    list, given value as one more entry (an object's under the key 'extra')."""
+    doc = copy.deepcopy(doc)
+    parent = reduce(operator.getitem, path[:-1], doc)
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "replace":
+        parent[path[-1]] = copy.deepcopy(value)
+    elif isinstance(node := parent[path[-1]], dict):
+        node["extra"] = copy.deepcopy(value)
+    else:
+        node.append(copy.deepcopy(value))
+    return doc
+
+
+def edits(node):
+    """The edits ``edited`` can make to node."""
+    return ("drop", "replace", "add") if isinstance(node, (dict, list)) else ("drop", "replace")
+
+
+# values of other types, non-finite values and huge values, as JSON text can spell them
+ODD_VALUES = (None, True, "", "x", "1/0", [], {}, NAN, INF, -INF, -1, 0, 0.5, 2 ** 63, 10 ** 400,
+              1e308, [1.0, "x"], {"x": 1.0})
+VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+                   st.lists(st.floats(), max_size=3),
+                   st.dictionaries(st.text(max_size=3), st.floats(), max_size=2))
+
+
+@st.composite
+def edited_documents(draw):
+    """A document after up to two random edits, and the path of one of its nodes."""
+    doc = draw(st.sampled_from(list(edit_bases().values())))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(node_paths(doc))))
+        node = reduce(operator.getitem, path, doc)
+        doc = edited(doc, path, draw(st.sampled_from(edits(node))), draw(VALUES))
+    return doc, draw(st.sampled_from(list(node_paths(doc))))
+
+
+class TestLoaderAgreesWithSchema:
+    """A differential test of the loader against docs/scenario-schema.json on edited documents:
+    the loader raises nothing but ValidationError, and loads no document that the schema refuses.
+    It may refuse more than the schema does, for semantic reasons (fraction sums,
+    model-dependent lengths, parameter domains, weight counts)."""
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        return jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
+
+    @staticmethod
+    def check_edits(validator, doc, path, values):
+        """Every edit of the node at path: dropped, and replaced or extended by each value."""
+        node = reduce(operator.getitem, path, doc)
+        for op in edits(node):
+            for v in (None,) if op == "drop" else values:
+                new = edited(doc, path, op, v)
+                try:
+                    load_scenario(new)  # any exception but ValidationError fails the test
+                except ValidationError:
+                    continue
+                assert validator.is_valid(new), f"loaded after {op} {v!r} at {path}"
+
+    @pytest.mark.parametrize("name", list(edit_bases()))
+    def test_every_single_edit(self, validator, name):
+        doc = edit_bases()[name]
+        load_scenario(doc)
+        validator.validate(doc)
+        for path in node_paths(doc):
+            self.check_edits(validator, doc, path, ODD_VALUES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edited_documents(), value=VALUES)
+    def test_edits_after_random_edits(self, validator, case, value):
+        self.check_edits(validator, *case, (*ODD_VALUES, value))
 
 
 class TestFindScenario:
