@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
+import operator
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -70,16 +74,86 @@ class ScenarioConfig:
         return vals
 
 
-def _require_mapping(obj, path: str) -> Mapping:
-    if not isinstance(obj, Mapping):
-        raise ValidationError(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
+def _shown(v) -> str:
+    return repr(v) if isinstance(v, (str, numbers.Number)) else type(v).__name__
 
 
-def _reject_unknown(obj: Mapping, allowed: set[str], path: str):
-    unknown = sorted(set(obj) - allowed, key=str)  # a Python mapping may mix key types
-    if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+_KINDS = {"object": ("an object", Mapping), "array": ("a list", (list, tuple)),
+          "string": ("a string", str), "number": ("a number", numbers.Real),
+          "integer": ("an integer", (numbers.Integral, float))}
+# (keyword, the kind it bounds, refuses, rule): a comparison with NaN refuses nothing (draft 7)
+_LIMITS = (("minimum", "number", operator.lt, "must be >= {}"),
+           ("maximum", "number", operator.gt, "must be <= {}"),
+           ("exclusiveMinimum", "number", operator.le, "must be > {}"),
+           ("minItems", "array", operator.lt, "needs at least {} item(s)"),
+           ("maxItems", "array", operator.gt, "takes at most {} item(s)"),
+           ("minProperties", "object", operator.lt, "needs at least {} key(s)"))
+
+
+@functools.cache
+def _schema() -> dict:
+    return json.loads(resources.files("tbctrl").joinpath("scenario-schema.json").read_text("utf-8"))
+
+
+def _is(v, kind: str) -> bool:
+    """The draft-7 type test: a bool is of none of these kinds, an integral float is an integer."""
+    return not isinstance(v, bool) and isinstance(v, _KINDS[kind][1]) and (
+        kind != "integer" or not isinstance(v, float) or v.is_integer())
+
+
+def _fits(v, schema: Mapping) -> bool:
+    """Whether v has the type, the required keys and only the allowed keys of a oneOf branch."""
+    keys = v.keys() if isinstance(v, Mapping) else set()
+    return _is(v, schema["type"]) and set(schema.get("required", ())) <= keys and (
+        schema.get("additionalProperties") is not False or keys <= schema["properties"].keys())
+
+
+def _valid(v, schema: Mapping) -> bool:
+    try:
+        _conform(v, schema, "")
+    except ValidationError:
+        return False
+    return True
+
+
+def _conform(v, schema: Mapping, path: str) -> None:
+    """Refuse v, at its JSON path, unless it conforms to schema: the draft-7 keywords that
+    scenario-schema.json uses, with a tuple as an array and a non-string key as unknown."""
+    if "type" in schema and not _is(v, schema["type"]):
+        raise ValidationError(f"{path}: expected {_KINDS[schema['type']][0]}, got {_shown(v)}")
+    among = [schema["const"]] if "const" in schema else schema.get("enum")
+    if among is not None and v not in among:
+        raise ValidationError(f"{path}: expected {' or '.join(map(repr, among))}, got {_shown(v)}")
+    if "pattern" in schema and isinstance(v, str) and not re.search(schema["pattern"], v):
+        raise ValidationError(f"{path}: {v!r} does not match {schema['pattern']!r}")
+    for key, kind, refuses, rule in _LIMITS:
+        if key in schema and _is(v, kind) and refuses(n := v if kind == "number" else len(v),
+                                                       schema[key]):
+            raise ValidationError(f"{path}: {rule.format(schema[key])}, got {n!r}")
+    if isinstance(v, Mapping):
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        if unknown := sorted((k for k in v if not isinstance(k, str) or extra is False
+                              and k not in props), key=str):  # a mapping may mix key types
+            raise ValidationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(props)}")
+        if missing := [key for key in schema.get("required", ()) if key not in v]:
+            raise ValidationError(f"{path}: missing required key {missing[0]!r}")
+        for key, item in v.items():
+            if isinstance(sub := props.get(key, extra), Mapping):
+                _conform(item, sub, f"{path}.{key}")
+    if "items" in schema and isinstance(v, (list, tuple)):
+        for i, item in enumerate(v):
+            _conform(item, schema["items"], f"{path}[{i}]")
+    if "oneOf" in schema:
+        fits = [s for s in schema["oneOf"] if _fits(v, s)] or \
+            [s for s in schema["oneOf"] if _is(v, s["type"])]
+        if len(fits) == 1:  # the failure inside the one branch v has the shape, or the type, of
+            _conform(v, fits[0], path)
+        elif sum(_valid(v, s) for s in fits) != 1:
+            forms = [_KINDS[s["type"]][0] + (f" with keys {sorted(s['properties'])}"
+                     if s.get("additionalProperties") is False else "") for s in schema["oneOf"]]
+            raise ValidationError(f"{path}: expected {' or '.join(forms)}, got {_shown(v)}")
+    if "if" in schema and _valid(v, schema["if"]):
+        _conform(v, schema["then"], path)
 
 
 def _finite(obj, path: str) -> float:
@@ -92,35 +166,24 @@ def _finite(obj, path: str) -> float:
 def _fraction_value(obj, path: str) -> Fraction:
     if not isinstance(obj, str):
         return Fraction(_finite(obj, path))
-    if not (m := re.fullmatch(r"\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*", obj)):  # the schema's pattern
-        raise ValidationError(f"{path}: expected a number or an 'n' or 'n/m' string, got {obj!r}")
+    num, _, den = obj.partition("/")  # the schema's pattern: "n" or "n/m", m > 0
     try:
-        f = Fraction(int(m[1]), int(m[2] or 1))
+        f = Fraction(int(num), int(den or 1))
         float(f)  # raises OverflowError past float range
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{path}: cannot parse fraction {obj!r}") from None
+    except ValueError:  # past int()'s digit limit
+        raise ValidationError(f"{path}: too many digits") from None
     except OverflowError:
         raise ValidationError(f"{path}: number out of float range") from None
     return f
 
 
-def _list(obj, path: str) -> list | tuple:
-    if not isinstance(obj, (list, tuple)):
-        raise ValidationError(f"{path}: expected a list, got {obj!r}")
-    return obj
-
-
 def _parse_parameters(obj, path: str) -> ParameterSet:
-    obj = _require_mapping(obj, path)
     out: dict[str, float | TimeTable] = {}
     for name, v in obj.items():
         sub = f"{path}.{name}"
-        if isinstance(v, Mapping):
-            _reject_unknown(v, {"times", "values"}, sub)
-            if "times" not in v or "values" not in v:
-                raise ValidationError(f"{sub}: time table needs 'times' and 'values'")
-            times = [_finite(t, f"{sub}.times") for t in _list(v["times"], f"{sub}.times")]
-            values = [_number(t, f"{sub}.values") for t in _list(v["values"], f"{sub}.values")]
+        if isinstance(v, Mapping):  # a time table
+            times = [_finite(t, f"{sub}.times") for t in v["times"]]
+            values = [_number(t, f"{sub}.values") for t in v["values"]]
             try:
                 out[name] = TimeTable(tuple(times), tuple(values))
             except ValidationError as exc:
@@ -131,23 +194,12 @@ def _parse_parameters(obj, path: str) -> ParameterSet:
 
 
 def _parse_initial_state(obj, d, path: str):
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"mode", "values", "total"}, path)
-    mode = obj.get("mode", "fractions")
-    if mode not in ("fractions", "counts"):
-        raise ValidationError(f"{path}.mode: expected 'fractions' or 'counts', got {mode!r}")
-    if "values" not in obj:
-        raise ValidationError(f"{path}: missing 'values'")
-    raw = _list(obj["values"], f"{path}.values")
+    mode, raw = obj.get("mode", "fractions"), obj["values"]
     if len(raw) != d.state_dim:
         raise ValidationError(
             f"{path}.values: {d.id.value} has {d.state_dim} compartments "
             f"({', '.join(d.state_labels)}), got {len(raw)} values")
-    total = None
-    if "total" in obj:
-        total = _finite(obj["total"], f"{path}.total")
-        if total <= 0:
-            raise ValidationError(f"{path}.total: must be positive")
+    total = _finite(obj["total"], f"{path}.total") if "total" in obj else None
     if mode == "fractions":
         fracs = [_fraction_value(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
         if any(f < 0 for f in fracs):
@@ -168,79 +220,30 @@ def _parse_initial_state(obj, d, path: str):
 
 def _parse_cost(obj, d, path: str) -> CostWeights:
     """The weights, which state the objective; a2 and a_isolated default to 0."""
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"a1", "a2", "a_isolated", "b", "bounds"}, path)
-    for key in ("a1", "b"):
-        if key not in obj:
-            raise ValidationError(f"{path}: missing required key {key!r}")
-    b_raw = obj["b"]
-    if isinstance(b_raw, (list, tuple)):
-        b = tuple(_number(v, f"{path}.b[{i}]") for i, v in enumerate(b_raw))
-    else:
-        b = (_number(b_raw, f"{path}.b"),)
-    lower, upper = 0.0, 1.0
-    if "bounds" in obj:
-        bounds = obj["bounds"]
-        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-            raise ValidationError(f"{path}.bounds: expected [lower, upper]")
-        lower = _number(bounds[0], f"{path}.bounds[0]")
-        upper = _number(bounds[1], f"{path}.bounds[1]")
+    w = {k: _finite(obj.get(k, 0.0), f"{path}.{k}") for k in ("a1", "a2", "a_isolated")}
+    b = obj["b"]  # one number, or a list of one per control
+    w["b"] = tuple(_finite(v, f"{path}.b[{i}]") for i, v in enumerate(b)) \
+        if isinstance(b, (list, tuple)) else (_finite(b, f"{path}.b"),)
+    w["lower"], w["upper"] = (_finite(v, f"{path}.bounds[{i}]")
+                              for i, v in enumerate(obj.get("bounds", (0.0, 1.0))))
     try:
-        weights = CostWeights(
-            a1=_number(obj["a1"], f"{path}.a1"),
-            a2=_number(obj.get("a2", 0.0), f"{path}.a2"),
-            b=b,
-            a_isolated=_number(obj.get("a_isolated", 0.0), f"{path}.a_isolated"),
-            lower=lower,
-            upper=upper,
-        )
+        weights = CostWeights(**w)
         models.cost_state_vector(d.id, weights)  # the weights must fit the model (b, a_isolated)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return weights
 
 
-def _parse_fbs(obj, path: str) -> FbsSettings:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"tolerance", "max_iterations"}, path)
-    kwargs: dict[str, Any] = {}
-    if "tolerance" in obj:
-        kwargs["tolerance"] = _finite(obj["tolerance"], f"{path}.tolerance")
-    if "max_iterations" in obj:
-        kwargs["max_iterations"] = obj["max_iterations"]  # FbsSettings checks it is an integer
-    try:
-        return FbsSettings(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
 def _parse_sweep(obj, path: str) -> tuple[dict[str, float], ...]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"parameter", "values"}, path)
-    if "values" not in obj or not isinstance(obj["values"], (list, tuple)):
-        raise ValidationError(f"{path}: missing 'values' list")
-    raw_values = obj["values"]
-    if len(raw_values) == 0:
-        raise ValidationError(f"{path}.values: sweep value list is empty")
-    parameter = obj.get("parameter")
-    if not isinstance(parameter, (str, type(None))):
-        raise ValidationError(f"{path}.parameter: expected a string, got {parameter!r}")
-    points = []
-    for i, v in enumerate(raw_values):
-        if parameter is None:
-            if not isinstance(v, Mapping):
-                raise ValidationError(f"{path}: scalar sweep values need a 'parameter' name")
-            points.append({k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()})
-        elif isinstance(v, Mapping):
-            raise ValidationError(f"{path}: a sweep with a 'parameter' takes only numbers, "
-                                  f"but values[{i}] is an object")
-        else:
-            points.append({parameter: _number(v, f"{path}.values[{i}]")})
-    return tuple(points)
+    p = obj.get("parameter")  # names the one quantity each number sets; else objects
+    return tuple({p: _number(v, f"{path}.values[{i}]")} if p is not None else
+                 {k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()}
+                 for i, v in enumerate(obj["values"]))
 
 
 def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
-    """Parse and fully validate a scenario document (JSON text or mapping)."""
+    """Parse and fully validate a scenario document (JSON text or mapping): its structure
+    against the packaged scenario-schema.json, then what the schema cannot state."""
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
@@ -248,48 +251,29 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
             raise ValidationError(f"scenario document is not valid JSON: {exc}") from None
     else:
         doc = document
-    doc = _require_mapping(doc, "$")
-    _reject_unknown(doc, {"schema", "name", "model", "parameters", "initial_state",
-                          "grid", "cost", "fbs", "sweep"}, "$")
-    schema = doc.get("schema")
-    if schema != SCHEMA_ID:
-        raise ValidationError(f"$.schema: expected {SCHEMA_ID!r}, got {schema!r}")
-    name = doc.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ValidationError(f"$.name: expected a string, got {name!r}")
-    for key in ("model", "parameters", "initial_state", "grid", "cost"):
-        if key not in doc:
-            raise ValidationError(f"$: missing required key {key!r}")
-    try:
-        model = ModelId(doc["model"])
-    except ValueError:
-        known = ", ".join(m.value for m in ModelId)
-        raise ValidationError(f"$.model: unknown model {doc['model']!r}; known: {known}") from None
+    _conform(doc, _schema(), "$")
+    model = ModelId(doc["model"])
     d = models.model_definition(model)
 
     params = _parse_parameters(doc["parameters"], "$.parameters")
-    violations = models.validate_params(model, params)
-    if violations:
+    if violations := models.validate_params(model, params):
         raise ValidationError("$.parameters: " + "; ".join(violations))
 
     mode, values, total = _parse_initial_state(doc["initial_state"], d, "$.initial_state")
-    gobj = _require_mapping(doc["grid"], "$.grid")
-    _reject_unknown(gobj, {"t0", "tf", "n_steps"}, "$.grid")
-    for key in ("t0", "tf", "n_steps"):
-        if key not in gobj:
-            raise ValidationError(f"$.grid: missing {key!r}")
-    t0, tf = _number(gobj["t0"], "$.grid.t0"), _number(gobj["tf"], "$.grid.tf")
+    g = doc["grid"]
     try:
-        grid = make_time_grid(t0, tf, gobj["n_steps"])  # TimeGrid checks it is an integer
+        grid = make_time_grid(_finite(g["t0"], "$.grid.t0"), _finite(g["tf"], "$.grid.tf"),
+                              int(g["n_steps"]))  # the schema admits an integral float
     except ValidationError as exc:
         raise ValidationError(f"$.grid: {exc}") from None
 
     weights = _parse_cost(doc["cost"], d, "$.cost")
-    fbs = _parse_fbs(doc.get("fbs", {}), "$.fbs")
+    fbs = FbsSettings(**{k: _finite(v, "$.fbs.tolerance") if k == "tolerance" else int(v)
+                         for k, v in doc.get("fbs", {}).items()})
     sweep = _parse_sweep(doc["sweep"], "$.sweep") if "sweep" in doc else None
 
     config = ScenarioConfig(
-        name=name,
+        name=doc.get("name", "scenario"),
         model=model,
         params=params,
         initial_mode=mode,

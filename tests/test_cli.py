@@ -133,7 +133,7 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         extra = ["--n-steps", str(10**30)] if source == "option" else []
         assert main(["simulate", str(path), "-o", str(tmp_path / "x"), *extra]) == 2
-        assert f"n_steps must be <= 10000000, got {10**30}" in capsys.readouterr().err
+        assert f"must be <= 10000000, got {10**30}" in capsys.readouterr().err
 
     def test_infinite_tolerance_is_validation_error(self, small_scenario_file, tmp_path, capsys):
         doc = json.loads(small_scenario_file.read_text())

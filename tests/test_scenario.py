@@ -1,10 +1,13 @@
 import copy
+import inspect
+import itertools
 import json
 import math
 import operator
+import re
+from dataclasses import replace
 from functools import reduce
 from importlib import resources
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +15,14 @@ from hypothesis import given, settings, strategies as st
 from tbctrl import (CostWeights, ModelId, builtin_scenarios, get_scenario, load_scenario,
                     load_scenario_file, save_scenario, scenario_to_dict,
                     validate_params)
+from tbctrl import scenario
 from tbctrl.core import TimeGrid, TimeTable, ValidationError
+from tbctrl.solver import FbsSettings
 from tbctrl.scenario import SCHEMA_ID, builtin_scenario_names, find_scenario, sweep_points
 
 MAX_STEPS = TimeGrid.MAX_STEPS
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.json"
+SCHEMA_PATH = resources.files("tbctrl").joinpath("scenario-schema.json")
+SCHEMA = json.loads(SCHEMA_PATH.read_text("utf-8"))
 
 NAN, INF = math.nan, math.inf
 
@@ -125,7 +131,7 @@ class TestLoadScenario:
         doc = flagship_doc()
         doc["grid"]["n_steps"] = n_steps
         with pytest.raises(ValidationError,
-                           match=rf"^\$\.grid: n_steps must be <= {MAX_STEPS}, got {n_steps}$"):
+                           match=rf"^\$\.grid\.n_steps: must be <= {MAX_STEPS}, got {n_steps}$"):
             load_scenario(json.dumps(doc))
 
     def test_schema_field_required(self):
@@ -179,7 +185,7 @@ class TestLoadScenario:
     def test_empty_sweep_rejected(self):
         doc = flagship_doc()
         doc["sweep"] = {"parameter": "k1", "values": []}
-        with pytest.raises(ValidationError, match="empty"):
+        with pytest.raises(ValidationError, match=r"^\$\.sweep\.values: needs at least 1 item\(s\), got 0$"):
             load_scenario(json.dumps(doc))
 
     def test_sweep_target_must_exist(self):
@@ -206,7 +212,7 @@ class TestLoadScenario:
          r"sweep point 'cost\.a_isolated=1': seirs has no isolated compartment"),
         ({"parameter": "nope", "values": [1.0]},
          r"sweep point 'nope=1': sweep target 'nope' is not a parameter of seirs"),
-        ({"values": [{"k1": 0.5}, {}]}, r"\$\.sweep\.values\[1\]: a sweep point must override"),
+        ({"values": [{"k1": 0.5}, {}]}, r"\$\.sweep\.values\[1\]: needs at least 1 key\(s\), got 0$"),
         ({"parameter": "k1", "values": [0.1234561, 0.1234562]},
          r"\$\.sweep\.values\[1\]: label 'k1=0\.123456' repeats an earlier point's"),
         ({"values": [{"k1": 0.5, "c": 1.0}, {"k1": 0.5, "c": 1.0}]},
@@ -219,16 +225,21 @@ class TestLoadScenario:
          r"\$\.sweep\.values\[1\]: point 'cost\.b1=50,k1=0\.5' repeats an earlier point's overrides"),
         # the two forms do not mix
         ({"parameter": "k1", "values": [0.5, {"c": 1.0}]},
-         r"\$\.sweep: a sweep with a 'parameter' takes only numbers, but values\[1\] is an object"),
-        ({"parameter": "k1", "values": [{"c": 1.0}]},
-         r"\$\.sweep: a sweep with a 'parameter' takes only numbers, but values\[0\] is an object"),
-        ({"values": [{"c": 1.0}, 0.5]}, r"\$\.sweep: scalar sweep values need a 'parameter' name"),
+         r"\$\.sweep\.values\[1\]: expected a number, got dict$"),
+        ({"parameter": "k1", "values": [{"c": 1.0}]}, r"\$\.sweep\.values\[0\]: expected a number, got dict$"),
+        ({"values": [{"c": 1.0}, 0.5]}, r"\$\.sweep\.values\[1\]: expected an object, got 0\.5$"),
     ])
     def test_sweep_point_refusals_are_located(self, sweep, error):
         doc = flagship_doc()
         doc["sweep"] = sweep
         with pytest.raises(ValidationError, match=rf"^{error}"):
             load_scenario(doc)
+
+    def test_sweep_points_refuse_an_empty_point(self):
+        # the schema refuses {} in a document; a config built in Python meets this check
+        cfg = replace(load_scenario(flagship_doc()), sweep=({"k1": 0.5}, {}))
+        with pytest.raises(ValidationError, match=r"^\$\.sweep\.values\[1\]: a sweep point must override"):
+            sweep_points(cfg)
 
     def test_time_table_parameter(self):
         doc = flagship_doc()
@@ -247,7 +258,7 @@ class TestLoadScenario:
         doc = flagship_doc()
         doc["cost"]["bounds"] = [0.0, "UPPER"]
         text = json.dumps(doc).replace('"UPPER"', "1e400")  # parses to inf
-        with pytest.raises(ValidationError, match=r"^\$\.cost: control bounds must be finite"):
+        with pytest.raises(ValidationError, match=r"^\$\.cost\.bounds\[1\]: expected a finite number, got inf$"):
             load_scenario(text)
 
     @pytest.mark.parametrize("edit, error", [
@@ -267,6 +278,8 @@ class TestLoadScenario:
          r"parameters\.k1\.times: expected a finite number"),
         ({"initial_state": {"values": [str(10 ** 400), "0", "0", "0"]}},
          r"initial_state\.values\[0\]: number out of float range"),
+        ({"initial_state": {"values": ["1" * 5000, "0", "0", "0"]}},  # past int()'s digit limit
+         r"initial_state\.values\[0\]: too many digits$"),
         ({"initial_state": {"values": [str(10 ** 308)] * 2 + ["0", "0"]}},  # the sum overflows
          r"initial_state\.values: initial fractions must sum to 1, got inf"),
         ({"parameters": {"k1": {"times": 0.0, "values": [1.0]}}},
@@ -274,14 +287,16 @@ class TestLoadScenario:
         ({"parameters": {"k1": {"times": [0.0, 1.0], "values": 1.0}}},
          r"parameters\.k1\.values: expected a list"),
         ({"parameters": {"k1": {"times": [], "values": []}}},
-         r"parameters\.k1: time table needs equally many times and values"),
+         r"parameters\.k1\.times: needs at least 1 item\(s\), got 0$"),
         ({"parameters": {"k1": {"times": [0.0, 1.0], "values": [1.0]}}},
          r"parameters\.k1: time table needs equally many times and values"),
         ({"parameters": {"k1": {"times": [1.0, 0.0], "values": [1.0, 1.0]}}},
          r"parameters\.k1: time table times must be strictly increasing"),
         ({"sweep": {"parameter": 3, "values": [1.0]}}, r"sweep\.parameter: expected a string"),
         ({"grid": {"t0": 0.0, "tf": "5", "n_steps": 100}}, r"grid\.tf: expected a number"),
-        ({"cost": {"a1": 1.0, "b": 10 ** 400}}, r"cost\.b: number out of float range"),
+        ({"cost": {"a1": 1.0, "b": 10 ** 400}}, r"cost\.b: number out of float range$"),
+        ({"cost": {"a1": 10 ** 400, "b": [100.0]}}, r"cost\.a1: number out of float range$"),
+        ({"cost": {"a1": 1.0, "b": [NAN]}}, r"cost\.b\[0\]: expected a finite number, got nan$"),
     ])
     def test_non_finite_numbers_rejected(self, edit, error):
         # ... and other malformed values, each named by its JSON path
@@ -295,8 +310,22 @@ class TestLoadScenario:
     def test_non_integer_max_iterations_rejected(self, n):
         doc = flagship_doc()
         doc["fbs"] = {"max_iterations": n}
-        with pytest.raises(ValidationError, match=r"^\$\.fbs: max_iterations must be an integer"):
+        with pytest.raises(ValidationError,
+                           match=rf"^\$\.fbs\.max_iterations: expected an integer, got {n!r}$"):
             load_scenario(json.dumps(doc))
+
+    def test_integral_floats_load_as_integers(self):
+        # draft-7 "integer" admits 100.0; the Python classes still take only integers
+        doc = flagship_doc()
+        doc["grid"]["n_steps"] = 100.0
+        doc["fbs"] = {"max_iterations": 500.0}
+        cfg = load_scenario(json.dumps(doc))
+        assert type(cfg.grid.n_steps) is int and cfg.grid.n_steps == 100
+        assert type(cfg.fbs.max_iterations) is int and cfg.fbs.max_iterations == 500
+        with pytest.raises(ValidationError, match=r"^n_steps must be an integer, got 100\.0$"):
+            TimeGrid(0.0, 5.0, 100.0)
+        with pytest.raises(ValidationError, match=r"^max_iterations must be an integer, got 500\.0$"):
+            FbsSettings(max_iterations=500.0)
 
     def test_integer_beyond_float_range_rejected(self):
         doc = flagship_doc()
@@ -345,15 +374,49 @@ class TestRoundTrip:
         assert sweep_points(again) == sweep_points(cfg)
 
 
+def schema_keywords(node):
+    """Every (keyword, value) pair of a schema node and of the subschemas below it."""
+    for key, value in node.items():
+        yield key, value
+        subs = value.values() if key == "properties" else value if key == "oneOf" else \
+            [value] if key in ("items", "additionalProperties", "if", "then") else ()
+        for sub in subs:
+            if isinstance(sub, dict):
+                yield from schema_keywords(sub)
+
+
+# the draft-7 keywords scenario._conform interprets, and those that only annotate
+CONFORM_KEYWORDS = {"type", "const", "enum", "pattern", "properties", "additionalProperties",
+                    "required", "minProperties", "items", "minItems", "maxItems", "minimum",
+                    "maximum", "exclusiveMinimum", "oneOf", "if", "then"}
+ANNOTATIONS = {"$schema", "$id", "title", "default"}
+
+
+class TestPackagedSchema:
+    """The loader reads the structure rules from the packaged schema and nowhere else."""
+
+    def test_interpreter_handles_every_keyword(self):
+        # a keyword added to the schema must not be silently ignored by the loader
+        pairs = list(schema_keywords(SCHEMA))
+        assert {k for k, _ in pairs} <= CONFORM_KEYWORDS | ANNOTATIONS
+        assert {v for k, v in pairs if k == "type"} <= scenario._KINDS.keys()
+        assert all("type" in branch for k, v in pairs if k == "oneOf" for branch in v)
+        source = inspect.getsource(scenario)
+        assert [k for k in CONFORM_KEYWORDS if f'"{k}"' not in source] == []
+
+    def test_models_are_the_catalog(self):
+        assert SCHEMA["properties"]["model"]["enum"] == [m.value for m in ModelId]
+        assert SCHEMA["properties"]["schema"]["const"] == SCHEMA_ID
+
+
 class TestPublishedSchema:
-    """docs/scenario-schema.json accepts every bundled scenario, as shipped and as saved."""
+    """The packaged schema accepts every bundled scenario, as shipped and as saved."""
 
     @pytest.fixture(scope="class")
     def validator(self):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads(SCHEMA_PATH.read_text())
-        jsonschema.Draft7Validator.check_schema(schema)
-        return jsonschema.Draft7Validator(schema)
+        jsonschema.Draft7Validator.check_schema(SCHEMA)
+        return jsonschema.Draft7Validator(SCHEMA)
 
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_bundled_and_saved_documents_validate(self, validator, name, tmp_path):
@@ -370,25 +433,31 @@ class TestPublishedSchema:
 
     @pytest.mark.parametrize("edit, error", [
         ({"name": {"a": 1}}, r"^\$\.name: expected a string"),
-        ({"sweep": {"values": [{}]}}, r"^\$\.sweep\.values\[0\]: a sweep point must override"),
+        ({"sweep": {"values": [{}]}}, r"^\$\.sweep\.values\[0\]: needs at least 1 key\(s\), got 0$"),
+        ({"sweep": {"parameter": None, "values": [{"k1": 0.5}, {"k1": 1.0}]}},
+         r"^\$\.sweep\.parameter: expected a string, got NoneType$"),
+        ({"cost": {"a1": "x", "b": [100.0]}}, r"^\$\.cost\.a1: expected a number, got 'x'$"),
         # documents from before the weights alone stated the objective
         ({"cost": {"kind": "C2", "a1": 1.0, "b": [100.0]}},
          r"^\$\.cost: unknown key\(s\) \['kind'\]"),
         ({"cost": {"b": [100.0]}}, r"^\$\.cost: missing required key 'a1'"),
         ({"sweep": {"parameter": "k1", "values": [0.5, {"c": 1.0}]}},
-         r"^\$\.sweep: a sweep with a 'parameter' takes only numbers"),
-        ({"sweep": {"values": [{"c": 1.0}, 0.5]}}, r"^\$\.sweep: scalar sweep values need a 'parameter'"),
+         r"^\$\.sweep\.values\[1\]: expected a number, got dict$"),
+        ({"sweep": {"values": [{"c": 1.0}, 0.5]}}, r"^\$\.sweep\.values\[1\]: expected an object, got 0\.5$"),
+        ({"sweep": {"parameter": "k1", "values": [0.5], "x": 1}},
+         r"^\$\.sweep: expected an object with keys \['parameter', 'values'\] or an object with keys "
+         r"\['values'\], got dict$"),
+        ({"cost": {"a1": 1.0, "b": "x"}}, r"^\$\.cost\.b: expected a number or a list, got 'x'$"),
         # strings are "n" or "n/m", and only in fraction mode
         ({"initial_state": {"values": ["0.5", "0.25", "1/4", "0"]}},
-         r"^\$\.initial_state\.values\[0\]: expected a number or an 'n' or 'n/m' string, "
-         r"got '0\.5'$"),
+         r"^\$\.initial_state\.values\[0\]: '0\.5' does not match '.+'$"),
         ({"initial_state": {"mode": "counts", "values": ["7000", 1, 1, 1]}},
          r"^\$\.initial_state\.values\[0\]: expected a number"),
         ({"initial_state": {"values": ["1/0", 1, 0, 0]}},
-         r"^\$\.initial_state\.values\[0\]: cannot parse fraction '1/0'$"),
+         r"^\$\.initial_state\.values\[0\]: '1/0' does not match '.+'$"),
         ({"fbs": None}, r"^\$\.fbs: expected an object, got NoneType$"),
         ({"grid": {"t0": 0.0, "tf": 5.0, "n_steps": MAX_STEPS + 1}},
-         rf"^\$\.grid: n_steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"),
+         rf"^\$\.grid\.n_steps: must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"),
     ])
     def test_refused_by_both(self, validator, edit, error):
         doc = {**flagship_doc(), **edit}
@@ -397,7 +466,7 @@ class TestPublishedSchema:
             load_scenario(doc)
 
     def test_grid_bound_is_the_loaders(self, validator):
-        grid = json.loads(SCHEMA_PATH.read_text())["properties"]["grid"]["properties"]
+        grid = SCHEMA["properties"]["grid"]["properties"]
         assert grid["n_steps"]["maximum"] == MAX_STEPS
 
     def test_fraction_strings_read_by_both(self, validator):
@@ -450,25 +519,44 @@ def node_paths(node, path=()):
         yield from node_paths(v, (*path, k))
 
 
-def edited(doc, path, op, value):
+def schema_nodes(path, node=SCHEMA):
+    """The subschemas, oneOf branches and then-clauses included, that apply at path."""
+    nodes = [node, *node.get("oneOf", ()), *([node["then"]] if "then" in node else ())]
+    if not path:
+        return nodes
+    subs = [n.get("items") if isinstance(path[0], int) else
+            n.get("properties", {}).get(path[0], n.get("additionalProperties")) for n in nodes]
+    return [m for sub in subs if isinstance(sub, dict) for m in schema_nodes(path[1:], sub)]
+
+
+def added_keys(doc, path):
+    """The keys an "add" edit gives the object at path: 'extra', and every key the schema's
+    properties name there that the object lacks."""
+    node = reduce(operator.getitem, path, doc)
+    named = {k for n in schema_nodes(path) for k in n.get("properties", {})}
+    return ("extra", *sorted(named - node.keys()))
+
+
+def edited(doc, path, op, value, key="extra"):
     """A copy of doc with the node at path dropped, replaced by value, or, for an object or a
-    list, given value as one more entry (an object's under the key 'extra')."""
+    list, given value as one more entry (an object's under key)."""
     doc = copy.deepcopy(doc)
-    parent = reduce(operator.getitem, path[:-1], doc)
-    if op == "drop":
-        del parent[path[-1]]
-    elif op == "replace":
-        parent[path[-1]] = copy.deepcopy(value)
-    elif isinstance(node := parent[path[-1]], dict):
-        node["extra"] = copy.deepcopy(value)
-    else:
+    node = reduce(operator.getitem, path, doc)
+    if op == "add" and isinstance(node, dict):
+        node[key] = copy.deepcopy(value)
+    elif op == "add":
         node.append(copy.deepcopy(value))
+    elif op == "drop":
+        del reduce(operator.getitem, path[:-1], doc)[path[-1]]
+    else:
+        reduce(operator.getitem, path[:-1], doc)[path[-1]] = copy.deepcopy(value)
     return doc
 
 
-def edits(node):
-    """The edits ``edited`` can make to node."""
-    return ("drop", "replace", "add") if isinstance(node, (dict, list)) else ("drop", "replace")
+def edits(node, path):
+    """The edits ``edited`` can make to node at path; the root only takes additions."""
+    ops = ("drop", "replace", "add") if isinstance(node, (dict, list)) else ("drop", "replace")
+    return ops if path else ("add",)
 
 
 # values of other types, non-finite values and huge values, as JSON text can spell them
@@ -481,45 +569,72 @@ VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text
 
 @st.composite
 def edited_documents(draw):
-    """A document after up to two random edits, and the path of one of its nodes."""
+    """A document after up to two random edits, and the path of one of its nodes or its root."""
     doc = draw(st.sampled_from(list(edit_bases().values())))
     for _ in range(draw(st.integers(0, 2))):
-        path = draw(st.sampled_from(list(node_paths(doc))))
+        path = draw(st.sampled_from([(), *node_paths(doc)]))
         node = reduce(operator.getitem, path, doc)
-        doc = edited(doc, path, draw(st.sampled_from(edits(node))), draw(VALUES))
-    return doc, draw(st.sampled_from(list(node_paths(doc))))
+        op = draw(st.sampled_from(edits(node, path)))
+        key = draw(st.sampled_from(added_keys(doc, path))) if isinstance(node, dict) else None
+        doc = edited(doc, path, op, draw(VALUES), key)
+    return doc, draw(st.sampled_from([(), *node_paths(doc)]))
+
+
+# Why the loader may refuse a document that the schema accepts: what a schema cannot state.
+SEMANTIC_REASONS = re.compile("|".join((
+    r"expected a finite number, got",                     # NaN and infinities
+    r"number out of float range",                         # integers and fractions past 1.8e308
+    r"too many digits",                                   # a fraction past int()'s digit limit
+    r"initial fractions must sum to 1",
+    r"(fractions|counts) must be nonnegative",
+    r"\.values: \S+ has \d+ compartments",                 # model-dependent lengths
+    r"^\$\.cost: \S+ has \d+ control\(s\), so needs",
+    r"^\$\.cost: \S+ has no isolated compartment",
+    r"^\$\.parameters: (missing parameter|parameter '[^']+' (must be|may not be)|"
+    r"parameters must satisfy)",                          # parameter domains, time dependence
+    r"time table needs equally many times and values",
+    r"time table times must be strictly increasing",      # order of time-table entries
+    r"control bounds must satisfy upper > lower",         # order of the bounds
+    r"^\$\.grid: horizon must be positive",
+    r"needs a 'total' population or an N parameter",      # the reference population
+    r"^sweep point '",                                    # sweep targets
+    r"^\$\.sweep\.values\[\d+\]: (label|point) '.*' repeats an earlier point's",  # sweep labels
+)))
 
 
 class TestLoaderAgreesWithSchema:
-    """A differential test of the loader against docs/scenario-schema.json on edited documents:
-    the loader raises nothing but ValidationError, and loads no document that the schema refuses.
-    It may refuse more than the schema does, for semantic reasons (fraction sums,
-    model-dependent lengths, parameter domains, weight counts)."""
+    """A differential test of the loader against the packaged schema on edited documents: the
+    loader raises nothing but ValidationError, loads no document that the schema refuses, and
+    refuses a document that the schema accepts only for one of the SEMANTIC_REASONS."""
 
     @pytest.fixture(scope="class")
     def validator(self):
         jsonschema = pytest.importorskip("jsonschema")
-        return jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
+        return jsonschema.Draft7Validator(SCHEMA)
 
     @staticmethod
     def check_edits(validator, doc, path, values):
-        """Every edit of the node at path: dropped, and replaced or extended by each value."""
+        """Every edit of the node at path: dropped, and replaced or extended by each value,
+        an object's extension under each of its added_keys."""
         node = reduce(operator.getitem, path, doc)
-        for op in edits(node):
-            for v in (None,) if op == "drop" else values:
-                new = edited(doc, path, op, v)
+        for op in edits(node, path):
+            keys = added_keys(doc, path) if op == "add" and isinstance(node, dict) else (None,)
+            for key, v in itertools.product(keys, (None,) if op == "drop" else values):
+                new = edited(doc, path, op, v, key)
                 try:
                     load_scenario(new)  # any exception but ValidationError fails the test
-                except ValidationError:
+                except ValidationError as exc:
+                    assert not validator.is_valid(new) or SEMANTIC_REASONS.search(str(exc)), \
+                        f"refused a schema-valid document after {op} {key} {v!r} at {path}: {exc}"
                     continue
-                assert validator.is_valid(new), f"loaded after {op} {v!r} at {path}"
+                assert validator.is_valid(new), f"loaded after {op} {key} {v!r} at {path}"
 
     @pytest.mark.parametrize("name", list(edit_bases()))
     def test_every_single_edit(self, validator, name):
         doc = edit_bases()[name]
         load_scenario(doc)
         validator.validate(doc)
-        for path in node_paths(doc):
+        for path in [(), *node_paths(doc)]:
             self.check_edits(validator, doc, path, ODD_VALUES)
 
     @settings(max_examples=100, deadline=None)
