@@ -3,7 +3,9 @@
 The costate is linear in lam, so each RK4 step is an exact affine map, built
 from the coefficients that ``_coefficients`` reads off the model's adjoint and
 composed by a two-level doubling scan, in chunks that pay the pass's fixed cost
-once per few hundred steps. ``solver.integrate_adjoint_backward`` runs it.
+once per few hundred steps. The maps are augmented (n+1) x (n+1) matrices held
+as C-contiguous (steps, n+1, n+1) stacks, and every product is numpy's stacked
+``@``. ``solver.integrate_adjoint_backward`` runs it.
 """
 
 from __future__ import annotations
@@ -15,41 +17,23 @@ from .core import (CostWeights, ParameterSet, ValidationError, _located,
 
 
 # Steps per chunk of the costate pass, and per sub-block of its scan. A chunk
-# pays the pass's fixed cost, one coefficient read and about 200 numpy calls,
+# pays the pass's fixed cost, one coefficient read and a few dozen numpy calls,
 # once; longer chunks make fewer calls but hold more at once. A chunk's arrays
-# peak at the coefficients, (n+1, n+1, 2 * _BLOCK + 1), and four
-# (n+1, n+1, _BLOCK) stacks, about 300 KiB for four compartments. Traced, the
-# flagship solve then peaks 22 KiB above what 64-step blocks held, against
-# 326 KiB above with 512-step chunks, which run a 5000-step pass 15-25%
-# faster. Sub-blocks of 8 and 16 steps run equally fast.
+# peak at the coefficients, (2 * _BLOCK + 1, n+1, n+1), and four
+# (_BLOCK, n+1, n+1) stacks, about 300 KiB for four compartments. Timed in one
+# process on the flagship's 5000-step pass, 512-step chunks ran it about 15%
+# faster but raised the solve's peak RSS by about 0.3 MiB; 1024-step chunks ran
+# no faster, 16-step sub-blocks 3-7% slower and a one-level scan over the whole
+# chunk about 18% slower.
 _BLOCK = 256
 _SUB_BLOCK = 8
-# The pass's ufunc buffer size, in elements. numpy buffers a product of two
-# broadcast stacks, and with its default of 8192 each product of a chunk takes
-# two buffers about as large as its result: 100 KiB more at the peak, and
-# slower.
-_BUFSIZE = 256
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of small square matrices laid out (r, r, ...), one per trailing index.
-
-    The r broadcast products a[:, j] * b[j] are added in j order, so no
-    (r, r, r, ...) temporary exists. It calls neither numpy's matmul, whose
-    BLAS matrix-matrix code, paged in on first use, adds about 0.25 MiB to the
-    resident set of a process that has no other use for it, nor einsum, which
-    raised the flagship benchmark's peak RSS.
-    """
-    out = a[:, 0, None] * b[0]
-    for j in range(1, len(b)):
-        out += a[:, j, None] * b[j]
-    return out
 
 
 # The costate lam' = A lam + b at the points t (P,), x (P, n), u (P, m), as augmented
 # [[A, b], [0, 0]] laid out (n+1, n+1, P): one adjoint call, on (P,) columns against lam
 # as (n+1, 1) columns, gives A's column k plus b at lam = e_k and b at lam = 0. Where the
 # state holds an inf, 0 * inf makes b NaN, as in the pointwise costate. The model's errors pass on.
+# Each adjoint output fills one whole row of the maps; the pass multiplies a (P, n+1, n+1) copy.
 def _coefficients(d, w: CostWeights, p: ParameterSet, t, x, u) -> np.ndarray:
     n = d.state_dim
     q = p.values(d.required_params, t)
@@ -64,51 +48,42 @@ def _coefficients(d, w: CostWeights, p: ParameterSet, t, x, u) -> np.ndarray:
 def _affine_steps(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Each step's RK4 map of lam' = A lam + b, as augmented matrices [[M, c], [0, 1]].
 
-    ``coef`` holds the augmented [[A, b], [0, 0]] of L steps, laid out
-    (n+1, n+1, 2L+1): at the L+1 nodes in integration order, then at the L
-    midpoints. ``h`` holds the L signed step sizes. RK4 on a linear system is
+    ``coef`` holds the augmented [[A, b], [0, 0]] of L steps as a C-contiguous
+    (2L+1, n+1, n+1) stack: at the L+1 nodes in integration order, then at the
+    L midpoints. ``h`` holds the L signed step sizes. RK4 on a linear system is
     the exact affine map lam -> M lam + c, and each stage acts on the
-    augmented [lam; 1], so each is one stacked product. The result is laid out
-    (n+1, n+1, L).
+    augmented [lam; 1], so each is one stacked product ``@``. The result is a
+    C-contiguous (L, n+1, n+1) stack.
     """
     steps = len(h)
-    a0, a1, am = coef[..., :steps], coef[..., 1:steps + 1], coef[..., steps + 1:]
+    a0, a1, am = coef[:steps], coef[1:steps + 1], coef[steps + 1:]
+    h = h[:, None, None]
     hh = 0.5 * h
-    k = _matmul(am, a0)  # in place from here: few arrays live at once
+    k = am @ a0  # in place from here: few arrays live at once
     k *= hh
     k += am  # k2 = am (1 + hh k1), k1 = a0
     m = 2.0 * k
     m += a0
-    k = _matmul(am, k)
+    k = am @ k
     k *= hh
     k += am  # k3
     m += 2.0 * k
-    k = _matmul(a1, k)
+    k = a1 @ k
     k *= h
     k += a1  # k4
     m += k
     m *= h / 6.0
-    for i in range(len(m)):
-        m[i, i] += 1.0
+    m += np.eye(len(m[0]))
     return m
 
 
 def _compose(m: np.ndarray) -> np.ndarray:
-    """Inclusive doubling scan along axis 2, in place: map j becomes map j after ... after map 0."""
+    """Inclusive doubling scan along axis -3, in place: map j becomes map j after ... after map 0."""
     s = 1
-    while s < m.shape[2]:
-        m[:, :, s:] = _matmul(m[:, :, s:], m[:, :, :-s])
+    while s < m.shape[-3]:
+        m[..., s:, :, :] = m[..., s:, :, :] @ m[..., :-s, :, :]
         s *= 2
     return m
-
-
-def _apply(m: np.ndarray, v) -> np.ndarray:
-    """Each augmented map [[M, c], [0, 1]] of the stack m applied to [v; 1]: M v + c."""
-    n = len(m) - 1
-    out = m[:n, n] + m[:n, 0] * v[0]
-    for k in range(1, n):
-        out += m[:n, k] * v[k]
-    return out
 
 
 def _first_refusal(d, w: CostWeights, p: ParameterSet, t, x, u):
@@ -137,9 +112,9 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     integration order. For each chunk it reads A and b (``_coefficients``) at
     the chunk's distinct stage times (the nodes, and the midpoints with the
     mean of the two end rows as drivers), forms each step's map and composes
-    the maps in two levels (see ``advance``).
-    The scan associates the sums differently from a stage-by-stage pass, so
-    the rows agree with one to roundoff, not bitwise; lam(tf) is exactly 0.
+    the maps in two levels (see ``advance``), on (steps, n+1, n+1) stacks.
+    The products associate the sums differently from a stage-by-stage pass,
+    so the rows agree with one to roundoff, not bitwise; lam(tf) is exactly 0.
 
     Finiteness is checked once per pass, and the first non-finite row in
     integration order is reported. A ValidationError from the costate is
@@ -166,21 +141,22 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
         nonlocal done, y
         steps = done - lo
         t = nodes[lo:done + 1][::-1]
-        m = _affine_steps(_coefficients(d, w, p, *points(lo)), t[1:] - t[:-1])
+        coef = _coefficients(d, w, p, *points(lo)).transpose(2, 0, 1).copy()
+        m = _affine_steps(coef, t[1:] - t[:-1])
         # Two levels: a doubling scan within every sub-block of _SUB_BLOCK steps at
-        # once, then one over the sub-blocks' ends, which carries [y; 1] to the
+        # once, then one over the sub-blocks' end maps, which carries [y; 1] to the
         # start of each sub-block. Zero maps pad the last sub-block past the last
-        # step, and no step's composite includes them. In the scan's layout, step
-        # i of every sub-block is one contiguous run, so each product is one loop.
+        # step, and no step's composite includes them.
         nb = -(-steps // _SUB_BLOCK)
-        m = np.concatenate([m, np.zeros((n + 1, n + 1, nb * _SUB_BLOCK - steps))], axis=2)
-        m = _compose(np.ascontiguousarray(m.reshape(n + 1, n + 1, nb, _SUB_BLOCK).swapaxes(2, 3)))
-        z = _apply(_compose(m[:, :, -1].copy()), y)  # the row after each sub-block
-        z = np.concatenate([np.array(y)[:, None], z[:, :-1]], axis=1)  # the row before it
-        lam[lo:done] = _apply(m, z).swapaxes(1, 2).reshape(n, -1)[:, :steps].T[::-1]
+        m = np.concatenate([m, np.zeros((nb * _SUB_BLOCK - steps, n + 1, n + 1))])
+        m = _compose(m.reshape(nb, _SUB_BLOCK, n + 1, n + 1))
+        e = _compose(m[:, -1].copy())  # the chunk's map up to the end of each sub-block
+        y0 = np.array(y)
+        z = np.concatenate([y0[None], e[:-1, :n, :n] @ y0 + e[:-1, :n, n]])  # the row before each sub-block
+        out = (m[..., :n, :n] @ z[:, None, :, None])[..., 0] + m[..., :n, n]
+        lam[lo:done] = out.reshape(-1, n)[:steps][::-1]
         y, done = lam[lo].tolist(), lo
 
-    bufsize = np.setbufsize(_BUFSIZE)
     try:
         while done > 0:
             lo = max(done - _BLOCK, 0)
@@ -199,7 +175,5 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
         _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
         raise
-    finally:
-        np.setbufsize(bufsize)
     _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
     return lam

@@ -118,7 +118,7 @@ def _valid(v, schema: Mapping) -> bool:
 
 def _conform(v, schema: Mapping, path: str) -> None:
     """Refuse v, at its JSON path, unless it conforms to schema: the draft-7 keywords that
-    scenario-schema.json uses, with a tuple as an array and a non-string key as unknown."""
+    scenario-schema.json uses, with a tuple as an array and a non-string key refused."""
     if "type" in schema and not _is(v, schema["type"]):
         raise ValidationError(f"{path}: expected {_KINDS[schema['type']][0]}, got {_shown(v)}")
     among = [schema["const"]] if "const" in schema else schema.get("enum")
@@ -132,9 +132,10 @@ def _conform(v, schema: Mapping, path: str) -> None:
             raise ValidationError(f"{path}: {rule.format(schema[key])}, got {n!r}")
     if isinstance(v, Mapping):
         props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
-        if unknown := sorted((k for k in v if not isinstance(k, str) or extra is False
-                              and k not in props), key=str):  # a mapping may mix key types
+        if extra is False and (unknown := sorted(v.keys() - props.keys(), key=str)):
             raise ValidationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(props)}")
+        if odd := [k for k in v if not isinstance(k, str)]:
+            raise ValidationError(f"{path}: key {odd[0]!r} is not a string")
         if missing := [key for key in schema.get("required", ()) if key not in v]:
             raise ValidationError(f"{path}: missing required key {missing[0]!r}")
         for key, item in v.items():

@@ -126,6 +126,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=r"^\$: unknown key\(s\) \[1, 'zz'\]; allowed: "):
             load_scenario(doc)
 
+    def test_non_string_parameter_key_refused(self):
+        # parameters allows any string key, so a non-string one is refused for its type
+        doc = flagship_doc()
+        doc["parameters"] = {1: 2.0}
+        with pytest.raises(ValidationError, match=r"^\$\.parameters: key 1 is not a string$"):
+            load_scenario(doc)
+
     @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 10**30])
     def test_oversized_grid_refused_before_allocation(self, n_steps):
         doc = flagship_doc()

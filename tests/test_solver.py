@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from tbctrl import (CostWeights, ModelId, NonFiniteError, ParameterSet, adjoint_
                     control_characterization, default_params, dynamics,
                     integrate_adjoint_backward, integrate_forward, make_time_grid,
                     model_definition, reduced_cost_gradient, solve_fbs, total_cost)
-from tbctrl import models, solver
+from tbctrl import costate, models, solver
 from tbctrl.core import TimeTable, Trajectory, ValidationError
 from tbctrl.models.base import live_population
 from tbctrl.oracle import _fine_controls, _Simulator
-from tbctrl.costate import _BLOCK, _SUB_BLOCK, _coefficients, _costate_pass, _matmul
+from tbctrl.costate import _BLOCK, _SUB_BLOCK, _coefficients, _costate_pass
 from tbctrl.solver import FbsSettings, _least_squares, _rk4, _sweep
 
 from conftest import source_a2
@@ -117,40 +118,47 @@ class TestReferenceKernel:
             assert np.array_equal(kept[:, b], sim.state_cost(ref.T))
 
 
-def reference_matmul(a, b):
-    """Stacked products a @ b, one row of b at a time, for any trailing shape."""
-    out = a[:, :1] * b[:1]
-    for j in range(1, len(b)):
-        out += a[:, j:j + 1] * b[j:j + 1]
-    return out
+# A grid of 2 * _BLOCK + 3 steps, which the pass runs backward as chunks of _BLOCK,
+# _BLOCK and 3 steps, and the nodes where one coefficient is non-finite: inside the
+# first sub-block, either side of a sub-block's end, inside each chunk, either side of
+# a chunk's end, in the short last chunk and at t0. Each level of the scan multiplies it.
+N_SCAN = 2 * _BLOCK + 3
+NONFINITE_NODES = {
+    "first-sub-block": N_SCAN - 2, "sub-block-end": N_SCAN - _SUB_BLOCK,
+    "after-sub-block-end": N_SCAN - _SUB_BLOCK - 1, "mid-chunk": N_SCAN - _BLOCK // 2,
+    "chunk-end": N_SCAN - _BLOCK, "after-chunk-end": N_SCAN - _BLOCK - 1,
+    "second-chunk": N_SCAN - 3 * _BLOCK // 2, "second-chunk-end": N_SCAN - 2 * _BLOCK,
+    "last-chunk": N_SCAN - 2 * _BLOCK - 1, "first-node": 0,
+}
 
 
-class TestMatmul:
-    @pytest.mark.parametrize("steps", [1, 7, _BLOCK - 1, _BLOCK])
-    @pytest.mark.parametrize("r", [5, 6, 7])
-    def test_matches_row_loop(self, r, steps):
-        # entries over many scales, and the strided slices that the scan multiplies
-        rng = np.random.default_rng(r * steps)
-        a, b = (rng.standard_normal((r, r, steps + 3)) * 10.0 ** rng.integers(-8, 9, (r, r, steps + 3))
-                for _ in range(2))
-        for x, y in [(a[..., :steps], b[..., :steps]), (a[..., 3:], b[..., :-3])]:
-            got = _matmul(x, y)
-            assert got.shape == (r, r, steps)
-            assert got.tobytes() == reference_matmul(x, y).tobytes()
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("k", NONFINITE_NODES.values(), ids=NONFINITE_NODES.keys())
+def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value):
+    # A BLAS may skip a product's zero factors; 0 * inf and 0 * NaN must still give
+    # NaN, as in the row loop. lam_1 stays 0 and A's entry (0, 1) is non-finite at node
+    # k only, so the reference's first non-finite row is at node k, and the pass must
+    # locate it there. The nodes are dyadic, so t + h meets the next node exactly.
+    nodes = np.arange(N_SCAN + 1) / 64.0
 
-    @pytest.mark.parametrize("shape", [(_SUB_BLOCK, _BLOCK // _SUB_BLOCK), (3, 5)],
-                             ids=["chunk", "partial"])
-    @pytest.mark.parametrize("r", [5, 7])
-    def test_sub_block_layout_matches_row_loop(self, r, shape):
-        # (r, r, S, nb) stacks, and the slices along axis 2 that the scan within sub-blocks multiplies
-        rng = np.random.default_rng(r)
-        a, b = (rng.standard_normal((r, r) + shape) * 10.0 ** rng.integers(-8, 9, (r, r) + shape)
-                for _ in range(2))
-        for s in range(shape[0]):
-            x, y = a[:, :, s:], b[:, :, :shape[0] - s]
-            got = _matmul(x, y)
-            assert got.shape == x.shape
-            assert got.tobytes() == reference_matmul(x, y).tobytes()
+    def coef(t):  # the augmented [[A, b], [0, 0]] at the times t, laid out (3, 3, P)
+        out = np.zeros((3, 3, len(t)))
+        out[0, 0], out[0, 2] = -1.0, 1.0
+        out[0, 1] = np.where(t == nodes[k], value, 0.5)
+        return out
+
+    def row_loop(t, lam, _):  # reference_rk4 steps over its drivers: the nodes ride along
+        c = coef(np.array([t]))[..., 0]
+        return np.array([sum(c[i, j] * lam[j] for j in range(2)) + c[i, 2] for i in range(2)])
+
+    monkeypatch.setattr(costate, "_coefficients", lambda d, w, p, t, x, u: coef(t))
+    d = SimpleNamespace(state_dim=2)
+    with np.errstate(invalid="ignore"):
+        ref = reference_rk4(row_loop, np.zeros(2), nodes, (nodes,), backward=True)
+        with pytest.raises(NonFiniteError) as err:
+            _costate_pass(d, None, None, np.ones((N_SCAN + 1, 2)), np.zeros((N_SCAN + 1, 1)), nodes)
+    assert np.isfinite(ref[k + 1:]).all() and np.isnan(ref[k, 0])
+    assert (err.value.step, err.value.time) == (k, nodes[k])
 
 
 def toy_rhs(n, refuse_from=math.inf):
