@@ -1,8 +1,7 @@
 """Command-line front end: list-models, simulate, optimize, sweep, verify.
 
 Emits trajectory and report data as CSV/JSON for external plotting; no
-rendering here. Exit statuses: 0 success, 2 validation error, 3
-non-convergence, 4 IO error.
+rendering here. Exit statuses: see the table in docs/formats.md.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def _point(model: ModelId, nodes: int | None = None, p: ParameterSet | None = No
     receive the tuple of an accepted set and check nothing but the state.
     A vector named ``control`` needs one entry per control, any other one per
     compartment; given ``nodes``, each is a (nodes, entries) array, one row per node.
-    A vector named ``x0``, an initial state, must be nonnegative.
+    An initial state ``x0`` must be finite and nonnegative.
     """
     d = model_definition(model)
     if p is not None:
@@ -113,8 +113,9 @@ def _point(model: ModelId, nodes: int | None = None, p: ParameterSet | None = No
         v = np.asarray(v, dtype=float)
         if v.shape != shape:
             raise ValidationError(f"{d.id.value}: {what} must have shape {shape}, got {v.shape}")
-        if what == "x0" and np.any(v < 0):
-            raise ValidationError(f"{d.id.value}: initial state must be nonnegative")
+        if what == "x0" and not np.all((v >= 0) & (v < np.inf)):
+            rule = "nonnegative" if np.any(v < 0) else "finite"
+            raise ValidationError(f"{d.id.value}: initial state must be {rule}")
         out.append(v)
     return out
 

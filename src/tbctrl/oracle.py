@@ -72,10 +72,10 @@ class _Simulator:
     """
 
     def __init__(self, model, p, w, grid: TimeGrid, x0):
-        self.d = d = models.model_definition(model)
+        d, self.x0 = models._point(model, p=p, w=w, x0=x0)  # checks the problem and x0
+        self.d = d
         self.p = p
         self.grid = grid
-        self.x0 = np.asarray(x0, dtype=float)
         vec = w.a1 * np.array(d.infectious) + w.a2 * np.array(d.latent)
         if d.isolated is not None:
             vec = vec + w.a_isolated * np.array(d.isolated)
@@ -148,7 +148,6 @@ def best_constant_control(scenario, grid_points: int = 11) -> tuple[np.ndarray, 
     """First cheapest point of a uniform lattice of constant admissible controls, and its cost."""
     check_count("grid_points", grid_points, 2)
     model, p, w = scenario.model, scenario.params, scenario.weights
-    models.validate_problem(model, p, w)
     return _best_constant(_Simulator(model, p, w, scenario.grid, scenario.initial_state()), w,
                           grid_points)
 
@@ -205,14 +204,13 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     integers with 1 <= coarse_steps <= n_steps and max_iters >= 1.
     """
     model, p, w = scenario.model, scenario.params, scenario.weights
-    d = models.validate_problem(model, p, w)
-    grid = scenario.grid
+    sim = _Simulator(model, p, w, scenario.grid, scenario.initial_state())
+    d, grid = sim.d, sim.grid
     check_count("coarse_steps", coarse_steps, 1)
     if coarse_steps > grid.n_steps:
         raise ValidationError(f"coarse_steps must be <= {grid.n_steps} (n_steps), got {coarse_steps}")
     check_count("max_iters", max_iters, 1)
 
-    sim = _Simulator(model, p, w, grid, scenario.initial_state())
     lo, hi = w.lower, w.upper
     nu = d.control_dim
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -17,6 +19,8 @@ from tbctrl import cli, get_scenario, make_time_grid, models, save_scenario
 from tbctrl.cli import _reduction_residual, _write_csv, main
 from tbctrl.models import ModelId
 from conftest import uniforms
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -562,6 +566,20 @@ def test_verify_all_loads_no_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text(encoding="utf-8").split("## Command line")[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()[1:]]
+    assert lines and all(args[0] == "tbctrl" for args in lines)
+    parser = cli.build_parser()
+    for args in lines:
+        parser.parse_args(args[1:])  # exits (SystemExit) on a line it cannot parse
+
+
+def test_readme_states_no_session_figures():
+    # test counts, memory and timings drifted from the code when README carried them
+    assert not re.search(r"\d+ passed|MiB| ms\b", README.read_text(encoding="utf-8"))
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from tbctrl import (CostWeights, ModelId, ParameterSet, adjoint_rhs, best_consta
 from tbctrl.core import TimeTable, ValidationError
 from tbctrl.models import (MODELS, cost_state_vector, has_baseline,
                            neutral_control, uncontrolled_rhs)
+
+from conftest import source_a2
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXPECTED_DIMS = {
     ModelId.SEIRS: (4, 1),
@@ -48,6 +53,28 @@ class TestCatalog:
     def test_defaults_validate(self):
         for mid in ModelId:
             assert validate_params(mid, default_params(mid)) == []
+
+    def test_readme_table_matches_the_catalog(self):
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("| `")]
+        assert [row[0] for row in rows] == [f"`{mid.value}`" for mid in ModelId]
+        for (_, states, controls, weighted, source), mid in zip(rows, ModelId):
+            d = model_definition(mid)
+            assert states == ", ".join(d.state_labels)
+            assert controls == str(d.control_dim)
+
+            def term(weight, pattern):  # weight times the sum of the classes it weighs
+                assert set(pattern) <= {0.0, 1.0}
+                names = [label for label, v in zip(d.state_labels, pattern) if v]
+                return f"{weight}·" + (names[0] if len(names) == 1 else f"({' + '.join(names)})")
+
+            terms = [term("a1", d.infectious), term("a2", d.latent)]
+            if d.isolated is not None:
+                terms.append(term("a_isolated", d.isolated))
+            assert weighted == " + ".join(terms)
+            # the source objective: the a1 term, and the a2 term exactly where source_a2 is 1
+            assert source == " + ".join(terms[:1 + int(source_a2(mid))])
 
 
 class TestSeirsDynamics:

@@ -13,6 +13,15 @@ from tbctrl.solver import FbsSettings, _rk4
 
 from conftest import source_a2
 
+# a last initial fraction that solve_fbs refuses, and the rule it breaks
+BAD_INITIAL = pytest.mark.parametrize("bad, rule", [(-1 / 120, "nonnegative"), (np.nan, "finite"),
+                                                    (np.inf, "finite")], ids=["negative", "nan", "inf"])
+
+
+def bad_flagship(flagship, shrink, bad):
+    """The flagship at 100 steps with initial fractions (76, 38, 7, 120 * bad) / 120."""
+    return replace(shrink(flagship, 100), initial_values=(76 / 120, 38 / 120, 7 / 120, bad))
+
 
 def model_config(mid, n_steps, time_table=False):
     """A scenario on a model's defaults; korea's mu as a time table when asked."""
@@ -90,6 +99,13 @@ class TestSolveDirect:
         for max_iters in (0, -3):
             with pytest.raises(ValidationError, match="max_iters"):
                 solve_direct(cfg, coarse_steps=10, max_iters=max_iters)
+
+    @BAD_INITIAL
+    def test_initial_state_validation(self, flagship, shrink, bad, rule):
+        cfg = bad_flagship(flagship, shrink, bad)
+        for solve in (solve_fbs, lambda c: solve_direct(c, coarse_steps=5, max_iters=2)):
+            with pytest.raises(ValidationError, match=f"^seirs: initial state must be {rule}$"):
+                solve(cfg)
 
     def test_flagship_spectral_steps_converge_fast(self, flagship, shrink):
         # 18 iterations with the doubled-step rule alone
@@ -212,3 +228,8 @@ class TestBestConstantControl:
     def test_grid_points_validation(self, flagship, shrink):
         with pytest.raises(ValidationError):
             best_constant_control(shrink(flagship, 100), grid_points=1)
+
+    @BAD_INITIAL
+    def test_initial_state_validation(self, flagship, shrink, bad, rule):
+        with pytest.raises(ValidationError, match=f"^seirs: initial state must be {rule}$"):
+            best_constant_control(bad_flagship(flagship, shrink, bad))

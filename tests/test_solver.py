@@ -359,14 +359,16 @@ class TestForwardIntegration:
                               np.array([-1.0, 0.0, 0.0, 0.0]),
                               np.zeros((g.n_nodes, 1)), g)
 
+    @pytest.mark.parametrize("bad, rule", [(-1e-300, "nonnegative"),  # however small
+                                           (math.nan, "finite"), (math.inf, "finite")],
+                             ids=["negative", "nan", "inf"])
     @pytest.mark.parametrize("mid", list(ModelId), ids=lambda m: m.value)
-    def test_negative_initial_state_names_the_model(self, mid):
+    def test_negative_initial_state_names_the_model(self, mid, bad, rule):
         d = model_definition(mid)
         g = make_time_grid(0.0, 1.0, 10)
         x0 = np.full(d.state_dim, 100.0)
-        x0[-1] = -1e-300  # the smallest negative entry is enough
-        with pytest.raises(ValidationError,
-                           match=f"^{mid.value}: initial state must be nonnegative$"):
+        x0[-1] = bad
+        with pytest.raises(ValidationError, match=f"^{mid.value}: initial state must be {rule}$"):
             integrate_forward(mid, models.default_params(mid), x0,
                               np.zeros((g.n_nodes, d.control_dim)), g)
 
