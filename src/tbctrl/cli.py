@@ -101,7 +101,7 @@ def _parse_control_mode(mode: str, config: ScenarioConfig) -> np.ndarray:
         except (ValueError, IndexError) as exc:  # a row longer than the header
             raise ValidationError(f"control file {path} is not a CSV table: {exc}") from None
         names = list(data.dtype.names)
-        if names[0] != "t" or len(names) != d.control_dim + 1:
+        if names != ["t", *d.control_labels]:
             raise ValidationError(
                 f"control file must have columns t,{','.join(d.control_labels)}")
         t, *columns = (np.asarray(data[name], dtype=float) for name in names)

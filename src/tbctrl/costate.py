@@ -86,23 +86,6 @@ def _compose(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _first_refusal(d, w: CostWeights, p: ParameterSet, t, x, u):
-    """The first step of a chunk whose stage point the pointwise costate refuses, and the error.
-
-    t, x and u are the chunk's stage points, as ``_costate_pass`` lays them
-    out; steps count from 1, and the points are tried in integration order.
-    """
-    names, zero = d.required_params, [0.0] * d.state_dim
-    steps = len(t) // 2
-    for j, i in [(1, 0)] + [(j, i) for j in range(1, steps + 1) for i in (steps + j, j)]:
-        ti = float(t[i])
-        try:
-            d.adjoint(ti, x[i].tolist(), zero, u[i].tolist(), p.values(names, ti), w)
-        except ValidationError as exc:
-            return j, exc
-    return None
-
-
 def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
                   control: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Classical RK4 of the linear costate lam' = A lam + b backward from lam(tf) = 0.
@@ -119,7 +102,9 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     Finiteness is checked once per pass, and the first non-finite row in
     integration order is reported. A ValidationError from the costate is
     located at the node of the first step to meet a failing stage time (the
-    latest such time), once the rows before it are integrated and checked.
+    latest such time), once the rows before it are integrated and checked:
+    the refused chunk is run again one step at a time, and the first step to
+    raise is that step.
     """
     n = d.state_dim
     ts = nodes[::-1]  # integration order
@@ -163,15 +148,13 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
             try:
                 advance(lo)
             except ValidationError:
-                refusal = _first_refusal(d, w, p, *points(lo))
-                if refusal is None:
-                    raise
-                j, exc = refusal
-                if j > 1:
-                    advance(done - j + 1)
-                _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
-                raise _located(f"adjoint left the model's domain ({exc})", ts,
-                               len(nodes) - done, backward=True) from exc
+                try:
+                    while done > lo:
+                        advance(done - 1)
+                except ValidationError as exc:
+                    _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+                    raise _located(f"adjoint left the model's domain ({exc})", ts,
+                                   len(nodes) - done, backward=True) from exc
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
         _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
         raise

@@ -42,12 +42,6 @@ _INIT_LATTICE_POINTS = {1: 11, 2: 7}
 _BATCH = 128
 
 
-def _coarse_boundaries(n_steps: int, coarse_steps: int) -> np.ndarray:
-    """First fine node of each coarse interval (right-continuous mapping)."""
-    j = np.arange(coarse_steps)
-    return -(-j * n_steps // coarse_steps)  # ceil(j*n/M)
-
-
 def _intervals(n_steps: int, coarse_steps: int) -> np.ndarray:
     """Coarse interval of each fine node."""
     return np.minimum(np.arange(n_steps + 1) * coarse_steps // n_steps, coarse_steps - 1)
@@ -139,7 +133,9 @@ class _Simulator:
         flat, i = shifted.reshape(size, 2 * size), np.arange(size)
         flat[i, 2 * i] += _FD_STEP
         flat[i, 2 * i + 1] -= _FD_STEP
-        starts = np.maximum(_coarse_boundaries(self.grid.n_steps, coarse_steps) - 1, 0)
+        # the node before each interval's first node
+        starts = np.maximum(np.searchsorted(_intervals(self.grid.n_steps, coarse_steps),
+                                            np.arange(coarse_steps)) - 1, 0)
         costs = self.costs(shifted, np.repeat(starts, 2 * m), prefix)
         return ((costs[0::2] - costs[1::2]) / (2.0 * _FD_STEP)).reshape(u.shape)
 

@@ -11,7 +11,6 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -164,18 +163,16 @@ def _finite(obj, path: str) -> float:
     return v
 
 
-def _fraction_value(obj, path: str) -> Fraction:
+def _fraction_value(obj, path: str) -> float:
     if not isinstance(obj, str):
-        return Fraction(_finite(obj, path))
+        return _finite(obj, path)
     num, _, den = obj.partition("/")  # the schema's pattern: "n" or "n/m", m > 0
     try:
-        f = Fraction(int(num), int(den or 1))
-        float(f)  # raises OverflowError past float range
+        return int(num) / int(den or 1)  # rounded once, to the double nearest n/m
     except ValueError:  # past int()'s digit limit
         raise ValidationError(f"{path}: too many digits") from None
     except OverflowError:
         raise ValidationError(f"{path}: number out of float range") from None
-    return f
 
 
 def _parse_parameters(obj, path: str) -> ParameterSet:
@@ -206,12 +203,12 @@ def _parse_initial_state(obj, d, path: str):
         if any(f < 0 for f in fracs):
             raise ValidationError(f"{path}.values: fractions must be nonnegative")
         try:
-            s = float(sum(fracs))
+            s = math.fsum(fracs)
         except OverflowError:  # each fraction fits a float, but not their sum
             s = math.inf
         if abs(s - 1.0) > 1e-9:
             raise ValidationError(f"{path}.values: initial fractions must sum to 1, got {s!r}")
-        values = tuple(float(f) for f in fracs)
+        values = tuple(fracs)
     else:
         values = tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         if any(v < 0 for v in values):

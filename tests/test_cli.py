@@ -32,6 +32,14 @@ def small_scenario_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def bowong_scenario_file(tmp_path, default_config):
+    """A two-control problem (controls u1, u2) at 300 steps."""
+    path = tmp_path / "bowong-small.json"
+    save_scenario(default_config(ModelId.BOWONG, 300), path)
+    return path
+
+
 def _effort_sweep_file(tmp_path, values):
     cfg = get_scenario("fig4-sweep")
     cfg = replace(cfg, grid=make_time_grid(0.0, 5.0, 250), name="fig4-small",
@@ -215,6 +223,49 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_unreadable_control_mode_is_validation_error(self, small_scenario_file, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no file named abc here
+        assert main(["simulate", str(small_scenario_file), "-o", str(tmp_path / "x"),
+                     "--control", "abc"]) == 2
+        assert ("control mode 'abc' is neither 'off', a constant, nor a readable file"
+                in capsys.readouterr().err)
+
+    def test_constant_count_must_match_the_controls(self, small_scenario_file, tmp_path, capsys):
+        assert main(["simulate", str(small_scenario_file), "-o", str(tmp_path / "x"),
+                     "--control", "0.5,0.5"]) == 2
+        assert "expected 1 constant control value(s), got 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_one_constant_sets_every_control(self, bowong_scenario_file, tmp_path):
+        out = tmp_path / "c"
+        assert main(["simulate", str(bowong_scenario_file), "-o", str(out),
+                     "--control", "0.5"]) == 0
+        header, rows = read_csv(out / "trajectory.csv")
+        assert header[5:7] == ["u1", "u2"]
+        assert {value for row in rows for value in row[5:7]} == {"0.5"}
+
+    @pytest.mark.parametrize("header", ["t,u2,u1", "t,a,b", "t,u1", "t,u1,u2,u3", "u1,t,u2"])
+    def test_control_file_columns_are_named_in_catalog_order(self, bowong_scenario_file,
+                                                             tmp_path, capsys, header):
+        ctrl = tmp_path / "control.csv"
+        ctrl.write_text(header + "\n" + ",".join(["0.0"] + ["0.5"] * header.count(",")) + "\n")
+        assert main(["simulate", str(bowong_scenario_file), "-o", str(tmp_path / "x"),
+                     "--control", str(ctrl)]) == 2
+        assert "control file must have columns t,u1,u2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_control_file_columns_read_by_name(self, bowong_scenario_file, tmp_path):
+        ctrl = tmp_path / "control.csv"
+        ctrl.write_text("t,u1,u2\n0.0,0.25,0.75\n5.0,0.25,0.75\n")
+        out_file, out_const = tmp_path / "from-file", tmp_path / "from-const"
+        assert main(["simulate", str(bowong_scenario_file), "-o", str(out_file),
+                     "--control", str(ctrl)]) == 0
+        assert main(["simulate", str(bowong_scenario_file), "-o", str(out_const),
+                     "--control", "0.25,0.75"]) == 0
+        assert ((out_file / "trajectory.csv").read_text()
+                == (out_const / "trajectory.csv").read_text())
+
 
 class TestOptimize:
     def test_flagship_small(self, small_scenario_file, tmp_path):
@@ -254,6 +305,23 @@ class TestOptimize:
         assert code == 3
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False  # artifacts written, flagged
+
+    @pytest.mark.parametrize("problem", ["seirs", "bowong"])
+    def test_simulating_the_optimal_control_replays_its_trajectory(
+            self, small_scenario_file, bowong_scenario_file, tmp_path, problem):
+        # control.csv holds the control at every node to 17 digits, so simulate reads it back
+        # exactly and integrates the same state, written as the same bytes
+        path = small_scenario_file if problem == "seirs" else bowong_scenario_file
+        opt, sim = tmp_path / "opt", tmp_path / "sim"
+        assert main(["optimize", str(path), "-o", str(opt)]) == 0
+        assert main(["simulate", str(path), "-o", str(sim),
+                     "--control", str(opt / "control.csv")]) == 0
+        simulated = (sim / "trajectory.csv").read_bytes().splitlines()
+        columns = simulated[0].count(b",") + 1  # t, the states, the controls and N
+        optimized = [b",".join(line.split(b",")[:columns])
+                     for line in (opt / "trajectory.csv").read_bytes().splitlines()]
+        assert len(simulated) == 302  # the header and 301 nodes
+        assert simulated == optimized
 
 
 class TestOverrides:
@@ -562,6 +630,16 @@ def test_verify_all_loads_no_numpy_random():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert tbctrl.cli.main(['verify', 'all']) == 0\n"
             "print(sorted({'numpy.random', 'hmac', '_hashlib'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_fractions():
+    # fractions imports decimal; initial fractions are read as floats
+    src = str(Path(tbctrl.__file__).parents[1])
+    code = "import sys, tbctrl, tbctrl.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout

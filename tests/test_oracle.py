@@ -6,8 +6,7 @@ import pytest
 from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
                     make_time_grid, model_definition, oracle, solve_direct, solve_fbs)
 from tbctrl.core import TimeTable, ValidationError
-from tbctrl.oracle import (_FD_STEP, _coarse_boundaries, _fine_controls, _Simulator,
-                           _spectral_step, _trapezoid)
+from tbctrl.oracle import _FD_STEP, _fine_controls, _Simulator, _spectral_step, _trapezoid
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import FbsSettings, _rk4
 
@@ -47,7 +46,8 @@ def scalar_gradient(sim, u):
     g, h, n = sim.grid, sim.grid.h, sim.grid.n_steps
     base, g_base = sim.run(u)
     prefix = np.concatenate(([0.0], np.cumsum(0.5 * h * (g_base[:-1] + g_base[1:]))))
-    starts = np.maximum(_coarse_boundaries(n, u.shape[0]) - 1, 0)
+    first = -(-np.arange(u.shape[0]) * n // u.shape[0])  # interval j's first node: ceil(j*n/M)
+    starts = np.maximum(first - 1, 0)
     grad = np.empty_like(u)
     for (j, k), value in np.ndenumerate(u):
         s = int(starts[j])
@@ -106,6 +106,18 @@ class TestSolveDirect:
         for solve in (solve_fbs, lambda c: solve_direct(c, coarse_steps=5, max_iters=2)):
             with pytest.raises(ValidationError, match=f"^seirs: initial state must be {rule}$"):
                 solve(cfg)
+
+    def test_stalled_line_search_returns_the_lattice_start(self, flagship, shrink, monkeypatch):
+        # with no trial step allowed, the first line search fails at once
+        monkeypatch.setattr(oracle, "_MAX_BACKTRACKS", 0)
+        cfg = shrink(flagship, 100)
+        sol = solve_direct(cfg, coarse_steps=5)
+        assert not sol.report.converged
+        assert sol.report.iterations == 1
+        assert sol.report.message.endswith("; line search stalled, best iterate returned")
+        const, cost = best_constant_control(cfg, oracle._INIT_LATTICE_POINTS[1])
+        assert sol.cost == cost
+        assert np.array_equal(sol.trajectory.control, np.tile(const, (cfg.grid.n_nodes, 1)))
 
     def test_flagship_spectral_steps_converge_fast(self, flagship, shrink):
         # 18 iterations with the doubled-step rule alone

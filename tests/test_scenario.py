@@ -110,6 +110,16 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="sum to 1"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("values, expected", [
+        (["76/120", "38/120", "5/120", "1/120"], (76 / 120, 38 / 120, 5 / 120, 1 / 120)),
+        ([f"{10 ** 400}/{4 * 10 ** 400}"] * 4, (0.25,) * 4),  # integers past float range
+        ([" 1 / 3 ", "1/3", "1 /3", "0"], (1 / 3, 1 / 3, 1 / 3, 0.0)),
+    ], ids=["flagship", "long", "spaced"])
+    def test_fraction_strings_read_as_the_nearest_double(self, values, expected):
+        doc = flagship_doc()
+        doc["initial_state"]["values"] = values
+        assert load_scenario(doc).initial_values == expected
+
     def test_unknown_keys_rejected(self):
         doc = flagship_doc()
         doc["extra"] = 1
@@ -235,6 +245,11 @@ class TestLoadScenario:
          r"\$\.sweep\.values\[1\]: expected a number, got dict$"),
         ({"parameter": "k1", "values": [{"c": 1.0}]}, r"\$\.sweep\.values\[0\]: expected a number, got dict$"),
         ({"values": [{"c": 1.0}, 0.5]}, r"\$\.sweep\.values\[1\]: expected an object, got 0\.5$"),
+        # seirs has one control
+        ({"parameter": "cost.b2", "values": [50]},
+         r"sweep point 'cost\.b2=50': sweep target 'cost\.b2': index out of range$"),
+        ({"parameter": "cost.b0", "values": [50]},
+         r"sweep point 'cost\.b0=50': sweep target 'cost\.b0': index out of range$"),
     ])
     def test_sweep_point_refusals_are_located(self, sweep, error):
         doc = flagship_doc()
