@@ -60,16 +60,16 @@ def _located(message: str, ts: np.ndarray, j: int, backward: bool = False) -> No
     return NonFiniteError(f"{message} at step {step} (t={ts[j]:.6g})", step=step, time=ts[j])
 
 
-def _raise_first_nonfinite(last, rows, ts: np.ndarray, what: str, backward: bool = False):
+def _raise_first_nonfinite(rows: np.ndarray, ts: np.ndarray, what: str, backward: bool = False):
     """Raise NonFiniteError at the first non-finite row past the start, in integration order.
 
-    A non-finite entry stays non-finite in every later row, so ``rows()``
-    (the rows, or the kept values, so far) is searched only when ``last``,
-    the pass's latest row, has one.
+    ``rows`` holds a pass's rows (or kept values) so far, in integration
+    order. A non-finite entry stays non-finite in every later row, so they
+    are searched only when the last one has one.
     """
-    if np.isfinite(last).all():
+    if np.isfinite(rows[-1]).all():
         return
-    bad = ~np.isfinite(rows()[1:]).all(axis=1)
+    bad = ~np.isfinite(rows[1:]).all(axis=1)
     if bad.any():
         raise _located(f"{what} became non-finite", ts, int(bad.argmax()) + 1, backward)
 

@@ -111,8 +111,7 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     lam = np.empty((len(nodes), n))  # allocated whole: a growing buffer is copied past the chunk arrays
     lam[-1] = 0.0
     rows = lambda: lam[done:][::-1]  # the rows so far, in integration order
-    y = [0.0] * n  # the latest row
-    done = len(nodes) - 1  # its node
+    done = len(nodes) - 1  # the latest row's node
 
     def points(lo):
         """Stage points from node done down to node lo: the nodes, then the midpoints."""
@@ -123,24 +122,24 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
 
     def advance(lo):
         """Integrate from node done down to node lo."""
-        nonlocal done, y
+        nonlocal done
         steps = done - lo
         t = nodes[lo:done + 1][::-1]
         coef = _coefficients(d, w, p, *points(lo)).transpose(2, 0, 1).copy()
         m = _affine_steps(coef, t[1:] - t[:-1])
         # Two levels: a doubling scan within every sub-block of _SUB_BLOCK steps at
-        # once, then one over the sub-blocks' end maps, which carries [y; 1] to the
+        # once, then one over the sub-blocks' end maps, which carries [lam[done]; 1] to the
         # start of each sub-block. Zero maps pad the last sub-block past the last
         # step, and no step's composite includes them.
         nb = -(-steps // _SUB_BLOCK)
         m = np.concatenate([m, np.zeros((nb * _SUB_BLOCK - steps, n + 1, n + 1))])
         m = _compose(m.reshape(nb, _SUB_BLOCK, n + 1, n + 1))
         e = _compose(m[:, -1].copy())  # the chunk's map up to the end of each sub-block
-        y0 = np.array(y)
-        z = np.concatenate([y0[None], e[:-1, :n, :n] @ y0 + e[:-1, :n, n]])  # the row before each sub-block
+        start = lam[done]  # the chunk's start row
+        z = np.concatenate([start[None], e[:-1, :n, :n] @ start + e[:-1, :n, n]])  # the row before each sub-block
         out = (m[..., :n, :n] @ z[:, None, :, None])[..., 0] + m[..., :n, n]
         lam[lo:done] = out.reshape(-1, n)[:steps][::-1]
-        y, done = lam[lo].tolist(), lo
+        done = lo
 
     try:
         while done > 0:
@@ -152,11 +151,11 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
                     while done > lo:
                         advance(done - 1)
                 except ValidationError as exc:
-                    _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+                    _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
                     raise _located(f"adjoint left the model's domain ({exc})", ts,
                                    len(nodes) - done, backward=True) from exc
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+        _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
         raise
-    _raise_first_nonfinite(y, rows, ts, "adjoint", backward=True)
+    _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
     return lam

@@ -11,7 +11,7 @@ assembly are written here independently, and no adjoint code is reused.
 
 The RK4 kernel takes float lists or numpy columns. The line search
 integrates one control on floats; the accepted candidate's run is the next
-iteration's base run, and the best iterate's run gives the returned
+iteration's base run, and the last accepted iterate's run gives the returned
 trajectory. The 2*M*m shifted controls of a gradient (M coarse intervals, m
 controls), and the constant-control lattice of the starting point, run as a
 batch of (B,) columns (B <= 128, more batches past that) through the same
@@ -91,8 +91,7 @@ class _Simulator:
     def run(self, u_coarse: np.ndarray):
         """States at every node and the running cost at each, for one control."""
         fine = _fine_controls(u_coarse, self.grid.n_steps)
-        state = _rk4(self.d.rhs, self.x0, self.grid.nodes, fine, "state",
-                     self.p, self.d.required_params)
+        state = _rk4(self.d, self.x0, self.grid.nodes, fine, self.p)
         return state, self.state_cost(state.T) + self.effort(fine.T)
 
     def costs(self, coarse: np.ndarray, starts: np.ndarray, prefix: np.ndarray) -> np.ndarray:
@@ -110,8 +109,8 @@ class _Simulator:
         for lo in range(0, out.size, _BATCH):
             by_interval = list(coarse[:, :, lo:lo + _BATCH])
             y0 = np.broadcast_to(self.x0[:, None], (self.x0.size, by_interval[0].shape[-1]))
-            kept = _rk4(self.d.rhs, y0, grid.nodes, [by_interval[j] for j in intervals.tolist()],
-                        "state", self.p, self.d.required_params, keep=self.state_cost)
+            kept = _rk4(self.d, y0, grid.nodes, [by_interval[j] for j in intervals.tolist()],
+                        self.p, keep=self.state_cost)
             for b, column in enumerate(kept.T, lo):
                 s = int(starts[b])
                 out[b] = _trapezoid(column[s:] + effort[intervals[s:], b], float(prefix[s]), grid.h)
@@ -155,12 +154,11 @@ def _best_constant(sim: _Simulator, w, grid_points: int) -> tuple[np.ndarray, fl
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     # the lattice as batch members on a single coarse interval, each run from node 0
     costs = sim.costs(points.T[None], np.zeros(len(points), dtype=int), np.zeros(1))
-    best_u, best_cost = None, np.inf
+    cheapest, low = None, np.inf
     for const, cost in zip(points, costs.tolist()):
-        if cost < best_cost:
-            best_cost = cost
-            best_u = const
-    return best_u, best_cost
+        if cost < low:
+            cheapest, low = const, cost
+    return cheapest, low
 
 
 def _spectral_step(du: np.ndarray, dgrad: np.ndarray, fallback: float) -> float:
@@ -184,8 +182,12 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     Starts from the cheapest point of a coarse lattice of constant controls,
     descends with Armijo backtracking, and stops once the sup-norm of the
     projected gradient falls below 1e-5 * (1 + |cost|) or the iteration
-    budget runs out. The best evaluated iterate is returned either way;
-    ``report.converged`` records whether the gradient test was met.
+    budget runs out. The last accepted iterate is returned either way, and
+    it is the cheapest, as no accepted step raises the cost (the Armijo test
+    below, on a decrease sum(grad * (u - candidate)) that a projected step
+    never makes negative). ``report.converged`` records whether the gradient
+    test was met, and ``report.final_control_change`` the tested ratio at
+    that iterate, or NaN if the budget ran out after an accepted step.
 
     The first trial step moves the largest gradient entry a quarter of the
     control range. Each later one is the Barzilai-Borwein step s.s / s.y
@@ -212,19 +214,15 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
 
     const, cost = _best_constant(sim, w, _INIT_LATTICE_POINTS.get(nu, 5))
     u = np.tile(const, (coarse_steps, 1))
-    best_cost = cost
-    best_u = u.copy()
 
     history = [cost]
     converged = False
     line_search_failed = False
     step = None
     prev_u = prev_grad = None  # the last accepted step's start and its gradient
-    iterations = 0
-    best_state, g = sim.run(u)  # g: the current iterate's running cost, from its run
+    state, g = sim.run(u)  # the current iterate's run: its states and running cost
 
     for it in range(1, max_iters + 1):
-        iterations = it
         prefix = np.concatenate(([0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))))
         grad = sim.gradient(u, prefix)
 
@@ -253,22 +251,19 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
             line_search_failed = True
             break
         prev_u, prev_grad = u, grad
-        u, g, cost = cand, cand_g, cand_cost  # the accepted run is the next base run
+        u, state, g, cost = cand, cand_state, cand_g, cand_cost  # the accepted run is the next base run
         history.append(cost)
-        if cost < best_cost:
-            best_cost = cost
-            best_u = u.copy()
-            best_state = cand_state
 
-    traj = Trajectory(grid, best_state, _fine_controls(best_u, grid.n_steps))
+    traj = Trajectory(grid, state, _fine_controls(u, grid.n_steps))
     msg = "direct method (projected finite-difference gradient descent)"
     if line_search_failed:
         msg += "; line search stalled, best iterate returned"
     report = SolveReport(
-        iterations=iterations,
+        iterations=it,
         converged=converged,
         cost_history=tuple(history),
-        final_control_change=float("nan"),
+        # no gradient is taken at an iterate accepted on the last iteration
+        final_control_change=pg_norm / scale if converged or line_search_failed else float("nan"),
         message=msg,
     )
-    return Solution(trajectory=traj, cost=best_cost, report=report)
+    return Solution(trajectory=traj, cost=cost, report=report)

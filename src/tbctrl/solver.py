@@ -96,7 +96,13 @@ class FbsSettings:
 
 @dataclass
 class SolveReport:
-    """Iteration record for one solve."""
+    """Iteration record for one solve by ``solve_fbs`` (the sweep) or ``solve_direct`` (the oracle).
+
+    ``iterations``: the sweeps on the requested grid, or the oracle's gradient evaluations.
+    ``cost_history``: one cost per sweep, or the lattice start's, then each accepted step's.
+    ``final_control_change``: the sweep's relative fixed-point residual, or the
+    oracle's relative projected-gradient sup norm (see ``solve_direct``).
+    """
 
     iterations: int
     converged: bool
@@ -177,28 +183,27 @@ def _refuses(f, *args) -> bool:
     return False
 
 
-def _rk4(f, y0: np.ndarray, nodes: np.ndarray, control, what: str, p: ParameterSet,
-         names: tuple[str, ...], keep=None) -> np.ndarray:
-    """Classical RK4 of y' = f(t, y, u, q) forward along ``nodes``.
+def _rk4(d, y0: np.ndarray, nodes: np.ndarray, control, p: ParameterSet, keep=None) -> np.ndarray:
+    """Classical RK4 of the model d's state, x' = d.rhs(t, x, u, q), forward along ``nodes``.
 
     The pass runs on Python floats: y is a list, ``control`` is a
     node-indexed (n_nodes, m) array read a row at a time, and a half-step
     takes the mean of the two end rows. Each step is straight-line arithmetic
     on one local name per component, stage and control entry, in a loop
     compiled once per state and control width (``_rk4_steps``). q is the
-    tuple of the parameters ``names`` in ``p``, resolved once per pass, or at
-    each evaluation time if ``p`` holds a time table.
+    tuple of the model's ``required_params`` in ``p``, resolved once per
+    pass, or at each evaluation time if ``p`` holds a time table.
 
     Given ``keep``, the pass runs a batch of B members on numpy columns: y0 is
     (w, B), the control is node-indexed (m, B) rows, and y and every stage are
-    lists of (B,) columns, which f takes as it takes floats. Each member then
+    lists of (B,) columns, which d.rhs takes as it takes floats. Each member then
     gets bitwise the rows of its own float pass. Instead of the rows, the pass
     returns keep(y), a (B,) column, at each node, as an (n_nodes, B) array;
     keep must give a member whose row has a non-finite entry a non-finite
     value.
 
     Finiteness is checked once per pass, not per step, and the first
-    non-finite row (or kept value) is reported. A ValidationError from f (say,
+    non-finite row (or kept value) is reported. A ValidationError from d.rhs (say,
     a live population driven to N <= 0) is located like a non-finite row, at
     the node the failing step integrates to; only at the pass's first
     evaluation, which sees just the given y0, first control row and
@@ -217,7 +222,7 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, control, what: str, p: ParameterS
         runs = iter(control)
     width = np.shape(y0)[-1]  # w floats a row, or B kept values
     rows = lambda: np.frombuffer(flat, dtype=float).reshape(-1, width)
-    values, timed = p.values, p._timed
+    f, names, values, timed = d.rhs, d.required_params, p.values, p._timed
     t = float(nodes[0])
     u0 = next(runs)
     q0 = values(names, t)
@@ -225,15 +230,15 @@ def _rk4(f, y0: np.ndarray, nodes: np.ndarray, control, what: str, p: ParameterS
     try:
         steps(f, y, t, u0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
     except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(rows()[-1], rows, nodes, what)
+        _raise_first_nonfinite(rows(), nodes, "state")
         raise
     except ValidationError as exc:
         j = len(rows())  # the node the failing step integrates to
         if j == 1 and _refuses(f, t, y, u0, q0):  # f is pure: the first evaluation refused
             raise
-        _raise_first_nonfinite(rows()[-1], rows, nodes, what)
-        raise _located(f"{what} left the model's domain ({exc})", nodes, j) from exc
-    _raise_first_nonfinite(rows()[-1], rows, nodes, what)
+        _raise_first_nonfinite(rows(), nodes, "state")
+        raise _located(f"state left the model's domain ({exc})", nodes, j) from exc
+    _raise_first_nonfinite(rows(), nodes, "state")
     return rows()
 
 
@@ -242,7 +247,7 @@ def integrate_forward(model: ModelId, p: ParameterSet, x0: np.ndarray,
     """Integrate the state ODE forward; returns the (n_nodes, state_dim) array."""
     d, x0 = models._point(model, p=p, x0=x0)
     control = models._point(d.id, grid.n_nodes, control=control)[1]
-    return _rk4(d.rhs, x0, grid.nodes, control, "state", p, d.required_params)
+    return _rk4(d, x0, grid.nodes, control, p)
 
 
 def integrate_adjoint_backward(model: ModelId, p: ParameterSet, w: CostWeights,

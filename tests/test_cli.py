@@ -306,6 +306,16 @@ class TestOptimize:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False  # artifacts written, flagged
 
+    def test_non_finite_solve_exit_code(self, tmp_path, capsys):
+        cfg = get_scenario("fig1")
+        cfg = replace(cfg, params=cfg.params.with_updates({"beta": 1000.0}),
+                      grid=make_time_grid(0.0, 5.0, 20), name="blowup")
+        path = tmp_path / "blowup.json"
+        save_scenario(cfg, path)
+        assert main(["optimize", str(path), "-o", str(tmp_path / "opt")]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep iteration 1: state became non-finite at step 3 (t=0.75)\n")
+
     @pytest.mark.parametrize("problem", ["seirs", "bowong"])
     def test_simulating_the_optimal_control_replays_its_trajectory(
             self, small_scenario_file, bowong_scenario_file, tmp_path, problem):
@@ -452,6 +462,18 @@ class TestSweep:
 
     def test_scenario_without_sweep_rejected(self, small_scenario_file, tmp_path):
         assert main(["sweep", str(small_scenario_file), "-o", str(tmp_path / "x")]) == 2
+
+    def test_non_converged_values_exit_code(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "seirs-fig3-sweep", "-o", str(out), "--n-steps", "100",
+                     "--max-iterations", "1"])
+        assert code == 3
+        _, rows = read_csv(out / "sweep_summary.csv")
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            report = json.loads((out / f"value-{i:02d}" / "report.json").read_text())
+            assert float(row[1]) == report["cost"]
+            assert row[4] == "non-converged"
 
     def test_per_value_failure_recorded_sweep_continues(self, tmp_path):
         import numpy as np

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -27,6 +28,8 @@ class TestTimeGrid:
             make_time_grid(0.0, 0.0, 10)
         with pytest.raises(ValidationError):
             make_time_grid(2.0, 1.0, 10)
+        with pytest.raises(ValidationError, match="^time grid endpoints must be finite$"):
+            make_time_grid(0.0, math.inf, 10)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValidationError):
@@ -231,6 +234,8 @@ class TestCostWeights:
     def test_zero_effort_weight_rejected(self):
         with pytest.raises(ValidationError):
             CostWeights(a1=1.0, b=(0.0,))
+        with pytest.raises(ValidationError, match="^b must contain at least one effort weight$"):
+            CostWeights(b=())
 
     def test_negative_state_weight_rejected(self):
         with pytest.raises(ValidationError):

@@ -56,8 +56,7 @@ def scalar_gradient(sim, u):
             v = u.copy()
             v[j, k] = shifted
             fine = _fine_controls(v, n)[s:]
-            rows = _rk4(sim.d.rhs, base[s], g.nodes[s:], fine, "state", sim.p,
-                        sim.d.required_params)
+            rows = _rk4(sim.d, base[s], g.nodes[s:], fine, sim.p)
             run = sim.state_cost(rows.T) + sim.effort(fine.T)
             costs.append(float(prefix[s]) + float(h * (np.sum(run) - 0.5 * (run[0] + run[-1]))))
         grad[j, k] = (costs[0] - costs[1]) / (2.0 * _FD_STEP)
@@ -118,6 +117,25 @@ class TestSolveDirect:
         const, cost = best_constant_control(cfg, oracle._INIT_LATTICE_POINTS[1])
         assert sol.cost == cost
         assert np.array_equal(sol.trajectory.control, np.tile(const, (cfg.grid.n_nodes, 1)))
+
+    @pytest.mark.parametrize("ends", ["converged", "budget", "stalled"])
+    def test_report_records_the_stop_test(self, flagship, shrink, monkeypatch, ends):
+        # final_control_change is sup |projected gradient| / (1 + |cost|) at the returned
+        # iterate, which has no gradient when the budget ends on an accepted step
+        if ends == "stalled":
+            monkeypatch.setattr(oracle, "_MAX_BACKTRACKS", 0)
+        sol = solve_direct(shrink(flagship, 100), coarse_steps=5,
+                           max_iters=1 if ends == "budget" else 100)
+        report, change = sol.report, sol.report.final_control_change
+        assert report.converged == (ends == "converged")
+        assert report.cost_history[-1] == sol.cost
+        if ends == "converged":
+            assert 0.0 <= change < oracle._GRAD_TOL
+        elif ends == "budget":
+            assert report.iterations == 1 and len(report.cost_history) == 2
+            assert np.isnan(change)
+        else:
+            assert oracle._GRAD_TOL <= change < np.inf
 
     def test_flagship_spectral_steps_converge_fast(self, flagship, shrink):
         # 18 iterations with the doubled-step rule alone

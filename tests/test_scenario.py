@@ -366,9 +366,14 @@ class TestLoadScenario:
 
 
 class TestRoundTrip:
-    def test_serialize_load_equivalence(self, tmp_path):
-        for name, cfg in builtin_scenarios().items():
-            path = tmp_path / f"{name}.json"
+    def test_serialize_load_equivalence(self, tmp_path, default_config):
+        # beside the bundled scenarios: a parameter time table, and a fraction-mode total
+        korea = default_config(ModelId.KOREA, 100)
+        korea = replace(korea, params=korea.params.with_updates(
+            {"mu": TimeTable((0.0, 2.5, 5.0), (0.01, 0.05, 0.02))}))
+        fig1 = replace(get_scenario("fig1"), name="fig1-total", population=12000.0)
+        for cfg in (*builtin_scenarios().values(), korea, fig1):
+            path = tmp_path / f"{cfg.name}.json"
             save_scenario(cfg, path)
             again = load_scenario_file(path)
             assert again.name == cfg.name
@@ -378,6 +383,7 @@ class TestRoundTrip:
             assert again.grid == cfg.grid
             assert again.weights == cfg.weights
             assert again.fbs == cfg.fbs
+            assert again == cfg
             assert again.sweep == cfg.sweep
 
     def test_dict_shape(self):

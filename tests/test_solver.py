@@ -109,8 +109,7 @@ class TestReferenceKernel:
         sim = _Simulator(cfg.model, cfg.params, cfg.weights, g, cfg.initial_state())
         fine = _fine_controls(np.random.default_rng(3).uniform(0.0, 1.0, (25, 1, 4)), g.n_steps)
         x0 = np.broadcast_to(cfg.initial_state()[:, None], (4, 4))
-        kept = _rk4(sim.d.rhs, x0, g.nodes, fine, "state", cfg.params, sim.d.required_params,
-                    keep=sim.state_cost)
+        kept = _rk4(sim.d, x0, g.nodes, fine, cfg.params, keep=sim.state_cost)
         assert kept.shape == (g.n_nodes, 4)
         for b in range(4):
             ref = reference_rk4(lambda t, x, v: dynamics(cfg.model, t, x, v, cfg.params),
@@ -183,6 +182,10 @@ class TestToyKernel:
     P = ParameterSet({"a": 0.7, "b": TimeTable((0.0, 1.0, 2.0), (1.3, 0.4, 0.9))})
     NAMES = ("a", "b")
 
+    def model(self, f):
+        """A stand-in for a model definition: the toy rhs and its parameter names."""
+        return SimpleNamespace(rhs=f, required_params=self.NAMES)
+
     def reference(self, f, y0, nodes, u):
         q = lambda t: self.P.values(self.NAMES, t)
         return reference_rk4(lambda t, y, ui: np.array(f(t, list(y), ui, q(t))), y0, nodes, (u,))
@@ -195,11 +198,10 @@ class TestToyKernel:
         u = np.concatenate([rng.uniform(0.0, 1.0, (len(nodes), 2, 3)),
                             rng.uniform(-1.0, 1.0, (len(nodes), 1, 3))], axis=1)
         f = toy_rhs(n)
-        kept = _rk4(f, y0, nodes, list(u), "state", self.P, self.NAMES,
-                    keep=lambda y: reduce(add, y))
+        kept = _rk4(self.model(f), y0, nodes, list(u), self.P, keep=lambda y: reduce(add, y))
         for b in range(3):
             ref = self.reference(f, y0[:, b], nodes, u[..., b])
-            rows = _rk4(f, y0[:, b], nodes, u[..., b], "state", self.P, self.NAMES)
+            rows = _rk4(self.model(f), y0[:, b], nodes, u[..., b], self.P)
             assert rows.tobytes() == ref.tobytes()
             assert kept[:, b].tobytes() == reduce(add, ref.T).tobytes()
 
@@ -207,7 +209,7 @@ class TestToyKernel:
 
     def run(self, f, y0):
         u = np.tile([0.5, 0.5, 0.25], (11, 1))
-        return _rk4(f, np.array(y0), self.NODES, u, "state", self.P, self.NAMES)
+        return _rk4(self.model(f), np.array(y0), self.NODES, u, self.P)
 
     def test_refusal_at_first_evaluation_passes_through(self):
         with pytest.raises(ValidationError, match="^toy refuses t=0.0$") as err:
@@ -311,9 +313,8 @@ class TestForwardIntegration:
             with pytest.raises(NonFiniteError) as alone:
                 integrate_forward(mid, p, x0, np.zeros((g.n_nodes, 1)), g)
             with pytest.raises(NonFiniteError) as batch:
-                _rk4(d.rhs, np.column_stack([idle, x0, idle]), g.nodes,
-                     np.zeros((g.n_nodes, 1, 3)), "state", p, d.required_params,
-                     keep=lambda y: reduce(add, y))
+                _rk4(d, np.column_stack([idle, x0, idle]), g.nodes, np.zeros((g.n_nodes, 1, 3)),
+                     p, keep=lambda y: reduce(add, y))
         assert (batch.value.step, batch.value.time) == (1, 0.5)
         assert str(batch.value) == str(alone.value)
         assert isinstance(batch.value.__cause__, ValidationError) == refused
@@ -336,7 +337,7 @@ class TestForwardIntegration:
         x0 = np.array([1.13e307, 0.0, 0.0, 0.0])
         with np.errstate(over="ignore", invalid="raise"):
             with pytest.raises(NonFiniteError) as err:
-                _rk4(d.rhs, x0, g.nodes, np.zeros((g.n_nodes, 1)), "state", p, d.required_params)
+                _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1)), p)
         assert (err.value.step, err.value.time) == (1, 1.0)
 
     def test_batch_blowup_located_when_invalid_operations_raise(self):
@@ -348,8 +349,7 @@ class TestForwardIntegration:
         x0[0] = 1.13e307, 1.0
         with np.errstate(over="ignore", invalid="raise"):
             with pytest.raises(NonFiniteError) as err:
-                _rk4(d.rhs, x0, g.nodes, np.zeros((g.n_nodes, 1, 2)), "state", p,
-                     d.required_params, keep=lambda y: reduce(add, y))
+                _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1, 2)), p, keep=lambda y: reduce(add, y))
         assert (err.value.step, err.value.time) == (1, 1.0)
 
     def test_negative_initial_state_rejected(self):
@@ -471,7 +471,7 @@ class TestCostateScan:
         nodes = 0.02 * np.arange(n_steps + 1)
         u = rng.uniform(0.0, 1.0, (len(nodes), d.control_dim))
         x0 = np.array([7000.0, 2000.0, 1000.0] + [100.0] * (d.state_dim - 3))
-        state = _rk4(d.rhs, x0, nodes, u, "state", p, d.required_params)
+        state = _rk4(d, x0, nodes, u, p)
         w = CostWeights(a1=1.0, a2=0.5, b=(50.0,) * d.control_dim,
                         a_isolated=0.7 if d.isolated is not None else 0.0)
         # the model's adjoint without the entry's gate: seirs allows no time table
