@@ -100,11 +100,12 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     so the rows agree with one to roundoff, not bitwise; lam(tf) is exactly 0.
 
     Finiteness is checked once per pass, and the first non-finite row in
-    integration order is reported. A ValidationError from the costate is
-    located at the node of the first step to meet a failing stage time (the
-    latest such time), once the rows before it are integrated and checked:
-    the refused chunk is run again one step at a time, and the first step to
-    raise is that step.
+    integration order is reported. A ValidationError from the costate, or an
+    ArithmeticError (say, a floating-point exception under ``np.errstate``), is
+    located at the node of the first step to meet it, once the rows before it
+    are integrated and checked: the failed chunk is run again one step at a
+    time, and the first step to raise is that step. An ArithmeticError is
+    reported as the adjoint becoming non-finite there.
     """
     n = d.state_dim
     ts = nodes[::-1]  # integration order
@@ -141,21 +142,18 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
         lam[lo:done] = out.reshape(-1, n)[:steps][::-1]
         done = lo
 
-    try:
-        while done > 0:
-            lo = max(done - _BLOCK, 0)
+    while done > 0:
+        lo = max(done - _BLOCK, 0)
+        try:
+            advance(lo)
+        except (ArithmeticError, ValidationError):
             try:
-                advance(lo)
-            except ValidationError:
-                try:
-                    while done > lo:
-                        advance(done - 1)
-                except ValidationError as exc:
-                    _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
-                    raise _located(f"adjoint left the model's domain ({exc})", ts,
-                                   len(nodes) - done, backward=True) from exc
-    except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
-        raise
+                while done > lo:
+                    advance(done - 1)
+            except (ArithmeticError, ValidationError) as exc:
+                _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
+                raise _located(f"adjoint left the model's domain ({exc})"
+                               if isinstance(exc, ValidationError) else "adjoint became non-finite",
+                               ts, len(nodes) - done, backward=True) from exc
     _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
     return lam

@@ -26,7 +26,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .core import CostWeights, ParameterSet, ValidationError, check_count
+from .core import CostWeights, ParameterSet, check_count
 from . import models
 from .models import ModelId, _running_cost
 from .models.base import clamp
@@ -74,11 +74,6 @@ class ConsistencyReport:
     max_adjoint_residual: float | None = None
     max_stationarity_residual: float | None = None
     worst_offenders: list[dict] = field(default_factory=list)
-
-    def __post_init__(self):
-        for v in (self.max_adjoint_residual, self.max_stationarity_residual):
-            if v is not None and v < 0:
-                raise ValidationError("residuals must be nonnegative")
 
 
 def _resolve(model, p, w, samples, seed):

@@ -117,7 +117,8 @@ def _valid(v, schema: Mapping) -> bool:
 
 def _conform(v, schema: Mapping, path: str) -> None:
     """Refuse v, at its JSON path, unless it conforms to schema: the draft-7 keywords that
-    scenario-schema.json uses, with a tuple as an array and a non-string key refused."""
+    scenario-schema.json uses, with a tuple as an array and a non-string key refused. A number
+    must also be finite and within float range, so the parsers take every number as checked."""
     if "type" in schema and not _is(v, schema["type"]):
         raise ValidationError(f"{path}: expected {_KINDS[schema['type']][0]}, got {_shown(v)}")
     among = [schema["const"]] if "const" in schema else schema.get("enum")
@@ -129,6 +130,8 @@ def _conform(v, schema: Mapping, path: str) -> None:
         if key in schema and _is(v, kind) and refuses(n := v if kind == "number" else len(v),
                                                        schema[key]):
             raise ValidationError(f"{path}: {rule.format(schema[key])}, got {n!r}")
+    if schema.get("type") == "number" and not math.isfinite(_number(v, path)):
+        raise ValidationError(f"{path}: expected a finite number, got {v}")
     if isinstance(v, Mapping):
         props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
         if extra is False and (unknown := sorted(v.keys() - props.keys(), key=str)):
@@ -156,16 +159,9 @@ def _conform(v, schema: Mapping, path: str) -> None:
         _conform(v, schema["then"], path)
 
 
-def _finite(obj, path: str) -> float:
-    v = _number(obj, path)
-    if not math.isfinite(v):
-        raise ValidationError(f"{path}: expected a finite number, got {v}")
-    return v
-
-
 def _fraction_value(obj, path: str) -> float:
     if not isinstance(obj, str):
-        return _finite(obj, path)
+        return float(obj)
     num, _, den = obj.partition("/")  # the schema's pattern: "n" or "n/m", m > 0
     try:
         return int(num) / int(den or 1)  # rounded once, to the double nearest n/m
@@ -178,16 +174,13 @@ def _fraction_value(obj, path: str) -> float:
 def _parse_parameters(obj, path: str) -> ParameterSet:
     out: dict[str, float | TimeTable] = {}
     for name, v in obj.items():
-        sub = f"{path}.{name}"
         if isinstance(v, Mapping):  # a time table
-            times = [_finite(t, f"{sub}.times") for t in v["times"]]
-            values = [_number(t, f"{sub}.values") for t in v["values"]]
             try:
-                out[name] = TimeTable(tuple(times), tuple(values))
+                out[name] = TimeTable(tuple(v["times"]), tuple(v["values"]))
             except ValidationError as exc:
-                raise ValidationError(f"{sub}: {exc}") from None
+                raise ValidationError(f"{path}.{name}: {exc}") from None
         else:
-            out[name] = _number(v, sub)
+            out[name] = v
     return ParameterSet(out)
 
 
@@ -197,33 +190,24 @@ def _parse_initial_state(obj, d, path: str):
         raise ValidationError(
             f"{path}.values: {d.id.value} has {d.state_dim} compartments "
             f"({', '.join(d.state_labels)}), got {len(raw)} values")
-    total = _finite(obj["total"], f"{path}.total") if "total" in obj else None
+    total = float(obj["total"]) if "total" in obj else None
     if mode == "fractions":
-        fracs = [_fraction_value(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
-        if any(f < 0 for f in fracs):
-            raise ValidationError(f"{path}.values: fractions must be nonnegative")
+        values = tuple(_fraction_value(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         try:
-            s = math.fsum(fracs)
+            s = math.fsum(values)
         except OverflowError:  # each fraction fits a float, but not their sum
             s = math.inf
         if abs(s - 1.0) > 1e-9:
             raise ValidationError(f"{path}.values: initial fractions must sum to 1, got {s!r}")
-        values = tuple(fracs)
     else:
-        values = tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
-        if any(v < 0 for v in values):
-            raise ValidationError(f"{path}.values: counts must be nonnegative")
+        values = tuple(map(float, raw))
     return mode, values, total
 
 
 def _parse_cost(obj, d, path: str) -> CostWeights:
     """The weights, which state the objective; a2 and a_isolated default to 0."""
-    w = {k: _finite(obj.get(k, 0.0), f"{path}.{k}") for k in ("a1", "a2", "a_isolated")}
-    b = obj["b"]  # one number, or a list of one per control
-    w["b"] = tuple(_finite(v, f"{path}.b[{i}]") for i, v in enumerate(b)) \
-        if isinstance(b, (list, tuple)) else (_finite(b, f"{path}.b"),)
-    w["lower"], w["upper"] = (_finite(v, f"{path}.bounds[{i}]")
-                              for i, v in enumerate(obj.get("bounds", (0.0, 1.0))))
+    w = dict(obj)
+    w["lower"], w["upper"] = w.pop("bounds", (0.0, 1.0))
     try:
         weights = CostWeights(**w)
         models.cost_state_vector(d.id, weights)  # the weights must fit the model (b, a_isolated)
@@ -232,16 +216,16 @@ def _parse_cost(obj, d, path: str) -> CostWeights:
     return weights
 
 
-def _parse_sweep(obj, path: str) -> tuple[dict[str, float], ...]:
+def _parse_sweep(obj) -> tuple[dict[str, float], ...]:
     p = obj.get("parameter")  # names the one quantity each number sets; else objects
-    return tuple({p: _number(v, f"{path}.values[{i}]")} if p is not None else
-                 {k: _number(x, f"{path}.values[{i}].{k}") for k, x in v.items()}
-                 for i, v in enumerate(obj["values"]))
+    return tuple({p: float(v)} if p is not None else {k: float(x) for k, x in v.items()}
+                 for v in obj["values"])
 
 
 def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     """Parse and fully validate a scenario document (JSON text or mapping): its structure
-    against the packaged scenario-schema.json, then what the schema cannot state."""
+    against the packaged scenario-schema.json, with every number checked finite and within
+    float range there, then what the schema cannot state."""
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
@@ -260,15 +244,14 @@ def load_scenario(document: str | bytes | Mapping[str, Any]) -> ScenarioConfig:
     mode, values, total = _parse_initial_state(doc["initial_state"], d, "$.initial_state")
     g = doc["grid"]
     try:
-        grid = make_time_grid(_finite(g["t0"], "$.grid.t0"), _finite(g["tf"], "$.grid.tf"),
-                              int(g["n_steps"]))  # the schema admits an integral float
+        grid = make_time_grid(g["t0"], g["tf"], int(g["n_steps"]))  # the schema admits an integral float
     except ValidationError as exc:
         raise ValidationError(f"$.grid: {exc}") from None
 
     weights = _parse_cost(doc["cost"], d, "$.cost")
-    fbs = FbsSettings(**{k: _finite(v, "$.fbs.tolerance") if k == "tolerance" else int(v)
+    fbs = FbsSettings(**{k: int(v) if k == "max_iterations" else v
                          for k, v in doc.get("fbs", {}).items()})
-    sweep = _parse_sweep(doc["sweep"], "$.sweep") if "sweep" in doc else None
+    sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
 
     config = ScenarioConfig(
         name=doc.get("name", "scenario"),

@@ -207,7 +207,9 @@ def _rk4(d, y0: np.ndarray, nodes: np.ndarray, control, p: ParameterSet, keep=No
     a live population driven to N <= 0) is located like a non-finite row, at
     the node the failing step integrates to; only at the pass's first
     evaluation, which sees just the given y0, first control row and
-    parameters, is it passed on unchanged.
+    parameters, is it passed on unchanged. An ArithmeticError (say, a
+    floating-point exception under ``np.errstate``) is located at that node
+    too, at any evaluation, as the state becoming non-finite.
     """
     if keep is None:
         flat = array("d", y0)  # the rows so far, appended as they are made
@@ -229,15 +231,14 @@ def _rk4(d, y0: np.ndarray, nodes: np.ndarray, control, p: ParameterSet, keep=No
     steps = _rk4_steps(len(y), len(u0))
     try:
         steps(f, y, t, u0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
-    except ArithmeticError:  # say, np.errstate(invalid="raise") in array arithmetic past a bad row
-        _raise_first_nonfinite(rows(), nodes, "state")
-        raise
-    except ValidationError as exc:
+    except (ArithmeticError, ValidationError) as exc:
         j = len(rows())  # the node the failing step integrates to
-        if j == 1 and _refuses(f, t, y, u0, q0):  # f is pure: the first evaluation refused
+        refused = isinstance(exc, ValidationError)
+        if refused and j == 1 and _refuses(f, t, y, u0, q0):  # f is pure: the first evaluation refused
             raise
         _raise_first_nonfinite(rows(), nodes, "state")
-        raise _located(f"state left the model's domain ({exc})", nodes, j) from exc
+        raise _located(f"state left the model's domain ({exc})" if refused else
+                       "state became non-finite", nodes, j) from exc
     _raise_first_nonfinite(rows(), nodes, "state")
     return rows()
 

@@ -295,9 +295,17 @@ class TestLoadScenario:
         ({"fbs": {"tolerance": INF}},  # would stop after one sweep
          r"fbs\.tolerance: expected a finite number"),
         ({"parameters": {"k1": {"times": [0.0, NAN], "values": [1.0, 1.0]}}},
-         r"parameters\.k1\.times: expected a finite number"),
+         r"parameters\.k1\.times\[1\]: expected a finite number"),
         ({"parameters": {"k1": {"times": [-INF, 0.0], "values": [1.0, 1.0]}}},
-         r"parameters\.k1\.times: expected a finite number"),
+         r"parameters\.k1\.times\[0\]: expected a finite number"),
+        ({"parameters": {"k1": {"times": [0.0, 1.0], "values": [1.0, NAN]}}},
+         r"parameters\.k1\.values\[1\]: expected a finite number, got nan$"),
+        ({"parameters": {**flagship_doc()["parameters"], "beta": NAN}},
+         r"parameters\.beta: expected a finite number, got nan$"),
+        ({"parameters": {**flagship_doc()["parameters"], "extra": NAN}},  # a parameter no model reads
+         r"parameters\.extra: expected a finite number, got nan$"),
+        ({"sweep": {"parameter": "k1", "values": [0.5, INF]}},
+         r"sweep\.values\[1\]: expected a finite number, got inf$"),
         ({"initial_state": {"values": [str(10 ** 400), "0", "0", "0"]}},
          r"initial_state\.values\[0\]: number out of float range"),
         ({"initial_state": {"values": ["1" * 5000, "0", "0", "0"]}},  # past int()'s digit limit
@@ -486,6 +494,10 @@ class TestPublishedSchema:
         ({"fbs": None}, r"^\$\.fbs: expected an object, got NoneType$"),
         ({"grid": {"t0": 0.0, "tf": 5.0, "n_steps": MAX_STEPS + 1}},
          rf"^\$\.grid\.n_steps: must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"),
+        ({"initial_state": {"values": [1.25, -0.25, 0, 0]}},
+         r"^\$\.initial_state\.values\[1\]: must be >= 0, got -0\.25$"),
+        ({"initial_state": {"mode": "counts", "values": [7000.0, -1.0, 400.0, 100.0]}},
+         r"^\$\.initial_state\.values\[1\]: must be >= 0, got -1\.0$"),
     ])
     def test_refused_by_both(self, validator, edit, error):
         doc = {**flagship_doc(), **edit}
@@ -614,7 +626,6 @@ SEMANTIC_REASONS = re.compile("|".join((
     r"number out of float range",                         # integers and fractions past 1.8e308
     r"too many digits",                                   # a fraction past int()'s digit limit
     r"initial fractions must sum to 1",
-    r"(fractions|counts) must be nonnegative",
     r"\.values: \S+ has \d+ compartments",                 # model-dependent lengths
     r"^\$\.cost: \S+ has \d+ control\(s\), so needs",
     r"^\$\.cost: \S+ has no isolated compartment",

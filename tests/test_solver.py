@@ -131,13 +131,15 @@ NONFINITE_NODES = {
 }
 
 
+@pytest.mark.parametrize("invalid", ["ignore", "raise"])
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("k", NONFINITE_NODES.values(), ids=NONFINITE_NODES.keys())
-def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value):
+def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value, invalid):
     # A BLAS may skip a product's zero factors; 0 * inf and 0 * NaN must still give
     # NaN, as in the row loop. lam_1 stays 0 and A's entry (0, 1) is non-finite at node
     # k only, so the reference's first non-finite row is at node k, and the pass must
-    # locate it there. The nodes are dyadic, so t + h meets the next node exactly.
+    # locate it there, also where 0 * inf raises. The nodes are dyadic, so t + h meets
+    # the next node exactly.
     nodes = np.arange(N_SCAN + 1) / 64.0
 
     def coef(t):  # the augmented [[A, b], [0, 0]] at the times t, laid out (3, 3, P)
@@ -154,8 +156,9 @@ def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value):
     d = SimpleNamespace(state_dim=2)
     with np.errstate(invalid="ignore"):
         ref = reference_rk4(row_loop, np.zeros(2), nodes, (nodes,), backward=True)
-        with pytest.raises(NonFiniteError) as err:
-            _costate_pass(d, None, None, np.ones((N_SCAN + 1, 2)), np.zeros((N_SCAN + 1, 1)), nodes)
+    with np.errstate(invalid=invalid), \
+            pytest.raises(NonFiniteError, match=r"^adjoint became non-finite at step \d+ \(t=[^)]*\)$") as err:
+        _costate_pass(d, None, None, np.ones((N_SCAN + 1, 2)), np.zeros((N_SCAN + 1, 1)), nodes)
     assert np.isfinite(ref[k + 1:]).all() and np.isnan(ref[k, 0])
     assert (err.value.step, err.value.time) == (k, nodes[k])
 
@@ -340,15 +343,18 @@ class TestForwardIntegration:
                 _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1)), p)
         assert (err.value.step, err.value.time) == (1, 1.0)
 
-    def test_batch_blowup_located_when_invalid_operations_raise(self):
-        # the case above as the first member of a batch, beside a tame one
+    @pytest.mark.parametrize("errstate", [{"over": "ignore", "invalid": "raise"}, {"over": "raise"}],
+                             ids=["invalid", "over"])
+    def test_batch_blowup_located_when_invalid_operations_raise(self, errstate):
+        # the case above as the first member of a batch, beside a tame one; where the
+        # overflow itself raises, it is located at the step whose row overflows
         d = model_definition(ModelId.SEIRS)
         p = zero_rate_params().with_updates({"mu": -3.0})
         g = make_time_grid(0.0, 5.0, 5)
         x0 = np.zeros((4, 2))
         x0[0] = 1.13e307, 1.0
-        with np.errstate(over="ignore", invalid="raise"):
-            with pytest.raises(NonFiniteError) as err:
+        with np.errstate(**errstate):
+            with pytest.raises(NonFiniteError, match=r"^state became non-finite at step 1 \(t=1\)$") as err:
                 _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1, 2)), p, keep=lambda y: reduce(add, y))
         assert (err.value.step, err.value.time) == (1, 1.0)
 
