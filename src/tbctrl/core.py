@@ -219,12 +219,6 @@ class ParameterSet:
             return tuple(v(t) if isinstance(v, TimeTable) else v for v in vals)
         return vals
 
-    def raw(self, name: str) -> float | TimeTable:
-        try:
-            return self._data[name]
-        except KeyError:
-            raise ValidationError(f"missing parameter {name!r}") from None
-
     def as_dict(self) -> dict[str, float | TimeTable]:
         return dict(self._data)
 

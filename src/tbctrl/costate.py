@@ -100,12 +100,13 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
     so the rows agree with one to roundoff, not bitwise; lam(tf) is exactly 0.
 
     Finiteness is checked once per pass, and the first non-finite row in
-    integration order is reported. A ValidationError from the costate, or an
-    ArithmeticError (say, a floating-point exception under ``np.errstate``), is
-    located at the node of the first step to meet it, once the rows before it
-    are integrated and checked: the failed chunk is run again one step at a
-    time, and the first step to raise is that step. An ArithmeticError is
-    reported as the adjoint becoming non-finite there.
+    integration order is reported. A ValidationError from the costate, an
+    ArithmeticError (say, a floating-point exception under ``np.errstate``) or
+    a RuntimeWarning raised as an error (under a warnings filter) is located at
+    the node of the first step to meet it, once the rows before it are
+    integrated and checked: the failed chunk is run again one step at a time,
+    and the first step to raise is that step. An ArithmeticError or
+    RuntimeWarning is reported as the adjoint becoming non-finite there.
     """
     n = d.state_dim
     ts = nodes[::-1]  # integration order
@@ -146,11 +147,11 @@ def _costate_pass(d, w: CostWeights, p: ParameterSet, state: np.ndarray,
         lo = max(done - _BLOCK, 0)
         try:
             advance(lo)
-        except (ArithmeticError, ValidationError):
+        except (ArithmeticError, RuntimeWarning, ValidationError):
             try:
                 while done > lo:
                     advance(done - 1)
-            except (ArithmeticError, ValidationError) as exc:
+            except (ArithmeticError, RuntimeWarning, ValidationError) as exc:
                 _raise_first_nonfinite(rows(), ts, "adjoint", backward=True)
                 raise _located(f"adjoint left the model's domain ({exc})"
                                if isinstance(exc, ValidationError) else "adjoint became non-finite",

@@ -124,11 +124,12 @@ def validate_against(defn: ModelDefinition, p: ParameterSet) -> list[str]:
     """Collect every range/constraint violation; an empty list means valid."""
     violations: list[str] = []
     maxima: dict[str, float] = {}
+    data = p.as_dict()
     for name in defn.required_params:
-        if name not in p:
+        if name not in data:
             violations.append(f"missing parameter {name!r}")
             continue
-        v = p.raw(name)
+        v = data[name]
         if isinstance(v, TimeTable):
             if name not in defn.time_dependent_ok:
                 violations.append(f"parameter {name!r} may not be time-dependent for this model")

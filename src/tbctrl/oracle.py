@@ -9,13 +9,14 @@ s.y is not positive and finite, the last accepted step doubled. The state
 integrator is shared with the sweep solver, but the cost quadrature and its
 assembly are written here independently, and no adjoint code is reused.
 
-The RK4 kernel takes float lists or numpy columns. The line search
-integrates one control on floats; the accepted candidate's run is the next
-iteration's base run, and the last accepted iterate's run gives the returned
-trajectory. The 2*M*m shifted controls of a gradient (M coarse intervals, m
-controls), and the constant-control lattice of the starting point, run as a
-batch of (B,) columns (B <= 128, more batches past that) through the same
-kernel and the model's own rhs, bitwise as B float runs would.
+Each control's cost is the trapezoid of its own running cost over a whole
+run from x0. The RK4 kernel takes float lists or numpy columns. The line
+search integrates one control on floats, and one more float run of the
+returned control gives the returned trajectory. The 2*M*m shifted controls of
+a gradient (M coarse intervals, m controls), and the constant-control lattice
+of the starting point, run as a batch of (B,) columns (B <= 128, more batches
+past that) through the same kernel and the model's own rhs, bitwise as B
+float runs would.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _GRAD_TOL = 1e-5
 _FD_STEP = 1e-4  # central-difference step in each coarse control value
+# a cost is a double near C, so a gradient entry moves in steps of ulp(C)/(2*_FD_STEP): 5.7e-10 at C=633
 # constant-control lattice points per axis for the starting point, by control_dim
 _INIT_LATTICE_POINTS = {1: 11, 2: 7}
 # members per batched run: wide enough to spread numpy's per-call cost, and a
@@ -51,9 +53,9 @@ def _fine_controls(u_coarse: np.ndarray, n_steps: int) -> np.ndarray:
     return u_coarse[_intervals(n_steps, u_coarse.shape[0])]
 
 
-def _trapezoid(g: np.ndarray, prefix: float, h: float) -> float:
-    """``prefix`` plus the trapezoid integral of the running cost g, a contiguous node array."""
-    return prefix + float(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
+def _trapezoid(g: np.ndarray, h: float) -> float:
+    """The trapezoid integral of the running cost g, a contiguous node array."""
+    return float(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
 
 
 class _Simulator:
@@ -89,18 +91,17 @@ class _Simulator:
         return 0.5 * reduce(add, [b * np.square(u) for b, u in zip(self.b, us)])
 
     def run(self, u_coarse: np.ndarray):
-        """States at every node and the running cost at each, for one control."""
+        """States at every node and the cost, for one control."""
         fine = _fine_controls(u_coarse, self.grid.n_steps)
         state = _rk4(self.d, self.x0, self.grid.nodes, fine, self.p)
-        return state, self.state_cost(state.T) + self.effort(fine.T)
+        return state, _trapezoid(self.state_cost(state.T) + self.effort(fine.T), self.grid.h)
 
-    def costs(self, coarse: np.ndarray, starts: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    def costs(self, coarse: np.ndarray) -> np.ndarray:
         """The costs of B piecewise-constant controls, run as batches through the kernel.
 
-        Member b's control on coarse interval j is ``coarse[j, :, b]``. Its
-        cost is ``prefix[starts[b]]`` plus the trapezoid of its running cost
-        from node ``starts[b]``. A batch holds at most ``_BATCH`` members and
-        keeps only their running state cost at each node.
+        Member b's control on coarse interval j is ``coarse[j, :, b]``. A
+        batch holds at most ``_BATCH`` members and keeps only their running
+        state cost at each node.
         """
         grid = self.grid
         intervals = _intervals(grid.n_steps, coarse.shape[0])
@@ -112,19 +113,14 @@ class _Simulator:
             kept = _rk4(self.d, y0, grid.nodes, [by_interval[j] for j in intervals.tolist()],
                         self.p, keep=self.state_cost)
             for b, column in enumerate(kept.T, lo):
-                s = int(starts[b])
-                out[b] = _trapezoid(column[s:] + effort[intervals[s:], b], float(prefix[s]), grid.h)
+                out[b] = _trapezoid(column + effort[intervals, b], grid.h)
         return out
 
-    def gradient(self, u: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> np.ndarray:
         """Central differences of the cost in each coarse value of u, one batched run per shift.
 
         Member 2i shifts flat entry i of u up by ``_FD_STEP`` and member 2i+1
-        down, and runs the whole horizon from x0. The RK4 step into an
-        interval's first node already reads that interval's control, so a
-        member's rows equal the base run's up to the node s before it, and
-        its cost is the base run's ``prefix[s]`` plus its own trapezoid from
-        s, as a run restarted at s would give.
+        down, and runs the whole horizon from x0.
         """
         coarse_steps, m = u.shape
         size = coarse_steps * m
@@ -132,10 +128,7 @@ class _Simulator:
         flat, i = shifted.reshape(size, 2 * size), np.arange(size)
         flat[i, 2 * i] += _FD_STEP
         flat[i, 2 * i + 1] -= _FD_STEP
-        # the node before each interval's first node
-        starts = np.maximum(np.searchsorted(_intervals(self.grid.n_steps, coarse_steps),
-                                            np.arange(coarse_steps)) - 1, 0)
-        costs = self.costs(shifted, np.repeat(starts, 2 * m), prefix)
+        costs = self.costs(shifted)
         return ((costs[0::2] - costs[1::2]) / (2.0 * _FD_STEP)).reshape(u.shape)
 
 
@@ -152,8 +145,8 @@ def _best_constant(sim: _Simulator, w, grid_points: int) -> tuple[np.ndarray, fl
     axis = np.linspace(w.lower, w.upper, grid_points)
     mesh = np.meshgrid(*([axis] * sim.d.control_dim), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    # the lattice as batch members on a single coarse interval, each run from node 0
-    costs = sim.costs(points.T[None], np.zeros(len(points), dtype=int), np.zeros(1))
+    # the lattice as batch members on a single coarse interval
+    costs = sim.costs(points.T[None])
     cheapest, low = None, np.inf
     for const, cost in zip(points, costs.tolist()):
         if cost < low:
@@ -220,11 +213,9 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
     line_search_failed = False
     step = None
     prev_u = prev_grad = None  # the last accepted step's start and its gradient
-    state, g = sim.run(u)  # the current iterate's run: its states and running cost
 
     for it in range(1, max_iters + 1):
-        prefix = np.concatenate(([0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))))
-        grad = sim.gradient(u, prefix)
+        grad = sim.gradient(u)
 
         projected = u - np.clip(u - grad, lo, hi)
         pg_norm = float(np.max(np.abs(projected)))
@@ -240,8 +231,7 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = np.clip(u - step * grad, lo, hi)
-            cand_state, cand_g = sim.run(cand)
-            cand_cost = _trapezoid(cand_g, 0.0, grid.h)
+            cand_cost = sim.run(cand)[1]
             decrease = float(np.sum(grad * (u - cand)))
             if cand_cost <= cost - _ARMIJO * decrease:
                 accepted = True
@@ -251,10 +241,10 @@ def solve_direct(scenario, coarse_steps: int = 50, max_iters: int = 100) -> Solu
             line_search_failed = True
             break
         prev_u, prev_grad = u, grad
-        u, state, g, cost = cand, cand_state, cand_g, cand_cost  # the accepted run is the next base run
+        u, cost = cand, cand_cost
         history.append(cost)
 
-    traj = Trajectory(grid, state, _fine_controls(u, grid.n_steps))
+    traj = Trajectory(grid, sim.run(u)[0], _fine_controls(u, grid.n_steps))
     msg = "direct method (projected finite-difference gradient descent)"
     if line_search_failed:
         msg += "; line search stalled, best iterate returned"

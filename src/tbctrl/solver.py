@@ -208,8 +208,9 @@ def _rk4(d, y0: np.ndarray, nodes: np.ndarray, control, p: ParameterSet, keep=No
     the node the failing step integrates to; only at the pass's first
     evaluation, which sees just the given y0, first control row and
     parameters, is it passed on unchanged. An ArithmeticError (say, a
-    floating-point exception under ``np.errstate``) is located at that node
-    too, at any evaluation, as the state becoming non-finite.
+    floating-point exception under ``np.errstate``) or a RuntimeWarning raised
+    as an error (under a warnings filter) is located at that node too, at any
+    evaluation, as the state becoming non-finite.
     """
     if keep is None:
         flat = array("d", y0)  # the rows so far, appended as they are made
@@ -231,7 +232,7 @@ def _rk4(d, y0: np.ndarray, nodes: np.ndarray, control, p: ParameterSet, keep=No
     steps = _rk4_steps(len(y), len(u0))
     try:
         steps(f, y, t, u0, zip(map(float, nodes[1:]), runs), store, values, names, timed, q0)
-    except (ArithmeticError, ValidationError) as exc:
+    except (ArithmeticError, RuntimeWarning, ValidationError) as exc:
         j = len(rows())  # the node the failing step integrates to
         refused = isinstance(exc, ValidationError)
         if refused and j == 1 and _refuses(f, t, y, u0, q0):  # f is pure: the first evaluation refused

@@ -189,7 +189,7 @@ class TestParameterSet:
 
     def test_time_dependent_entry(self):
         p = ParameterSet({"beta": 13.0, "k": TimeTable((0.0, 10.0), (1.0, 2.0))})
-        assert isinstance(p.raw("k"), TimeTable)
+        assert isinstance(p.as_dict()["k"], TimeTable)
         assert p.value("k", 5.0) == pytest.approx(1.5)
         assert p.values(("k", "beta"), 5.0) == (p.value("k", 5.0), 13.0)
         assert p.values(("k",)) == (1.0,)

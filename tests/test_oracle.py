@@ -6,7 +6,7 @@ import pytest
 from tbctrl import (CostWeights, ModelId, best_constant_control, default_params,
                     make_time_grid, model_definition, oracle, solve_direct, solve_fbs)
 from tbctrl.core import TimeTable, ValidationError
-from tbctrl.oracle import _FD_STEP, _fine_controls, _Simulator, _spectral_step, _trapezoid
+from tbctrl.oracle import _FD_STEP, _Simulator, _spectral_step
 from tbctrl.scenario import ScenarioConfig
 from tbctrl.solver import FbsSettings, _rk4
 
@@ -38,27 +38,14 @@ def model_config(mid, n_steps, time_table=False):
 
 
 def scalar_gradient(sim, u):
-    """Central differences from one float suffix run per shifted coarse value.
-
-    Each run restarts at the node before its interval, from the base run's
-    state there, and adds its trapezoid to the base run's cost up to that node.
-    """
-    g, h, n = sim.grid, sim.grid.h, sim.grid.n_steps
-    base, g_base = sim.run(u)
-    prefix = np.concatenate(([0.0], np.cumsum(0.5 * h * (g_base[:-1] + g_base[1:]))))
-    first = -(-np.arange(u.shape[0]) * n // u.shape[0])  # interval j's first node: ceil(j*n/M)
-    starts = np.maximum(first - 1, 0)
+    """Central differences from one whole-horizon float run per shifted coarse value."""
     grad = np.empty_like(u)
     for (j, k), value in np.ndenumerate(u):
-        s = int(starts[j])
         costs = []
         for shifted in (value + _FD_STEP, value - _FD_STEP):
             v = u.copy()
             v[j, k] = shifted
-            fine = _fine_controls(v, n)[s:]
-            rows = _rk4(sim.d, base[s], g.nodes[s:], fine, sim.p)
-            run = sim.state_cost(rows.T) + sim.effort(fine.T)
-            costs.append(float(prefix[s]) + float(h * (np.sum(run) - 0.5 * (run[0] + run[-1]))))
+            costs.append(sim.run(v)[1])
         grad[j, k] = (costs[0] - costs[1]) / (2.0 * _FD_STEP)
     return grad
 
@@ -124,11 +111,17 @@ class TestSolveDirect:
         # iterate, which has no gradient when the budget ends on an accepted step
         if ends == "stalled":
             monkeypatch.setattr(oracle, "_MAX_BACKTRACKS", 0)
-        sol = solve_direct(shrink(flagship, 100), coarse_steps=5,
-                           max_iters=1 if ends == "budget" else 100)
+        cfg = shrink(flagship, 100)
+        sol = solve_direct(cfg, coarse_steps=5, max_iters=1 if ends == "budget" else 100)
         report, change = sol.report, sol.report.final_control_change
         assert report.converged == (ends == "converged")
         assert report.cost_history[-1] == sol.cost
+        # the returned state is the float run of the returned control, and the cost its cost
+        sim = _Simulator(cfg.model, cfg.params, cfg.weights, cfg.grid, cfg.initial_state())
+        control = sol.trajectory.control
+        assert np.array_equal(sol.trajectory.state,
+                              _rk4(sim.d, sim.x0, cfg.grid.nodes, control, cfg.params))
+        assert sol.cost == sim.run(control[::20][:5])[1]  # interval j starts at node 20 j
         if ends == "converged":
             assert 0.0 <= change < oracle._GRAD_TOL
         elif ends == "budget":
@@ -188,7 +181,7 @@ class TestSpectralStep:
 
 class TestBatchedGradient:
     @pytest.mark.parametrize("mid", list(ModelId))
-    def test_matches_scalar_suffix_runs(self, mid, monkeypatch):
+    def test_matches_scalar_runs(self, mid, monkeypatch):
         cfg = model_config(mid, 100, time_table=mid is ModelId.KOREA)
         d = model_definition(mid)
         # every weight pattern in play, so the running cost sums several terms
@@ -196,12 +189,10 @@ class TestBatchedGradient:
                         a_isolated=0.4 if d.isolated is not None else 0.0)
         sim = _Simulator(mid, cfg.params, w, cfg.grid, cfg.initial_state())
         u = np.random.default_rng(7).uniform(0.2, 0.8, (7, d.control_dim))
-        _, g = sim.run(u)
-        prefix = np.concatenate(([0.0], np.cumsum(0.5 * cfg.grid.h * (g[:-1] + g[1:]))))
         reference = scalar_gradient(sim, u)
-        assert np.array_equal(sim.gradient(u, prefix), reference)
+        assert np.array_equal(sim.gradient(u), reference)
         monkeypatch.setattr(oracle, "_BATCH", 5)  # several batches, the last one narrower
-        assert np.array_equal(sim.gradient(u, prefix), reference)
+        assert np.array_equal(sim.gradient(u), reference)
 
     @pytest.mark.parametrize("mid", list(ModelId))
     def test_solve_direct_on_every_model(self, mid):
@@ -220,7 +211,7 @@ class TestBestConstantControl:
         best_u, best_cost = None, np.inf
         for const in np.stack(np.meshgrid(*[axis] * len(cfg.weights.b), indexing="ij"),
                               axis=-1).reshape(-1, len(cfg.weights.b)):
-            cost = _trapezoid(sim.run(const.reshape(1, -1))[1], 0.0, cfg.grid.h)
+            cost = sim.run(const.reshape(1, -1))[1]
             if cost < best_cost:
                 best_u, best_cost = const, cost
         const, cost = best_constant_control(cfg, grid_points=points)

@@ -273,7 +273,7 @@ class TestLoadScenario:
                                 "values": [0.6, 0.2, 0.05, 0.15], "total": 10000.0}
         doc["cost"] = {"a1": 1.0, "a2": 1.0, "b": [50.0, 50.0, 50.0]}
         cfg = load_scenario(json.dumps(doc))
-        assert isinstance(cfg.params.raw("k"), TimeTable)
+        assert isinstance(cfg.params.as_dict()["k"], TimeTable)
         assert cfg.params.value("k", 5.0) == pytest.approx(0.125)
 
     def test_infinite_bounds_rejected(self):

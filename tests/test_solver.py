@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -131,15 +132,15 @@ NONFINITE_NODES = {
 }
 
 
-@pytest.mark.parametrize("invalid", ["ignore", "raise"])
+@pytest.mark.parametrize("invalid", ["ignore", "raise", "warn"])
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("k", NONFINITE_NODES.values(), ids=NONFINITE_NODES.keys())
 def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value, invalid):
     # A BLAS may skip a product's zero factors; 0 * inf and 0 * NaN must still give
     # NaN, as in the row loop. lam_1 stays 0 and A's entry (0, 1) is non-finite at node
     # k only, so the reference's first non-finite row is at node k, and the pass must
-    # locate it there, also where 0 * inf raises. The nodes are dyadic, so t + h meets
-    # the next node exactly.
+    # locate it there, also where 0 * inf raises or warns under a filter that makes the
+    # warning an error. The nodes are dyadic, so t + h meets the next node exactly.
     nodes = np.arange(N_SCAN + 1) / 64.0
 
     def coef(t):  # the augmented [[A, b], [0, 0]] at the times t, laid out (3, 3, P)
@@ -156,8 +157,9 @@ def test_inf_times_zero_reaches_the_costate_rows(monkeypatch, k, value, invalid)
     d = SimpleNamespace(state_dim=2)
     with np.errstate(invalid="ignore"):
         ref = reference_rk4(row_loop, np.zeros(2), nodes, (nodes,), backward=True)
-    with np.errstate(invalid=invalid), \
+    with warnings.catch_warnings(), np.errstate(invalid=invalid), \
             pytest.raises(NonFiniteError, match=r"^adjoint became non-finite at step \d+ \(t=[^)]*\)$") as err:
+        warnings.simplefilter("error", RuntimeWarning)
         _costate_pass(d, None, None, np.ones((N_SCAN + 1, 2)), np.zeros((N_SCAN + 1, 1)), nodes)
     assert np.isfinite(ref[k + 1:]).all() and np.isnan(ref[k, 0])
     assert (err.value.step, err.value.time) == (k, nodes[k])
@@ -343,17 +345,19 @@ class TestForwardIntegration:
                 _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1)), p)
         assert (err.value.step, err.value.time) == (1, 1.0)
 
-    @pytest.mark.parametrize("errstate", [{"over": "ignore", "invalid": "raise"}, {"over": "raise"}],
-                             ids=["invalid", "over"])
+    @pytest.mark.parametrize("errstate", [{"over": "ignore", "invalid": "raise"}, {"over": "raise"}, {}],
+                             ids=["invalid", "over", "warn"])
     def test_batch_blowup_located_when_invalid_operations_raise(self, errstate):
         # the case above as the first member of a batch, beside a tame one; where the
-        # overflow itself raises, it is located at the step whose row overflows
+        # overflow itself raises, or warns under a filter that makes the warning an
+        # error, it is located at the step whose row overflows
         d = model_definition(ModelId.SEIRS)
         p = zero_rate_params().with_updates({"mu": -3.0})
         g = make_time_grid(0.0, 5.0, 5)
         x0 = np.zeros((4, 2))
         x0[0] = 1.13e307, 1.0
-        with np.errstate(**errstate):
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteError, match=r"^state became non-finite at step 1 \(t=1\)$") as err:
                 _rk4(d, x0, g.nodes, np.zeros((g.n_nodes, 1, 2)), p, keep=lambda y: reduce(add, y))
         assert (err.value.step, err.value.time) == (1, 1.0)
